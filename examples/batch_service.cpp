@@ -18,12 +18,13 @@
 // (see src/net/watch_dir.hpp). The solve pipeline — windowing, memo, racing,
 // record/replay — is identical over stdin, socket, and watch-dir input.
 //
-// Two solve modes (batch and serve alike):
-//   * single solver (--algorithm A, default auto)  -> engine::BatchSolver;
-//   * portfolio     (--portfolio a,b,c)            -> engine::PortfolioSolver,
-//     racing every named variant per instance and keeping the best valid
-//     schedule (per-variant win counts and quality gaps in the stats;
-//     --tie-break order makes the win table reproducible under exact ties).
+// One solver front-end, engine::PortfolioSolver, in batch and serve mode:
+//   * portfolio     (--portfolio a,b,c) races every named variant per
+//     instance and keeps the best valid schedule (per-variant win counts and
+//     quality gaps in the stats; --tie-break order makes the win table
+//     reproducible under exact ties);
+//   * single solver (--algorithm A, default auto) is the one-variant
+//     portfolio {A}: `--algorithm A` and `--portfolio A` print one digest.
 //
 // --race (portfolio only) overlaps each instance's variants on a nested
 // worker pool (--race-width lanes) with cooperative early-cancel: a variant
@@ -66,8 +67,9 @@
 //
 // must print the same digest — and the serve-mode rolling digest obeys the
 // same contract for a fixed input stream and window size. `--verify`
-// re-solves on 1 thread in-process (buffering stdin first in serve mode)
-// and fails loudly when the digests diverge.
+// re-solves on 1 thread without the memo, in-process (buffering stdin first
+// in serve mode), and fails loudly when the digests diverge — so it also
+// catches a memo that served the wrong outcome.
 //
 // --record FILE (serve mode) captures the session as a replayable record:
 // the exact served stream plus the serve config, per-instance latencies,
@@ -93,7 +95,6 @@
 #include <string>
 #include <vector>
 
-#include "src/engine/batch_solver.hpp"
 #include "src/engine/portfolio.hpp"
 #include "src/engine/stream_solver.hpp"
 #include "src/jobs/generators.hpp"
@@ -106,9 +107,6 @@
 namespace {
 
 using moldable::engine::AlgorithmRegistry;
-using moldable::engine::BatchConfig;
-using moldable::engine::BatchResult;
-using moldable::engine::BatchSolver;
 using moldable::engine::PortfolioConfig;
 using moldable::engine::PortfolioResult;
 using moldable::engine::PortfolioSolver;
@@ -241,7 +239,8 @@ void usage(const char* argv0) {
             << "  --threads T     worker threads, 0 = hardware (default 0)\n"
             << "  --seed S        base RNG seed for synthetic batches (default 42)\n"
             << "  --csv           emit the stats table as CSV\n"
-            << "  --verify        re-solve on 1 thread and compare digests\n";
+            << "  --verify        re-solve on 1 thread without the memo and\n"
+            << "                  compare digests\n";
 }
 
 // Numeric option parsing: the stoXX family throws std::invalid_argument /
@@ -448,23 +447,6 @@ std::vector<moldable::jobs::Instance> load_input_batch(const std::string& dir) {
   return load.instances;
 }
 
-/// Re-solves on 1 thread and compares digests; 0 on match, 1 on violation.
-/// (Memoization is deliberately NOT carried into the reference run: an
-/// empty-store re-solve also re-checks that memo served the right outcomes.)
-template <typename Solver, typename Config>
-int check_determinism(const Solver& solver,
-                      const std::vector<moldable::jobs::Instance>& batch, Config config,
-                      std::uint64_t parallel_digest, unsigned threads) {
-  config.threads = 1;
-  if (solver.solve(batch, config).digest() != parallel_digest) {
-    std::cerr << "DETERMINISM VIOLATION: threads=" << threads
-              << " digest differs from threads=1\n";
-    return 1;
-  }
-  std::cout << "determinism: OK (digest matches single-threaded reference)\n";
-  return 0;
-}
-
 std::string fmt_digest(std::uint64_t digest) {
   char hex[32];
   std::snprintf(hex, sizeof(hex), "%016llx", static_cast<unsigned long long>(digest));
@@ -483,14 +465,6 @@ extern "C" void handle_drain_signal(int) {
   if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
 }
 
-void print_digest_line(std::size_t solved, std::size_t failed, double wall_seconds,
-                       unsigned threads, std::uint64_t digest) {
-  std::cout << "batch: " << solved << " solved, " << failed << " failed in "
-            << moldable::util::fmt(wall_seconds, 3) << " s ("
-            << (threads == 0 ? std::string("hw") : std::to_string(threads))
-            << " threads)\ndigest: " << fmt_digest(digest) << "\n";
-}
-
 void print_memo_line(std::size_t hits, std::size_t misses, std::size_t evictions,
                      std::size_t capacity) {
   std::cout << "memo: " << hits << " hit(s), " << misses << " miss(es), " << evictions
@@ -499,55 +473,12 @@ void print_memo_line(std::size_t hits, std::size_t misses, std::size_t evictions
   std::cout << "\n";
 }
 
-int run_single(const Options& opt, const std::vector<moldable::jobs::Instance>& batch) {
-  BatchConfig config;
-  config.algorithm = opt.algorithm;
-  config.eps = opt.eps;
-  config.threads = opt.threads;
-
-  const BatchSolver solver;
-  moldable::engine::exec::MemoStore<moldable::engine::InstanceOutcome> memo(
-      opt.memo_capacity);
-  const BatchResult result = solver.solve(batch, config, opt.memo ? &memo : nullptr);
-
-  moldable::util::Table table({"algorithm", "solved", "failed", "ratio-mean", "ratio-p50",
-                               "ratio-p90", "ratio-p99", "ratio-max", "queue-p50-ms",
-                               "queue-p99-ms", "compute-p50-ms", "compute-p90-ms",
-                               "compute-p99-ms", "compute-max-ms"});
-  for (const auto& s : result.per_algorithm) {
-    table.add_row({s.algorithm, std::to_string(s.count), std::to_string(s.failed),
-                   moldable::util::fmt(s.ratio_mean), moldable::util::fmt(s.ratio_p50),
-                   moldable::util::fmt(s.ratio_p90), moldable::util::fmt(s.ratio_p99),
-                   moldable::util::fmt(s.ratio_max),
-                   moldable::util::fmt(s.queue_p50 * 1e3),
-                   moldable::util::fmt(s.queue_p99 * 1e3),
-                   moldable::util::fmt(s.wall_p50 * 1e3),
-                   moldable::util::fmt(s.wall_p90 * 1e3),
-                   moldable::util::fmt(s.wall_p99 * 1e3),
-                   moldable::util::fmt(s.wall_max * 1e3)});
-  }
-  if (opt.csv)
-    table.print_csv(std::cout);
-  else
-    table.print(std::cout);
-
-  if (opt.memo)
-    print_memo_line(result.memo_hits, result.memo_misses, memo.evictions(),
-                    opt.memo_capacity);
-  print_digest_line(result.solved, result.failed, result.wall_seconds, opt.threads,
-                    result.digest());
-  for (const auto& o : result.outcomes)
-    if (!o.ok) std::cerr << "  instance " << o.index << " failed: " << o.error << "\n";
-
-  if (opt.verify &&
-      check_determinism(solver, batch, config, result.digest(), opt.threads) != 0)
-    return 1;
-  return result.failed == 0 ? 0 : 1;
-}
-
-int run_portfolio(const Options& opt, const std::vector<moldable::jobs::Instance>& batch) {
+int run_batch(const Options& opt, const std::vector<moldable::jobs::Instance>& batch) {
+  // A single --algorithm is the one-variant portfolio.
   PortfolioConfig config;
-  config.variants = moldable::engine::parse_portfolio_spec(opt.portfolio);
+  config.variants = opt.portfolio.empty()
+                        ? std::vector<std::string>{opt.algorithm}
+                        : moldable::engine::parse_portfolio_spec(opt.portfolio);
   config.eps = opt.eps;
   config.threads = opt.threads;
   config.tie_break = opt.tie_break;
@@ -561,15 +492,18 @@ int run_portfolio(const Options& opt, const std::vector<moldable::jobs::Instance
 
   // `cancelled` keeps race-mode reports honest: attempts killed by the
   // early-cancel rule are neither losses nor failures and must not be
-  // silently folded into either.
+  // silently folded into either. Ratios are each variant's own
+  // (makespan / its certified bound); gaps measure it against the winner.
   moldable::util::Table table({"variant", "wins", "solved", "failed", "cancelled",
-                               "gap-mean", "gap-max", "compute-p50-ms",
-                               "compute-p90-ms", "compute-p99-ms",
-                               "compute-total-s"});
+                               "ratio-mean", "ratio-p50", "ratio-p90", "ratio-p99",
+                               "ratio-max", "gap-mean", "gap-max", "compute-p50-ms",
+                               "compute-p90-ms", "compute-p99-ms", "compute-total-s"});
   for (const auto& s : result.per_variant) {
     table.add_row({s.algorithm, std::to_string(s.wins), std::to_string(s.solved),
                    std::to_string(s.failed), std::to_string(s.cancelled),
-                   moldable::util::fmt(s.gap_mean),
+                   moldable::util::fmt(s.ratio_mean), moldable::util::fmt(s.ratio_p50),
+                   moldable::util::fmt(s.ratio_p90), moldable::util::fmt(s.ratio_p99),
+                   moldable::util::fmt(s.ratio_max), moldable::util::fmt(s.gap_mean),
                    moldable::util::fmt(s.gap_max), moldable::util::fmt(s.wall_p50 * 1e3),
                    moldable::util::fmt(s.wall_p90 * 1e3),
                    moldable::util::fmt(s.wall_p99 * 1e3),
@@ -580,9 +514,15 @@ int run_portfolio(const Options& opt, const std::vector<moldable::jobs::Instance
   else
     table.print(std::cout);
 
-  // Prose trailer, like the batch/digest lines below: CSV consumers already
-  // have to stop at the first non-CSV line, and dropping the queue stats in
-  // --csv mode would lose data the flag exists to export.
+  // Prose trailers, like the batch/digest lines below: CSV consumers already
+  // have to stop at the first non-CSV line, and dropping these in --csv mode
+  // would lose data the flag exists to export.
+  for (const auto& s : result.per_variant) {
+    if (s.resolved.empty()) continue;
+    std::cout << "resolved: " << s.algorithm << " ->";
+    for (const auto& [name, count] : s.resolved) std::cout << ' ' << name << '=' << count;
+    std::cout << "\n";
+  }
   std::cout << "queue: p50 " << moldable::util::fmt(result.queue_p50 * 1e3)
             << " ms, p99 " << moldable::util::fmt(result.queue_p99 * 1e3)
             << " ms, max " << moldable::util::fmt(result.queue_max * 1e3)
@@ -593,8 +533,10 @@ int run_portfolio(const Options& opt, const std::vector<moldable::jobs::Instance
   if (opt.memo)
     print_memo_line(result.memo_hits, result.memo_misses, memo.evictions(),
                     opt.memo_capacity);
-  print_digest_line(result.solved, result.failed, result.wall_seconds, opt.threads,
-                    result.digest());
+  std::cout << "batch: " << result.solved << " solved, " << result.failed << " failed in "
+            << moldable::util::fmt(result.wall_seconds, 3) << " s ("
+            << (opt.threads == 0 ? std::string("hw") : std::to_string(opt.threads))
+            << " threads)\ndigest: " << fmt_digest(result.digest()) << "\n";
   for (const auto& o : result.outcomes) {
     if (o.ok) continue;
     std::cerr << "  instance " << o.index << " failed on every variant:\n";
@@ -602,9 +544,18 @@ int run_portfolio(const Options& opt, const std::vector<moldable::jobs::Instance
       std::cerr << "    " << a.algorithm << ": " << a.error << "\n";
   }
 
-  if (opt.verify &&
-      check_determinism(solver, batch, config, result.digest(), opt.threads) != 0)
-    return 1;
+  if (opt.verify) {
+    // The reference re-solves on 1 thread WITHOUT the memo: an empty-store
+    // re-solve also re-checks that the memo served the right outcomes.
+    PortfolioConfig reference = config;
+    reference.threads = 1;
+    if (solver.solve(batch, reference).digest() != result.digest()) {
+      std::cerr << "DETERMINISM VIOLATION: threads=" << opt.threads
+                << " digest differs from threads=1\n";
+      return 1;
+    }
+    std::cout << "determinism: OK (digest matches single-threaded reference)\n";
+  }
   return result.failed == 0 ? 0 : 1;
 }
 
@@ -741,7 +692,8 @@ int run_serve(const Options& opt) {
   StreamResult result;
   if (opt.verify) {
     // stdin cannot rewind, so --verify buffers the whole stream and serves
-    // it twice in-process: once as configured, once on 1 thread.
+    // it twice in-process: once as configured, once on 1 thread without the
+    // memo — so a memo that served the wrong outcome diverges here too.
     std::ostringstream buffer;
     buffer << std::cin.rdbuf();
     const std::string text = buffer.str();
@@ -749,15 +701,17 @@ int run_serve(const Options& opt) {
     result = solver.run(first, serve_config, on_window, on_error);
     StreamConfig reference = config;
     reference.threads = 1;
+    reference.memo = false;
     std::istringstream second(text);
     const StreamResult re = solver.run(second, reference);
     if (re.rolling_digest != result.rolling_digest) {
       std::cerr << "DETERMINISM VIOLATION: threads="
                 << (opt.threads == 0 ? std::string("hw") : std::to_string(opt.threads))
-                << " rolling digest differs from threads=1\n";
+                << " rolling digest differs from the memo-free threads=1 reference\n";
       return 1;
     }
-    std::cout << "determinism: OK (rolling digest matches single-threaded reference)\n";
+    std::cout << "determinism: OK (rolling digest matches the memo-free single-threaded "
+                 "reference)\n";
   } else {
     result = solver.run(*source, serve_config, on_window, on_error);
   }
@@ -975,7 +929,7 @@ int main(int argc, char** argv) {
                    "when --input is given (the batch comes from the files)\n";
     const std::vector<moldable::jobs::Instance> batch =
         opt.input.empty() ? make_synthetic_batch(opt) : load_input_batch(opt.input);
-    return opt.portfolio.empty() ? run_single(opt, batch) : run_portfolio(opt, batch);
+    return run_batch(opt, batch);
   } catch (const std::exception& e) {
     std::cerr << "batch_service: " << e.what() << "\n";
     return 2;

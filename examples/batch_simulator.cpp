@@ -22,7 +22,7 @@ namespace {
 
 using namespace moldable;
 
-struct BatchResult {
+struct PolicyTotals {
   double finish = 0;        // cumulative completion time
   double busy_area = 0;     // total processor-time used
 };
@@ -43,7 +43,7 @@ int main() {
   std::cout << "=== batch simulation: m = " << m << ", " << batches << " batches of "
             << jobs_per_batch << " jobs ===\n\n";
 
-  BatchResult moldable_policy, rigid_policy;
+  PolicyTotals moldable_policy, rigid_policy;
   util::Table t({"batch", "moldable makespan", "rigid makespan", "moldable util %",
                  "rigid util %"});
 

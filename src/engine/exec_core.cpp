@@ -26,23 +26,25 @@ Percentiles percentiles_of(std::vector<double>& samples) {
 std::optional<std::uint64_t> memo_key(const jobs::Instance& instance,
                                       std::uint64_t config_key) {
   // The canonical text form is the content identity the io layer already
-  // maintains (round-trip fixed point, metadata directives included) —
-  // minus the instance name: loaders invent fallback names (the file stem,
-  // the stream reader's "stream-<ordinal>"), so keying on the name would
-  // make every unnamed duplicate unique and silently defeat memoization.
-  // The name affects no algorithmic output and is excluded from every
-  // digest, so dropping it here is safe. An instance outside the
-  // serializable catalogue has no stable identity at all and is simply
-  // never memoized rather than guessed at.
+  // maintains (round-trip fixed point, every directive included — the
+  // memory axis too, which changes which variants may run) — minus the
+  // instance name: loaders invent fallback names (the file stem, the stream
+  // reader's "stream-<ordinal>"), so keying on the name would make every
+  // unnamed duplicate unique and silently defeat memoization. The name
+  // affects no algorithmic output and is excluded from every digest, so
+  // dropping it here is safe. The writer emits it, when present, as the
+  // line right after the header. An instance outside the serializable
+  // catalogue has no stable identity at all and is simply never memoized
+  // rather than guessed at.
   std::string text;
   try {
-    jobs::Instance content(instance.jobs(), instance.machines());
-    content.set_arrival(instance.arrival());
-    content.set_sla_class(instance.sla_class());
-    text = jobs::to_text(content);
+    text = jobs::to_text(instance);
   } catch (const std::exception&) {
     return std::nullopt;
   }
+  const std::size_t body = text.find('\n') + 1;
+  if (text.compare(body, 5, "name ") == 0)
+    text.erase(body, text.find('\n', body) + 1 - body);
   std::uint64_t h = config_key;
   detail::fnv1a_mix(h, text.data(), text.size());
   return h;

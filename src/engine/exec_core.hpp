@@ -1,8 +1,5 @@
-// The shared execution core under both batch engines (and the stream layer
-// on top of them).
-//
-// BatchSolver and PortfolioSolver are policies — "run one solver" vs "race a
-// variant list" — over one identical execution skeleton:
+// The execution core under PortfolioSolver (and the stream layer on top of
+// it): the mechanics of solving a batch, kept apart from the racing policy.
 //
 //   * per-index outcome slots, sized up front, each worker writing only its
 //     own slot (what makes every algorithmic output a pure function of
@@ -15,9 +12,8 @@
 //   * an opt-in digest-keyed memoization plan that serves duplicate
 //     instances from a prior outcome instead of re-solving them.
 //
-// This header states those mechanics once; the solvers keep only their
-// policy code. Everything here is deterministic except the clock reads, and
-// the memo plan is computed serially before dispatch so hit/miss counts are
+// Everything here is deterministic except the clock reads, and the memo
+// plan is computed serially before dispatch so hit/miss counts are
 // reproducible across thread counts.
 #pragma once
 
@@ -85,12 +81,14 @@ struct Percentiles {
 Percentiles percentiles_of(std::vector<double>& samples);
 
 /// Digest-keyed memo key of one instance under one solver configuration:
-/// FNV-1a over the instance's canonical text form — minus the instance
-/// name, which loaders auto-generate for unnamed input and which affects
-/// no algorithmic output — seeded with `config_key` (which must encode
-/// everything that changes the outcome — solver names, eps). Returns
+/// FNV-1a over the instance's canonical text form — every io directive
+/// (machines, jobs with their names, arrival, class, memcap, mem) minus the
+/// instance name, which loaders auto-generate for unnamed input and which
+/// affects no algorithmic output — seeded with `config_key` (which must
+/// encode everything that changes the outcome — solver names, eps). Returns
 /// nullopt for instances that cannot be serialized (custom oracle types
-/// outside the io catalogue); those are never memoized.
+/// outside the io catalogue, names with line breaks); those are never
+/// memoized.
 std::optional<std::uint64_t> memo_key(const jobs::Instance& instance,
                                       std::uint64_t config_key);
 
@@ -128,7 +126,7 @@ struct MemoPlan {
 /// deliberately recency-neutral: planning must not perturb the store.
 ///
 /// Callers that both read hits and insert fresh outcomes in one finalize
-/// must perform ALL reads before the first insert (see BatchSolver's
+/// must perform ALL reads before the first insert (see PortfolioSolver's
 /// finalize): an insert may evict an entry the plan promised to serve.
 template <typename Outcome>
 class MemoStore {
@@ -201,7 +199,7 @@ struct ShardTiming {
   double wall_seconds = 0;
 };
 
-/// The one shard loop both engines run: static block partitioning over
+/// The shard loop: static block partitioning over
 /// [0, n), a pickup stamp for every index (memo-served slots still queue
 /// behind their shard), and solve(i) for exactly the indices the plan marks
 /// kCompute (all of them when plan is null). solve must write only slot i's

@@ -154,7 +154,7 @@ class AdmissionPolicy {
   struct Config {
     bool shed = false;   ///< certificate shedding + lateness down-shift
     bool adapt = false;  ///< prior-driven lane seeding
-    /// Portfolio size; 0 or 1 = single-solver mode (shedding still applies,
+    /// Portfolio size; 1 = single-solver mode (shedding still applies,
     /// down-shift and adaptation have no variants to choose between).
     std::size_t n_variants = 0;
     double prior_decay = 0.9;  ///< VariantPriorTable decay per window

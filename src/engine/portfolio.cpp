@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <limits>
-#include <numeric>
+#include <map>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "src/engine/exec_core.hpp"
 #include "src/engine/policy.hpp"
@@ -21,28 +20,25 @@ using detail::fnv1a_mix_double;
 
 std::vector<VariantStats> aggregate(const std::vector<PortfolioOutcome>& outcomes,
                                     const std::vector<std::string>& variants) {
+  struct Samples {
+    std::vector<double> ratios, gaps, walls;
+    std::map<core::Algorithm, std::size_t> resolved;
+  };
   std::vector<VariantStats> out(variants.size());
-  std::vector<std::vector<double>> gaps(variants.size());
-  std::vector<std::vector<double>> walls(variants.size());
-  // Attempts are keyed back to their variant by algorithm NAME, not slot:
-  // under per-instance variant plans the attempt list is a (possibly
-  // shrunken) permutation of the portfolio, so positions no longer line up.
-  std::unordered_map<std::string, std::size_t> by_name;
-  for (std::size_t v = 0; v < variants.size(); ++v) {
-    out[v].algorithm = variants[v];
-    by_name.emplace(variants[v], v);
-  }
+  std::vector<Samples> samples(variants.size());
+  for (std::size_t v = 0; v < variants.size(); ++v) out[v].algorithm = variants[v];
 
   for (const PortfolioOutcome& o : outcomes) {
     for (const VariantAttempt& a : o.attempts) {
-      const auto it = by_name.find(a.algorithm);
-      if (it == by_name.end()) continue;  // foreign cache entry; not ours to count
-      const std::size_t v = it->second;
-      VariantStats& s = out[v];
+      // Keyed by the attempt's config index, not its lane: under per-instance
+      // variant plans the attempt list is a (possibly shrunken) permutation
+      // of the portfolio, so positions no longer line up.
+      VariantStats& s = out[a.variant];
+      Samples& x = samples[a.variant];
       // Wall stats cover every attempt: a variant that burns time before
       // failing or being cancelled still costs the race, and hiding that
       // would make expensive never-winning variants look free in the table.
-      walls[v].push_back(a.wall_seconds);
+      x.walls.push_back(a.wall_seconds);
       if (a.outcome == AttemptOutcome::kCancelled) {
         ++s.cancelled;
         continue;
@@ -53,36 +49,57 @@ std::vector<VariantStats> aggregate(const std::vector<PortfolioOutcome>& outcome
       }
       ++s.solved;
       if (a.algorithm == o.winner) ++s.wins;
-      if (o.makespan > 0) gaps[v].push_back(a.makespan / o.makespan - 1.0);
+      x.ratios.push_back(a.ratio);
+      if (o.makespan > 0) x.gaps.push_back(a.makespan / o.makespan - 1.0);
+      ++x.resolved[a.used];
     }
   }
 
   for (std::size_t v = 0; v < out.size(); ++v) {
     VariantStats& s = out[v];
-    if (!gaps[v].empty()) {
+    Samples& x = samples[v];
+    if (!x.ratios.empty()) {
       double sum = 0;
-      for (double g : gaps[v]) sum += g;
-      s.gap_mean = sum / static_cast<double>(gaps[v].size());
-      s.gap_max = *std::max_element(gaps[v].begin(), gaps[v].end());
+      for (double r : x.ratios) sum += r;
+      s.ratio_mean = sum / static_cast<double>(x.ratios.size());
+      const exec::Percentiles ratio = exec::percentiles_of(x.ratios);
+      s.ratio_p50 = ratio.p50;
+      s.ratio_p90 = ratio.p90;
+      s.ratio_p99 = ratio.p99;
+      s.ratio_max = ratio.max;
     }
-    if (!walls[v].empty()) {
-      for (double w : walls[v]) s.wall_total += w;
-      const exec::Percentiles wall = exec::percentiles_of(walls[v]);
+    if (!x.gaps.empty()) {
+      double sum = 0;
+      for (double g : x.gaps) sum += g;
+      s.gap_mean = sum / static_cast<double>(x.gaps.size());
+      s.gap_max = *std::max_element(x.gaps.begin(), x.gaps.end());
+    }
+    if (!x.walls.empty()) {
+      for (double w : x.walls) s.wall_total += w;
+      const exec::Percentiles wall = exec::percentiles_of(x.walls);
       s.wall_p50 = wall.p50;
       s.wall_p90 = wall.p90;
       s.wall_p99 = wall.p99;
       s.wall_max = wall.max;
     }
+    // kAuto is "no core algorithm" (exact, mem-greedy) and a variant that
+    // resolved to itself dispatched nothing.
+    for (const auto& [used, count] : x.resolved) {
+      if (used == core::Algorithm::kAuto) continue;
+      std::string name = core::algorithm_name(used);
+      if (name != s.algorithm) s.resolved.emplace_back(std::move(name), count);
+    }
+    std::sort(s.resolved.begin(), s.resolved.end());
   }
   return out;
 }
 
-/// Config part of the memo key (see the BatchSolver twin): variant list,
-/// eps, and the tie-break mode — the winner label is stored in the cached
-/// outcome, so outcomes produced under different tie-break rules must not
-/// alias. `race`/`race_width` are deliberately NOT mixed in: racing is
-/// contractually outcome-invariant, so raced and sequential entries are
-/// interchangeable.
+/// Config part of the memo key: everything that changes an outcome — the
+/// variant list, eps, and the tie-break mode (the winner label is stored in
+/// the cached outcome, so outcomes produced under different tie-break rules
+/// must not alias). `race`/`race_width` are deliberately NOT mixed in:
+/// racing is contractually outcome-invariant, so raced and sequential
+/// entries are interchangeable.
 std::uint64_t config_memo_key(const PortfolioConfig& config) {
   std::uint64_t h = detail::kFnvOffsetBasis;
   const char tag[] = "portfolio";
@@ -101,10 +118,11 @@ std::uint64_t config_memo_key(const PortfolioConfig& config) {
 /// Collapses an attempt to the canonical excluded stub: name + kCancelled,
 /// every certificate field zero. wall_seconds is preserved (measured-only,
 /// excluded from the digest — the partial burn is real racing cost).
-void stub_cancelled(VariantAttempt& a, const std::string& algorithm) {
+void stub_cancelled(VariantAttempt& a, std::uint16_t variant, const std::string& algorithm) {
   const double wall = a.wall_seconds;
   a = VariantAttempt{};
   a.algorithm = algorithm;
+  a.variant = variant;
   a.outcome = AttemptOutcome::kCancelled;
   a.error = "cancelled: an earlier variant completed at the certified lower bound";
   a.wall_seconds = wall;
@@ -250,9 +268,10 @@ PortfolioResult PortfolioSolver::solve(const std::vector<jobs::Instance>& batch,
   // One variant's attempt, run to completion / failure / cancellation.
   // Pure except for the wall stamp; `token` is only ever the lane's own
   // race token (null in the sequential path and in the repair path).
-  const auto run_attempt = [&](std::size_t i, std::size_t v, VariantAttempt& a,
+  const auto run_attempt = [&](std::size_t i, std::uint16_t v, VariantAttempt& a,
                                const util::CancelToken* token) {
     a.algorithm = config.variants[v];
+    a.variant = v;
     util::Timer attempt_timer;
     try {
       SolverConfig solver_config;
@@ -273,6 +292,7 @@ PortfolioResult PortfolioSolver::solve(const std::vector<jobs::Instance>& batch,
       a.ratio = r.ratio_vs_lower;
       a.guarantee = r.guarantee;
       a.dual_calls = r.dual_calls;
+      a.used = r.used;
     } catch (const util::cancelled_error& e) {
       a.outcome = AttemptOutcome::kCancelled;
       a.ok = false;
@@ -289,17 +309,19 @@ PortfolioResult PortfolioSolver::solve(const std::vector<jobs::Instance>& batch,
       batch.size(), config.threads, memo ? &plan : nullptr, [&](std::size_t i) {
         PortfolioOutcome& out = result.outcomes[i];
         // The instance's execution plan maps lanes (attempt slots) to
-        // config-variant indices; without a plan, lane l IS variant l. The
-        // plan order is the canonical order for everything below — race
+        // config-variant indices; a null map is the identity (lane l IS
+        // variant l) — the plan-free common case, which allocates nothing.
+        // The plan order is the canonical order for everything below — race
         // seeding, the early-cancel walk, the digest.
-        const std::vector<std::uint16_t>* vp = plan_of(i);
-        std::vector<std::uint16_t> lane_vars;
-        if (vp) {
-          lane_vars = *vp;
-        } else {
-          lane_vars.resize(n_variants);
-          std::iota(lane_vars.begin(), lane_vars.end(), std::uint16_t{0});
+        const std::uint16_t* lane_map = nullptr;
+        std::size_t lanes = n_variants;
+        if (const std::vector<std::uint16_t>* vp = plan_of(i)) {
+          lane_map = vp->data();
+          lanes = vp->size();
         }
+        const auto variant_of = [&](std::size_t lane) -> std::uint16_t {
+          return lane_map ? lane_map[lane] : static_cast<std::uint16_t>(lane);
+        };
         // Capability filter (memory axis): a memory-constrained instance
         // races only the memory-aware subset of its planned lanes — blind
         // variants are dropped, not failed, so a mixed portfolio degrades
@@ -307,34 +329,33 @@ PortfolioResult PortfolioSolver::solve(const std::vector<jobs::Instance>& batch,
         // the registry's declared capabilities, both memo-key-covered. When
         // NO planned lane is capable the instance fails closed: every lane
         // reports the named capability error.
+        std::vector<std::uint16_t> capable;
         if (batch[i].memory_constrained()) {
-          std::vector<std::uint16_t> capable;
-          for (const std::uint16_t v : lane_vars)
-            if (mem_aware[v]) capable.push_back(v);
+          for (std::size_t lane = 0; lane < lanes; ++lane)
+            if (mem_aware[variant_of(lane)]) capable.push_back(variant_of(lane));
           if (capable.empty()) {
-            out.attempts.resize(lane_vars.size());
-            for (std::size_t lane = 0; lane < lane_vars.size(); ++lane) {
+            out.attempts.resize(lanes);
+            for (std::size_t lane = 0; lane < lanes; ++lane) {
               VariantAttempt& a = out.attempts[lane];
-              a.algorithm = config.variants[lane_vars[lane]];
+              a.variant = variant_of(lane);
+              a.algorithm = config.variants[a.variant];
               a.outcome = AttemptOutcome::kFailed;
-              a.ok = false;
-              a.error = "capability: variant '" + a.algorithm +
-                        "' is memory-blind but instance '" + batch[i].name() +
-                        "' is memory-constrained (mem/memcap set)";
+              try {
+                registry_->check_capability(a.algorithm, batch[i]);
+              } catch (const std::invalid_argument& e) {
+                a.error = e.what();
+              }
             }
             return;
           }
-          lane_vars = std::move(capable);
+          lane_map = capable.data();
+          lanes = capable.size();
         }
-        const std::size_t lanes = lane_vars.size();
-        const auto variant_of = [&](std::size_t lane) -> std::size_t {
-          return lane_vars[lane];
-        };
         out.attempts.resize(lanes);
-        // A single-lane instance (single-variant portfolio, or a
-        // down-shifted plan) has no peers to cancel and must stay bitwise
-        // equal to solving that one variant alone, so it skips the decision
-        // machinery (and the estimator call funding it) entirely.
+        // A single-lane instance (single-solver mode, a down-shifted plan,
+        // or a capability-filtered instance) has no peers to cancel and must
+        // stay bitwise equal to solving that one variant alone, so it skips
+        // the decision machinery (and the estimator call funding it).
         const double omega = lanes > 1
                                  ? certified_lower_bound(batch[i])
                                  : -std::numeric_limits<double>::infinity();
@@ -350,7 +371,8 @@ PortfolioResult PortfolioSolver::solve(const std::vector<jobs::Instance>& batch,
             const util::CancelToken& token = arena.token(lane);
             if (token.cancelled()) {
               a.outcome = AttemptOutcome::kCancelled;
-              a.algorithm = config.variants[variant_of(lane)];
+              a.variant = variant_of(lane);
+              a.algorithm = config.variants[a.variant];
               return;
             }
             run_attempt(i, variant_of(lane), a, &token);
@@ -382,7 +404,7 @@ PortfolioResult PortfolioSolver::solve(const std::vector<jobs::Instance>& batch,
         for (std::size_t lane = 0; lane < lanes; ++lane) {
           VariantAttempt& a = out.attempts[lane];
           if (decided) {
-            stub_cancelled(a, config.variants[variant_of(lane)]);
+            stub_cancelled(a, variant_of(lane), config.variants[variant_of(lane)]);
             continue;
           }
           if (a.outcome == AttemptOutcome::kCancelled) {
@@ -437,16 +459,18 @@ PortfolioResult PortfolioSolver::solve(const std::vector<jobs::Instance>& batch,
           if (decided) out.lower_bound = std::max(out.lower_bound, omega);
           // Same convention as core::ScheduleResult: a degenerate zero lower
           // bound (e.g. a zero-job instance) reports ratio 1, keeping the
-          // single-variant portfolio bitwise equal to BatchSolver.
+          // single-variant portfolio bitwise equal to the solver's own result.
           out.ratio = out.lower_bound > 0 ? out.makespan / out.lower_bound : 1;
         }
       });
   result.wall_seconds = timing.wall_seconds;
 
-  // Serial finalize, mirroring BatchSolver's two passes: serve every
-  // store-promised slot before the first insertion (a bounded store may
-  // evict a promised entry when fresh outcomes are recorded), then resolve
-  // in-batch duplicates, stamp index/queue, and store fresh outcomes.
+  // Serial finalize, two passes. Pass 1 serves every store-promised slot
+  // before anything is inserted: under a bounded (LRU) store, recording a
+  // fresh outcome can evict an entry the plan promised to serve — plan_memo
+  // probed the store before the shard loop ran — so all store reads must
+  // precede the first write. Pass 2 serves in-batch duplicates (slot j < i
+  // is already final), stamps index/queue, and stores fresh outcomes.
   // Served slots zero the racing cost — nothing was raced.
   if (memo) {
     for (std::size_t i = 0; i < batch.size(); ++i) {

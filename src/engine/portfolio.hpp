@@ -1,11 +1,14 @@
-// PortfolioSolver: race several registry variants per instance, keep the best.
+// PortfolioSolver: the engine's one solver front-end. It races a list of
+// registry variants per instance and keeps the best valid schedule; a single
+// solver (`--algorithm X`) is simply the one-variant portfolio {X}.
 //
 // Capability filtering (memory axis): a memory-constrained instance races
 // only the memory-aware subset of its planned lanes — memory-blind variants
-// are auto-dropped per instance (deterministically: instance content and
-// registry capabilities are both memo-key-covered). When no planned lane is
-// memory-aware the instance fails closed with the named capability error on
-// every lane, never a memory-overcommitted schedule.
+// are auto-dropped per instance (deterministically: instance content,
+// memory axis included, and registry capabilities are both memo-key-covered).
+// When no planned lane is memory-aware the instance fails closed with the
+// named capability error on every lane, never a memory-overcommitted
+// schedule.
 //
 // For every instance of a batch the configured variants are raced and the
 // portfolio keeps the best *valid* schedule per instance — validity is
@@ -73,6 +76,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/engine/exec_core.hpp"
@@ -139,6 +143,7 @@ enum class AttemptOutcome : unsigned char {
 /// mid-run, or even completed after the instance was already decided.
 struct VariantAttempt {
   std::string algorithm;
+  std::uint16_t variant = 0;  ///< index of `algorithm` in PortfolioConfig::variants
   AttemptOutcome outcome = AttemptOutcome::kFailed;
   bool ok = false;    ///< outcome == kCompleted (kept for ergonomic checks)
   std::string error;  ///< solver exception or validator message when failed
@@ -147,6 +152,10 @@ struct VariantAttempt {
   double ratio = 0;
   double guarantee = 0;
   int dual_calls = 0;
+  /// The core solver a completed attempt resolved to (ScheduleResult::used
+  /// — what `auto` picked for this instance). Deterministic but outside the
+  /// digest: the variant name already identifies the configuration.
+  core::Algorithm used = core::Algorithm::kAuto;
   /// This variant's measured compute time (not deterministic). For a
   /// cancelled attempt: the partial burn before the cancel landed in race
   /// mode, 0 when the lane was skipped before starting.
@@ -169,8 +178,10 @@ struct PortfolioOutcome {
   std::vector<VariantAttempt> attempts;
 
   /// Mixes the digest-covered fields into `h` exactly as
-  /// PortfolioResult::digest() does, under a caller-chosen index — the
-  /// stream layer's rolling-digest hook (see InstanceOutcome::mix_digest).
+  /// PortfolioResult::digest() does, but under a caller-chosen index — the
+  /// hook the stream layer uses to fold window outcomes into one rolling
+  /// digest with stream-global indices, guaranteeing equality with a
+  /// one-shot digest over the concatenated windows.
   void mix_digest(std::uint64_t& h, std::size_t digest_index) const;
 };
 
@@ -183,6 +194,10 @@ struct VariantStats {
   /// Attempts excluded by the early-cancel rule. Deterministic (the rule
   /// is), and identical between sequential and race mode.
   std::size_t cancelled = 0;
+  /// The variant's own ratio (makespan / its certified lower bound) over
+  /// its completed attempts: mean and nearest-rank p50/p90/p99/max.
+  double ratio_mean = 0;
+  double ratio_p50 = 0, ratio_p90 = 0, ratio_p99 = 0, ratio_max = 0;
   /// Quality gap of a completed attempt: makespan / best_makespan - 1,
   /// i.e. how far behind the per-instance winner this variant was (0 when it
   /// matched the best). Mean/max over its completed attempts.
@@ -190,9 +205,13 @@ struct VariantStats {
   double gap_max = 0;
   /// Wall stats cover ALL attempts — failed ones burn compute before
   /// throwing, and cancelled ones report their partial burn (0 when skipped
-  /// before starting). Same p50/p90/p99/max ladder as AlgorithmStats.
+  /// before starting). Same p50/p90/p99/max ladder as the ratios.
   double wall_total = 0;
   double wall_p50 = 0, wall_p90 = 0, wall_p99 = 0, wall_max = 0;
+  /// For a dispatching variant (`auto`, `ptas`): its completed attempts
+  /// counted per core solver they resolved to (VariantAttempt::used), sorted
+  /// by name. Empty for a variant that always runs itself.
+  std::vector<std::pair<std::string, std::size_t>> resolved;
 };
 
 struct PortfolioResult {
@@ -204,8 +223,11 @@ struct PortfolioResult {
   /// per-variant `cancelled` counts). Deterministic.
   std::size_t cancelled_attempts = 0;
   double wall_seconds = 0;  ///< whole-batch wall clock
-  /// Memoization tally, deterministic; both zero without a memo store (see
-  /// BatchResult for the exact semantics — they are identical here).
+  /// Memoization tally (both zero without a memo store). A hit is an
+  /// outcome served without solving — a duplicate of an earlier index of
+  /// this batch, or of an instance a prior batch stored. hits + misses ==
+  /// batch size when memoization is on, and both counts are deterministic
+  /// (the memo plan is computed serially before dispatch).
   std::size_t memo_hits = 0;
   std::size_t memo_misses = 0;
   /// Batch-level shard-pickup latency percentiles over all outcomes (queue
@@ -216,10 +238,12 @@ struct PortfolioResult {
   /// FNV-1a over the deterministic fields, batch order: per outcome
   /// (index, ok, makespan, lower_bound, ratio, guarantee) and per attempt
   /// (algorithm, outcome, ok, makespan, lower_bound, ratio, guarantee,
-  /// dual_calls). Winner names, win counts, and all wall/queue fields are
-  /// excluded — they may legitimately differ between runs (see file
-  /// comment). Equal across thread counts, and between sequential and race
-  /// mode, for the same batch + config.
+  /// dual_calls). Winner names, win counts, resolved solvers, error texts,
+  /// and all wall/queue fields are excluded — they may legitimately differ
+  /// between runs (see file comment) or are not part of the stability
+  /// contract. Equal across thread counts, and between sequential and race
+  /// mode, for the same batch + config; not promised across compilers or
+  /// libm versions (solvers do real floating-point work).
   std::uint64_t digest() const;
 };
 
@@ -232,15 +256,19 @@ class PortfolioSolver {
   /// up front when the variant list is empty, contains an unknown or
   /// duplicate name, or eps is out of range; per-instance solver errors are
   /// recorded in the outcomes instead of thrown. A single-variant portfolio
-  /// degenerates to BatchSolver semantics (same makespans, bounds, ratios).
+  /// is exactly that solver: one attempt per instance carrying the solver's
+  /// own makespan, bound, ratio, and guarantee (no estimator call, no
+  /// early-cancel machinery).
   ///
-  /// `memo` enables digest-keyed memoization with the same contract as
-  /// BatchSolver::solve: duplicate instances reuse the stored outcome
-  /// (winner label included), the digest is unchanged, served outcomes
-  /// report zero compute, and the store must not be shared concurrently.
-  /// Race mode does not enter the memo key — raced and sequential runs
-  /// produce identical outcomes by contract, so their cache entries are
-  /// interchangeable.
+  /// `memo` (optional) enables digest-keyed memoization: instances whose
+  /// content was already solved under this config — earlier in this batch
+  /// or in a prior batch sharing the store — reuse the stored outcome
+  /// (winner label included) instead of re-solving. Solvers are pure, so the
+  /// digest is unchanged; served outcomes report zero compute. The store is
+  /// read and extended serially around the shard loop and must not be
+  /// shared concurrently. Race mode does not enter the memo key — raced and
+  /// sequential runs produce identical outcomes by contract, so their cache
+  /// entries are interchangeable.
   PortfolioResult solve(const std::vector<jobs::Instance>& batch,
                         const PortfolioConfig& config,
                         exec::MemoStore<PortfolioOutcome>* memo = nullptr) const;

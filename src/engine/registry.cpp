@@ -70,13 +70,11 @@ AlgorithmRegistry AlgorithmRegistry::with_builtins() {
     util::ArenaScope arena_scope(config.arena);
     return core::ptas_schedule(instance, config.eps);
   });
-  r.add("exact", solve_exact_wrapped);
-  // The memory-aware pair. mem-exact reuses solve_exact, whose allotment
-  // search is memory-aware (kmin-clamped) by construction — under the
-  // distinct name the capability gate can route memory-constrained
-  // instances to it while "exact" keeps the memory-blind contract.
+  // The memory-aware pair. solve_exact narrows every allotment search to
+  // the memory-feasible range [kmin_j, m], so its optimum (and the bound it
+  // certifies) already honors the constraint.
+  r.add("exact", solve_exact_wrapped, SolverCaps{/*memory_aware=*/true});
   r.add("mem-greedy", memory_greedy_wrapped, SolverCaps{/*memory_aware=*/true});
-  r.add("mem-exact", solve_exact_wrapped, SolverCaps{/*memory_aware=*/true});
   return r;
 }
 

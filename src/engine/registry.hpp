@@ -2,15 +2,15 @@
 //
 // The core layer exposes each paper algorithm through its own entry point
 // (schedule_moldable + an Algorithm enum, ptas_schedule, solve_exact). The
-// batch engine and its drivers instead select solvers by *name* at run time
+// engine and its drivers instead select solvers by *name* at run time
 // (CLI flags, service configs), so this registry wraps every variant behind
 // one uniform `solve(instance, config)` signature:
 //
 //   auto, fptas, mrt, algorithm1, algorithm3, algorithm3-linear  (the enum)
 //   lt-2approx                                                   (baseline)
 //   ptas                                                         (Section 3.2)
-//   exact                                                        (tiny refs)
-//   mem-greedy, mem-exact                          (memory-aware variants)
+//   exact                                       (tiny refs, memory-aware)
+//   mem-greedy                                  (memory-aware list greedy)
 //
 // Registries are value types; `global()` returns the shared immutable
 // instance holding the built-ins. Custom variants (ablations, tuned eps
@@ -19,7 +19,7 @@
 // Capability flags: each entry declares whether it understands the memory
 // axis (`SolverCaps::memory_aware`). The paper algorithms predate the axis
 // and silently ignore footprints, which would produce memory-overcommitted
-// "valid-looking" schedules — so the engines fail closed instead: a
+// "valid-looking" schedules — so the engine fails closed instead: a
 // memory-constrained instance routed to a memory-blind variant yields the
 // named capability error (check_capability), never a wrong schedule.
 #pragma once
@@ -65,15 +65,15 @@ struct SolverConfig {
 /// A registered solver variant: maps (instance, config) to a ScheduleResult,
 /// reporting failure by throwing (std::exception derivatives only).
 ///
-/// Contract required by the batch/portfolio engines:
+/// Contract required by the engine (PortfolioSolver):
 ///   * pure — the result is a function of the arguments alone (no hidden
 ///     state, no randomness, no wall-clock dependence); this is what makes
-///     the engines' digests stable across thread counts;
+///     the engine's digests stable across thread counts;
 ///   * thread-compatible — concurrent calls on distinct instances are safe
 ///     (all built-ins are; custom variants must not share mutable state);
 ///   * certified — `lower_bound` must be a valid lower bound on OPT and the
-///     returned schedule must pass sched::validate (portfolio mode
-///     re-checks and demotes violations to per-instance failures).
+///     returned schedule must pass sched::validate (the engine re-checks
+///     and demotes violations to per-instance failures).
 using SolverFn =
     std::function<core::ScheduleResult(const jobs::Instance&, const SolverConfig&)>;
 
@@ -88,7 +88,7 @@ struct SolverCaps {
   bool memory_aware = false;
 };
 
-/// Name -> SolverFn map behind the engines' run-time solver selection.
+/// Name -> SolverFn map behind the engine's run-time solver selection.
 /// See the file comment for the built-in names. Lookup is O(log n); batch
 /// callers resolve once outside their worker loops.
 class AlgorithmRegistry {
@@ -116,9 +116,11 @@ class AlgorithmRegistry {
 
   /// Fail-closed capability gate: throws std::invalid_argument with a
   /// message starting "capability:" when `instance` is memory-constrained
-  /// and `name` is memory-blind. The engines run this before every solve so
-  /// a blind variant can never silently produce a memory-overcommitted
-  /// schedule. No-op for memory-free instances and memory-aware variants.
+  /// and `name` is memory-blind. solve() runs it before every call, and
+  /// PortfolioSolver reports it for every lane of an instance no capable
+  /// variant can serve, so a blind variant can never silently produce a
+  /// memory-overcommitted schedule. No-op for memory-free instances and
+  /// memory-aware variants.
   void check_capability(const std::string& name, const jobs::Instance& instance) const;
 
   /// Sorted solver names (stable across runs; used by --help output).

@@ -5,7 +5,6 @@
 #include <limits>
 #include <optional>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "src/engine/sketch.hpp"
 #include "src/jobs/io.hpp"
@@ -50,21 +49,21 @@ StreamResult StreamSolver::run(InstanceSource& source, const StreamConfig& confi
     throw std::invalid_argument("stream: max-inflight must be >= 1");
   if (!(config.eps > 0) || config.eps > 1)
     throw std::invalid_argument("stream: eps must be in (0, 1]");
+  // Single-solver mode is the one-variant portfolio {algorithm}.
   const bool portfolio_mode = !config.variants.empty();
-  if (portfolio_mode) {
-    for (std::size_t v = 0; v < config.variants.size(); ++v) {
-      registry_->at(config.variants[v]);  // throws with the known-name list
-      for (std::size_t w = 0; w < v; ++w)
-        if (config.variants[w] == config.variants[v])
-          throw std::invalid_argument("stream: duplicate variant '" +
-                                      config.variants[v] + "'");
-    }
-  } else {
-    registry_->at(config.algorithm);
-    if (config.race)
-      throw std::invalid_argument(
-          "stream: race mode requires a portfolio (a single solver has no "
-          "peers to race)");
+  if (!portfolio_mode && config.race)
+    throw std::invalid_argument(
+        "stream: race mode requires a portfolio (a single solver has no "
+        "peers to race)");
+  PortfolioConfig portfolio_config;
+  portfolio_config.variants =
+      portfolio_mode ? config.variants : std::vector<std::string>{config.algorithm};
+  const std::vector<std::string>& variants = portfolio_config.variants;
+  for (std::size_t v = 0; v < variants.size(); ++v) {
+    registry_->at(variants[v]);  // throws with the known-name list
+    for (std::size_t w = 0; w < v; ++w)
+      if (variants[w] == variants[v])
+        throw std::invalid_argument("stream: duplicate variant '" + variants[v] + "'");
   }
   // Canonicalize deadline keys the way Instance does ("default" == the
   // unlabelled class) so the lookup below can use sla_class() verbatim.
@@ -86,39 +85,25 @@ StreamResult StreamSolver::run(InstanceSource& source, const StreamConfig& confi
 
   // The policy layer: shed probe + virtual clock + variant plans. Owned
   // here and driven entirely from the serial serve loop (fill, window cut,
-  // per-window finalize) — never from inside a worker.
+  // per-window finalize) — never from inside a worker. With one variant
+  // there is no order to learn: no plans, no prior updates, no priors.
   std::optional<AdmissionPolicy> policy;
   if (config.shed || config.adapt) {
     AdmissionPolicy::Config policy_config;
     policy_config.shed = config.shed;
     policy_config.adapt = config.adapt;
-    policy_config.n_variants = portfolio_mode ? config.variants.size() : 0;
+    policy_config.n_variants = variants.size();
     policy.emplace(policy_config, deadlines);
   }
-  // Attempt names map back to portfolio indices for the prior updates.
-  std::unordered_map<std::string, std::uint16_t> variant_index;
-  for (std::size_t v = 0; v < config.variants.size(); ++v)
-    variant_index.emplace(config.variants[v], static_cast<std::uint16_t>(v));
+  const bool learn = policy && variants.size() > 1;
 
-  BatchConfig batch_config;
-  batch_config.algorithm = config.algorithm;
-  batch_config.eps = config.eps;
-  batch_config.threads = config.threads;
-  PortfolioConfig portfolio_config;
-  portfolio_config.variants = config.variants;
   portfolio_config.eps = config.eps;
   portfolio_config.threads = config.threads;
   portfolio_config.tie_break = config.tie_break;
   portfolio_config.race = config.race;
   portfolio_config.race_width = config.race_width;
-
-  const BatchSolver batch_solver(*registry_);
-  const PortfolioSolver portfolio_solver(*registry_);
-  exec::MemoStore<InstanceOutcome> batch_memo(config.memo_capacity);
-  exec::MemoStore<PortfolioOutcome> portfolio_memo(config.memo_capacity);
-  const auto store_evictions = [&] {
-    return portfolio_mode ? portfolio_memo.evictions() : batch_memo.evictions();
-  };
+  const PortfolioSolver solver(*registry_);
+  exec::MemoStore<PortfolioOutcome> memo(config.memo_capacity);
 
   StreamResult result;
   result.rolling_digest = detail::kFnvOffsetBasis;  // == empty batch digest
@@ -261,7 +246,7 @@ StreamResult StreamSolver::run(InstanceSource& source, const StreamConfig& confi
     WindowStats stats;
     stats.index = result.windows;
     stats.instances = window.size();
-    const std::size_t evictions_before = store_evictions();
+    const std::size_t evictions_before = memo.evictions();
 
     // Per-instance execution plans from the policy: single-lane down-shifts
     // for slack-exhausted deadline instances, prior-seeded lane orders under
@@ -270,7 +255,7 @@ StreamResult StreamSolver::run(InstanceSource& source, const StreamConfig& confi
     // the stream prefix and config.
     std::vector<std::vector<std::uint16_t>> window_plans;
     portfolio_config.variant_plans = nullptr;
-    if (policy && portfolio_mode && config.variants.size() > 1) {
+    if (learn) {
       window_plans.resize(take);
       for (std::size_t i = 0; i < take; ++i) {
         VariantPlan plan = policy->plan_for(window[i], window_omegas[i]);
@@ -310,70 +295,48 @@ StreamResult StreamSolver::run(InstanceSource& source, const StreamConfig& confi
       }
     };
 
-    // Solve the window through the shared core; fold outcomes into the
-    // rolling digest under their stream-global indices and into the
-    // per-class accounting.
-    if (portfolio_mode) {
-      const PortfolioResult r = portfolio_solver.solve(
-          window, portfolio_config, config.memo ? &portfolio_memo : nullptr);
-      stats.solved = r.solved;
-      stats.failed = r.failed;
-      stats.wall_seconds = r.wall_seconds;
-      stats.memo_hits = r.memo_hits;
-      stats.memo_misses = r.memo_misses;
-      stats.cancelled_attempts = r.cancelled_attempts;
-      stats.digest = r.digest();
+    // Solve the window; fold outcomes into the rolling digest under their
+    // stream-global indices and into the per-class accounting.
+    const PortfolioResult r =
+        solver.solve(window, portfolio_config, config.memo ? &memo : nullptr);
+    stats.solved = r.solved;
+    stats.failed = r.failed;
+    stats.wall_seconds = r.wall_seconds;
+    stats.memo_hits = r.memo_hits;
+    stats.memo_misses = r.memo_misses;
+    stats.cancelled_attempts = r.cancelled_attempts;
+    stats.digest = r.digest();
+    for (std::size_t i = 0; i < r.outcomes.size(); ++i) {
+      const PortfolioOutcome& o = r.outcomes[i];
+      const std::size_t index = global_index++;
+      o.mix_digest(result.rolling_digest, index);
+      account(index, window_tags[i], window[i], o.ok, o.queue_seconds, o.compute_seconds);
+    }
+    // Serial prior update from this window's canonical attempt sets. The
+    // win credit goes to the CANONICAL winner — the earliest attempt in
+    // plan order that completed at the outcome makespan — not the
+    // tie-break label, which under kWallTime may differ between runs.
+    // Cancelled attempts (race losers) are debited. Memo-served outcomes
+    // count too: their attempt sets are canonical by construction. Runs
+    // whenever the policy is active so a shed-only serve still learns the
+    // leaders its down-shifts will target.
+    if (learn) {
       for (std::size_t i = 0; i < r.outcomes.size(); ++i) {
         const PortfolioOutcome& o = r.outcomes[i];
-        const std::size_t index = global_index++;
-        o.mix_digest(result.rolling_digest, index);
-        account(index, window_tags[i], window[i], o.ok, o.queue_seconds,
-                o.compute_seconds);
-      }
-      // Serial prior update from this window's canonical attempt sets. The
-      // win credit goes to the CANONICAL winner — the earliest attempt in
-      // plan order that completed at the outcome makespan — not the
-      // tie-break label, which under kWallTime may differ between runs.
-      // Cancelled attempts (race losers) are debited. Memo-served outcomes
-      // count too: their attempt sets are canonical by construction. Runs
-      // whenever the policy is active so a shed-only serve still learns the
-      // leaders its down-shifts will target.
-      if (policy) {
-        for (std::size_t i = 0; i < r.outcomes.size(); ++i) {
-          const PortfolioOutcome& o = r.outcomes[i];
-          const std::string& cls = window[i].sla_class();
-          bool win_credited = false;
-          for (const VariantAttempt& a : o.attempts) {
-            const auto vi = variant_index.find(a.algorithm);
-            if (vi == variant_index.end()) continue;
-            if (!win_credited && o.ok && a.ok && a.makespan == o.makespan) {
-              policy->priors().observe_win(cls, vi->second);
-              win_credited = true;
-            } else if (a.outcome == AttemptOutcome::kCancelled) {
-              policy->priors().observe_cancel(cls, vi->second);
-            }
+        const std::string& cls = window[i].sla_class();
+        bool win_credited = false;
+        for (const VariantAttempt& a : o.attempts) {
+          if (!win_credited && o.ok && a.ok && a.makespan == o.makespan) {
+            policy->priors().observe_win(cls, a.variant);
+            win_credited = true;
+          } else if (a.outcome == AttemptOutcome::kCancelled) {
+            policy->priors().observe_cancel(cls, a.variant);
           }
         }
-        policy->priors().end_window();
       }
-    } else {
-      const BatchResult r =
-          batch_solver.solve(window, batch_config, config.memo ? &batch_memo : nullptr);
-      stats.solved = r.solved;
-      stats.failed = r.failed;
-      stats.wall_seconds = r.wall_seconds;
-      stats.memo_hits = r.memo_hits;
-      stats.memo_misses = r.memo_misses;
-      stats.digest = r.digest();
-      for (std::size_t i = 0; i < r.outcomes.size(); ++i) {
-        const InstanceOutcome& o = r.outcomes[i];
-        const std::size_t index = global_index++;
-        o.mix_digest(result.rolling_digest, index);
-        account(index, window_tags[i], window[i], o.ok, o.queue_seconds,
-                o.wall_seconds);
-      }
+      policy->priors().end_window();
     }
-    stats.memo_evictions = store_evictions() - evictions_before;
+    stats.memo_evictions = memo.evictions() - evictions_before;
     stats.rolling_digest = result.rolling_digest;
 
     ++result.windows;
@@ -389,7 +352,7 @@ StreamResult StreamSolver::run(InstanceSource& source, const StreamConfig& confi
     result.window_stats.push_back(stats);
     cap_history(result.window_stats);
   }
-  result.memo_evictions = store_evictions();
+  result.memo_evictions = memo.evictions();
   result.preamble = source.preamble();
 
   for (auto& [name, bucket] : classes) {  // std::map: sorted by class name

@@ -1,7 +1,7 @@
 // StreamSolver: the continuous serving loop on top of the execution core.
 //
-// Where BatchSolver/PortfolioSolver solve one pre-materialized batch and
-// return, StreamSolver consumes an unbounded stream of instance records
+// Where PortfolioSolver solves one pre-materialized batch and returns,
+// StreamSolver consumes an unbounded stream of instance records
 // from an InstanceSource (a stdin pipe, a watched directory, a socket
 // listener multiplexing many client sessions — see instance_source.hpp)
 // and serves it as a sequence of bounded micro-batches:
@@ -11,8 +11,9 @@
 //     of the solver — the bounded reorder horizon within which instances
 //     are ordered by their `arrival` metadata (stable sort, so records
 //     without arrival stamps keep stream order);
-//   * each window runs through the shared core in single-solver or
-//     portfolio mode, optionally memoized across windows (duplicate
+//   * each window runs through PortfolioSolver — a single solver is the
+//     one-variant portfolio {algorithm} — optionally memoized across
+//     windows (duplicate
 //     instances in a replay stream reuse the prior outcome; a nonzero
 //     memo_capacity bounds the store under deterministic LRU eviction);
 //   * per-window stats are emitted as the window completes, and per-SLA-
@@ -48,7 +49,7 @@
 // the config (reading, ordering, and window cuts are all serial), and each
 // window inherits the core's thread-count independence. The rolling digest
 // folds every outcome under its stream-global index with exactly the
-// per-outcome mixing of the one-shot engines, so for a fixed input and
+// per-outcome mixing of PortfolioResult::digest(), so for a fixed input and
 // window size it is identical across --threads 1/N *and* equal to the
 // one-shot batch digest over the concatenated windows (ordered as served).
 // Memo hit/miss/eviction counts are equally thread-count independent (serial
@@ -86,7 +87,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/engine/batch_solver.hpp"
 #include "src/engine/instance_source.hpp"
 #include "src/engine/policy.hpp"
 #include "src/engine/portfolio.hpp"
@@ -97,7 +97,8 @@ namespace moldable::engine {
 struct StreamConfig {
   std::size_t window = 16;       ///< max instances per micro-batch (>= 1)
   std::size_t max_inflight = 4;  ///< arrival-reorder horizon, in windows (>= 1)
-  std::string algorithm = "auto";     ///< single-solver mode selection
+  /// Single-solver mode: served as the one-variant portfolio {algorithm}.
+  std::string algorithm = "auto";
   std::vector<std::string> variants;  ///< non-empty: portfolio mode (ignores algorithm)
   double eps = 0.1;                   ///< approximation parameter, in (0, 1]
   unsigned threads = 0;               ///< worker threads per window; 0 = hardware
@@ -200,7 +201,7 @@ struct WindowStats {
 /// Whole-stream latency split for one SLA class (the `class` directive;
 /// unlabelled instances report under "default"). Queue is shard pickup
 /// within the instance's window, compute is solve time (the summed racing
-/// cost in portfolio mode) — the same split the batch engines report,
+/// cost in portfolio mode) — the same split PortfolioSolver reports,
 /// aggregated per class instead of per algorithm.
 struct ClassStats {
   std::string sla_class;
@@ -250,9 +251,10 @@ struct StreamResult {
   /// Instances served on a single down-shifted lane (stream total over
   /// WindowStats::downshifted). Deterministic.
   std::size_t downshifted = 0;
-  /// Final prior-table state (empty unless shed/adapt ran). Deterministic:
-  /// built from canonical win/cancel tallies in the serial finalize, so
-  /// identical across thread counts and on replay.
+  /// Final prior-table state (empty unless shed/adapt ran over two or more
+  /// variants — one variant has no order to learn). Deterministic: built
+  /// from canonical win/cancel tallies in the serial finalize, so identical
+  /// across thread counts and on replay.
   std::vector<VariantPriorTable::ClassPriors> priors;
   /// Leading comment lines of the stream (before the first record header) —
   /// a traffic generator's manifest block, passed through for reporting and

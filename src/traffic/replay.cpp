@@ -16,7 +16,10 @@ namespace moldable::traffic {
 
 namespace {
 
-constexpr char kHeaderSentinel[] = "# moldable-record v1";
+// v2: single-solver sessions are served as one-variant portfolios, so their
+// digests changed value; a v1 recording can no longer replay to its digest.
+constexpr char kHeaderSentinel[] = "# moldable-record v2";
+constexpr char kHeaderV1[] = "# moldable-record v1";
 constexpr char kEndSentinel[] = "# moldable-record-end v1";
 constexpr char kCloseSentinel[] = "# moldable-record-close v1";
 
@@ -260,6 +263,10 @@ ReplayFile load_record(std::istream& is) {
   while (std::getline(is, line)) {
     const std::string t = trim(line);
     if (t.empty()) continue;
+    if (t == kHeaderV1)
+      fail("record format v1 is no longer replayable: single-solver "
+           "(--algorithm) digests changed in v2, when every solver became a "
+           "one-variant portfolio; re-record the session");
     if (t != kHeaderSentinel)
       fail(std::string("not a record file (expected '") + kHeaderSentinel +
            "' first, got '" + t.substr(0, 40) + "')");

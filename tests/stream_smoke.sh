@@ -11,7 +11,11 @@
 # shaped traffic, not a hand-rolled fixture loop.
 #
 #   smoke  — replays the small checked-in fixture with an unbounded memo
-#            store (the original PR 3 smoke).
+#            store. Also serves the memo_twins fixture (two records that
+#            differ only in memcap/mem) under --memo --verify, whose
+#            memo-free reference catches a memo key blind to the memory
+#            axis, and checks that `--algorithm X` and `--portfolio X` print
+#            one digest for every registry name, in batch and serve mode.
 #   soak   — a 2000-arrival diurnal stream (mostly content-distinct
 #            records, a duplicate every 11th arrival, an interactive
 #            deadline class) served in the bounded endless-serve
@@ -94,6 +98,41 @@ smoke)
         "$bin" --serve --verify --memo --window 3 --max-inflight 2 \
                --threads "$1" < "$stream"
     }
+    # The capped twin may only run mem-greedy: it must miss the memo, and
+    # --verify (exit 1 on divergence) re-serves both twins without it.
+    twins=$(dirname "$fixture")/memo_twins.txt
+    tout=$("$bin" --serve --verify --memo --portfolio lt-2approx,mem-greedy \
+                  --tie-break order --window 1 < "$twins")
+    case $tout in
+    *"memo: 0 hit(s)"*) ;;
+    *)
+        echo "stream_smoke (smoke): the memory-constrained twin was served from the memo:" >&2
+        printf '%s\n' "$tout" >&2
+        exit 1
+        ;;
+    esac
+    # A single solver is the one-variant portfolio. `|| true`: some names
+    # fail some instances (exit 1) but still print their digest.
+    names=$("$bin" --help | sed -n 's/.*; known: *//p')
+    if [ -z "$names" ]; then
+        echo "stream_smoke (smoke): no registry names in --help" >&2
+        exit 1
+    fi
+    for name in $names; do
+        ba=$("$bin" --instances 3 --jobs 4 --machines 8 --eps 0.5 --algorithm "$name" \
+             2>/dev/null | grep '^digest:' || true)
+        bp=$("$bin" --instances 3 --jobs 4 --machines 8 --eps 0.5 --portfolio "$name" \
+             2>/dev/null | grep '^digest:' || true)
+        sa=$("$bin" --serve --eps 0.5 --algorithm "$name" < "$stream" \
+             2>/dev/null | grep '^rolling digest:' || true)
+        sp=$("$bin" --serve --eps 0.5 --portfolio "$name" < "$stream" \
+             2>/dev/null | grep '^rolling digest:' || true)
+        if [ -z "$ba" ] || [ "$ba" != "$bp" ] || [ -z "$sa" ] || [ "$sa" != "$sp" ]; then
+            echo "stream_smoke (smoke): --algorithm $name differs from --portfolio $name:" >&2
+            echo "  batch: '$ba' vs '$bp'; serve: '$sa' vs '$sp'" >&2
+            exit 1
+        fi
+    done
     ;;
 soak)
     need_traffic_gen

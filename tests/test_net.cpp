@@ -20,7 +20,7 @@
 #include <thread>
 #include <vector>
 
-#include "src/engine/batch_solver.hpp"
+#include "src/engine/portfolio.hpp"
 #include "src/engine/stream_solver.hpp"
 #include "src/jobs/generators.hpp"
 #include "src/jobs/io.hpp"
@@ -345,7 +345,9 @@ TEST(WatchDir, StreamSolverOverWatchDirMatchesBatchDigest) {
   // Sorted pickup + arrival-free instances = the batch in drop order, so the
   // serve digest must equal the one-shot batch digest: the ingestion path
   // leaves no trace in the outcome.
-  EXPECT_EQ(r.rolling_digest, engine::BatchSolver().solve(batch, {}).digest());
+  engine::PortfolioConfig one_shot;
+  one_shot.variants = {"auto"};
+  EXPECT_EQ(r.rolling_digest, engine::PortfolioSolver().solve(batch, one_shot).digest());
 }
 
 // ----------------------------------------------------------- socket server --

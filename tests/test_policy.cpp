@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "src/engine/batch_solver.hpp"
 #include "src/engine/policy.hpp"
 #include "src/engine/portfolio.hpp"
 #include "src/engine/stream_solver.hpp"
@@ -62,9 +61,10 @@ TEST(AdmissionPolicy, CertificateLowerBoundsEveryAchievableMakespan) {
   // and check the bound held. A violation here would mean shedding could
   // refuse an instance that a solver COULD have served in time.
   const auto batch = policy_batch(12);
-  BatchConfig config;
+  PortfolioConfig config;
+  config.variants = {"auto"};
   config.threads = 2;
-  const BatchResult result = BatchSolver().solve(batch, config);
+  const PortfolioResult result = PortfolioSolver().solve(batch, config);
   ASSERT_EQ(result.solved, batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const double omega = certified_lower_bound(batch[i]);
@@ -353,6 +353,15 @@ TEST(StreamPolicy, ShedSetAndPriorsAreThreadCountIndependent) {
   const StreamResult plain = run_stream(text, off);
   EXPECT_EQ(plain.shed, 0u);
   EXPECT_NE(plain.rolling_digest, one.rolling_digest);
+
+  // One variant has no order to learn: it sheds the same set (the
+  // certificate ignores the variants) but keeps no priors.
+  StreamConfig lone_config = shed_config(budget, 1);
+  lone_config.variants = {"exact"};
+  const StreamResult lone = run_stream(text, lone_config);
+  EXPECT_EQ(lone.shed, one.shed);
+  EXPECT_FALSE(one.priors.empty());
+  EXPECT_TRUE(lone.priors.empty());
 }
 
 TEST(StreamPolicy, ServedAndShedIndicesPartitionTheStreamGapFree) {

@@ -1,15 +1,19 @@
 // Portfolio-engine tests: spec parsing, the combined-certificate semantics
 // (min makespan / max lower bound), winner selection determinism across
-// thread counts, all-variants-fail isolation, and the single-variant
-// degeneration to plain BatchSolver behaviour.
+// thread counts, all-variants-fail isolation, the per-variant stats table,
+// memoization, and single-solver mode (suite SingleSolver) — a one-variant
+// portfolio is exactly a direct registry call.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
-#include "src/engine/batch_solver.hpp"
+#include "src/core/scheduler.hpp"
 #include "src/engine/portfolio.hpp"
+#include "src/engine/registry.hpp"
 #include "src/jobs/generators.hpp"
 
 namespace moldable::engine {
@@ -25,6 +29,20 @@ std::vector<Instance> small_batch(std::size_t count, procs_t m = 64) {
   for (std::size_t i = 0; i < count; ++i)
     batch.push_back(make_instance(families[i % families.size()], 16, m, 100 + i));
   return batch;
+}
+
+/// A single solver is the one-variant portfolio {name}.
+PortfolioConfig single(const std::string& name) {
+  PortfolioConfig config;
+  config.variants = {name};
+  return config;
+}
+
+Instance memory_capped(std::uint64_t seed) {
+  Instance inst = make_instance(Family::kAmdahl, 4, 8, seed);
+  inst.set_memory_capacity(4.0);
+  inst.set_job_memory({10.0, 1.0, 6.0, 3.0});  // kmin = {3, 1, 2, 1}
+  return inst;
 }
 
 TEST(PortfolioSpec, ParsesAndTrims) {
@@ -78,32 +96,50 @@ TEST(PortfolioSolver, InvalidConfigThrowsUpFront) {
   EXPECT_THROW(PortfolioSolver().solve(batch, bad_eps), std::invalid_argument);
 }
 
-TEST(PortfolioSolver, SingleVariantDegeneratesToBatchSolver) {
-  const auto batch = small_batch(12);
-  PortfolioConfig pc;
-  pc.variants = {"algorithm1"};
-  pc.eps = 0.25;
-  const PortfolioResult p = PortfolioSolver().solve(batch, pc);
-
-  BatchConfig bc;
-  bc.algorithm = "algorithm1";
-  bc.eps = 0.25;
-  const BatchResult b = BatchSolver().solve(batch, bc);
-
-  ASSERT_EQ(p.outcomes.size(), b.outcomes.size());
-  for (std::size_t i = 0; i < p.outcomes.size(); ++i) {
-    ASSERT_TRUE(p.outcomes[i].ok) << i;
-    EXPECT_EQ(p.outcomes[i].winner, "algorithm1");
-    EXPECT_DOUBLE_EQ(p.outcomes[i].makespan, b.outcomes[i].makespan);
-    EXPECT_DOUBLE_EQ(p.outcomes[i].lower_bound, b.outcomes[i].lower_bound);
-    EXPECT_DOUBLE_EQ(p.outcomes[i].ratio, b.outcomes[i].ratio);
-    EXPECT_DOUBLE_EQ(p.outcomes[i].guarantee, b.outcomes[i].guarantee);
+TEST(PortfolioSolver, SingleVariantEqualsDirectRegistryCall) {
+  // Single-solver mode is the one-variant portfolio: for every builtin, each
+  // outcome must carry exactly what a direct registry call returns — or
+  // fail with exactly its error — with no estimator or race bookkeeping on
+  // top.
+  const std::vector<Instance> batch = {
+      make_instance(Family::kMixed, 4, 8, 7),     // exact-solvable
+      make_instance(Family::kAmdahl, 4, 512, 7),  // FPTAS regime, over exact's caps
+      memory_capped(41),                          // memory-aware variants only
+  };
+  SolverConfig direct_config;
+  direct_config.eps = 0.5;
+  for (const std::string& name : AlgorithmRegistry::global().names()) {
+    PortfolioConfig pc = single(name);
+    pc.eps = direct_config.eps;
+    const PortfolioResult r = PortfolioSolver().solve(batch, pc);
+    ASSERT_EQ(r.outcomes.size(), batch.size()) << name;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const PortfolioOutcome& o = r.outcomes[i];
+      ASSERT_EQ(o.attempts.size(), 1u) << name << " " << i;
+      const VariantAttempt& a = o.attempts[0];
+      EXPECT_EQ(a.algorithm, name);
+      try {
+        const core::ScheduleResult direct =
+            AlgorithmRegistry::global().solve(name, batch[i], direct_config);
+        ASSERT_TRUE(o.ok) << name << " " << i << ": " << a.error;
+        EXPECT_EQ(o.winner, name);
+        EXPECT_EQ(o.makespan, direct.makespan) << name << " " << i;
+        EXPECT_EQ(o.lower_bound, direct.lower_bound) << name << " " << i;
+        EXPECT_EQ(o.ratio, direct.ratio_vs_lower) << name << " " << i;
+        EXPECT_EQ(o.guarantee, direct.guarantee) << name << " " << i;
+        EXPECT_EQ(a.dual_calls, direct.dual_calls) << name << " " << i;
+        EXPECT_EQ(a.used, direct.used) << name << " " << i;
+      } catch (const std::exception& e) {
+        EXPECT_FALSE(o.ok) << name << " " << i;
+        EXPECT_EQ(a.error, e.what()) << name << " " << i;
+      }
+    }
+    ASSERT_EQ(r.per_variant.size(), 1u);
+    EXPECT_EQ(r.per_variant[0].wins, r.solved) << name;
+    EXPECT_EQ(r.per_variant[0].solved, r.solved) << name;
+    EXPECT_EQ(r.per_variant[0].cancelled, 0u) << name;
+    EXPECT_DOUBLE_EQ(r.per_variant[0].gap_max, 0.0) << name;
   }
-  ASSERT_EQ(p.per_variant.size(), 1u);
-  EXPECT_EQ(p.per_variant[0].wins, p.solved);
-  EXPECT_EQ(p.per_variant[0].solved, p.solved);
-  EXPECT_DOUBLE_EQ(p.per_variant[0].gap_mean, 0.0);
-  EXPECT_DOUBLE_EQ(p.per_variant[0].gap_max, 0.0);
 }
 
 TEST(PortfolioSolver, CombinedCertificateIsAtLeastAsTightAsEveryVariant) {
@@ -211,13 +247,6 @@ TEST(PortfolioSolver, AllVariantsFailIsIsolatedToTheOffendingInstance) {
   EXPECT_EQ(r.outcomes[2].attempts[1].outcome, AttemptOutcome::kCancelled);
   EXPECT_EQ(r.cancelled_attempts, 2u);
   EXPECT_GT(r.per_variant[1].wall_total, 0);
-}
-
-Instance memory_capped(std::uint64_t seed) {
-  Instance inst = make_instance(Family::kAmdahl, 4, 8, seed);
-  inst.set_memory_capacity(4.0);
-  inst.set_job_memory({10.0, 1.0, 6.0, 3.0});  // kmin = {3, 1, 2, 1}
-  return inst;
 }
 
 TEST(PortfolioSolver, MemoryBlindVariantsAreDroppedFromCappedInstances) {
@@ -369,20 +398,17 @@ TEST(PortfolioSolver, MemoServesDuplicatesWithUnchangedDigest) {
   EXPECT_EQ(replay.digest(), plain.digest());
 }
 
-TEST(PortfolioSolver, ZeroJobInstanceMatchesBatchSolverRatioConvention) {
-  // A zero-job instance has lower bound 0; both engines must report the
+TEST(PortfolioSolver, ZeroJobInstanceMatchesCoreRatioConvention) {
+  // A zero-job instance has lower bound 0; the portfolio must report the
   // core convention (ratio 1), or the single-variant equivalence breaks.
   const std::vector<Instance> batch{Instance({}, 4, "empty")};
-  PortfolioConfig pc;
-  pc.variants = {"lt-2approx"};
-  const PortfolioResult p = PortfolioSolver().solve(batch, pc);
-  BatchConfig bc;
-  bc.algorithm = "lt-2approx";
-  const BatchResult b = BatchSolver().solve(batch, bc);
+  const PortfolioResult p = PortfolioSolver().solve(batch, single("lt-2approx"));
+  const core::ScheduleResult direct =
+      AlgorithmRegistry::global().solve("lt-2approx", batch[0], {});
   ASSERT_TRUE(p.outcomes[0].ok) << p.outcomes[0].attempts[0].error;
-  ASSERT_TRUE(b.outcomes[0].ok) << b.outcomes[0].error;
-  EXPECT_DOUBLE_EQ(p.outcomes[0].ratio, b.outcomes[0].ratio);
-  EXPECT_DOUBLE_EQ(p.outcomes[0].makespan, b.outcomes[0].makespan);
+  EXPECT_DOUBLE_EQ(p.outcomes[0].ratio, 1.0);
+  EXPECT_DOUBLE_EQ(p.outcomes[0].ratio, direct.ratio_vs_lower);
+  EXPECT_DOUBLE_EQ(p.outcomes[0].makespan, direct.makespan);
 }
 
 TEST(PortfolioSolver, EmptyBatch) {
@@ -395,6 +421,260 @@ TEST(PortfolioSolver, EmptyBatch) {
   ASSERT_EQ(r.per_variant.size(), 1u);
   EXPECT_EQ(r.per_variant[0].wins, 0u);
   EXPECT_EQ(r.digest(), PortfolioSolver().solve({}, pc).digest());
+}
+
+// ---------------------------------------------------------------------------
+// Single-solver mode (`--algorithm X` is the one-variant portfolio {X}).
+
+TEST(SingleSolver, EmptyBatch) {
+  const PortfolioResult r = PortfolioSolver().solve({}, single("auto"));
+  EXPECT_TRUE(r.outcomes.empty());
+  EXPECT_EQ(r.solved, 0u);
+  EXPECT_EQ(r.failed, 0u);
+  ASSERT_EQ(r.per_variant.size(), 1u);
+  EXPECT_EQ(r.per_variant[0].solved, 0u);
+  EXPECT_EQ(r.per_variant[0].failed, 0u);
+  EXPECT_TRUE(r.per_variant[0].resolved.empty());
+  EXPECT_EQ(r.digest(), PortfolioSolver().solve({}, single("auto")).digest());
+}
+
+TEST(SingleSolver, SingleInstanceMatchesDirectSolve) {
+  const Instance inst = make_instance(Family::kPowerLaw, 24, 128, 11);
+  PortfolioConfig config = single("algorithm3-linear");
+  config.eps = 0.25;
+  const PortfolioResult r = PortfolioSolver().solve({inst}, config);
+  ASSERT_EQ(r.outcomes.size(), 1u);
+  ASSERT_TRUE(r.outcomes[0].ok) << r.outcomes[0].attempts[0].error;
+
+  const core::ScheduleResult direct =
+      core::schedule_moldable(inst, 0.25, core::Algorithm::kBoundedLinear);
+  EXPECT_DOUBLE_EQ(r.outcomes[0].makespan, direct.makespan);
+  EXPECT_DOUBLE_EQ(r.outcomes[0].lower_bound, direct.lower_bound);
+  EXPECT_EQ(r.outcomes[0].winner, "algorithm3-linear");
+  EXPECT_EQ(r.solved, 1u);
+  ASSERT_EQ(r.per_variant.size(), 1u);
+  EXPECT_EQ(r.per_variant[0].solved, 1u);
+  EXPECT_DOUBLE_EQ(r.per_variant[0].ratio_p50, r.outcomes[0].ratio);
+  EXPECT_DOUBLE_EQ(r.per_variant[0].ratio_max, r.outcomes[0].ratio);
+}
+
+TEST(SingleSolver, DeterministicAcrossThreadCounts) {
+  const auto batch = small_batch(24);
+  for (const char* algorithm : {"auto", "algorithm1", "lt-2approx"}) {
+    PortfolioConfig serial = single(algorithm);
+    serial.threads = 1;
+    PortfolioConfig parallel = serial;
+    parallel.threads = 5;
+
+    const PortfolioResult a = PortfolioSolver().solve(batch, serial);
+    const PortfolioResult b = PortfolioSolver().solve(batch, parallel);
+    EXPECT_EQ(a.digest(), b.digest()) << algorithm;
+    ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
+    for (std::size_t i = 0; i < a.outcomes.size(); ++i) {
+      EXPECT_EQ(a.outcomes[i].ok, b.outcomes[i].ok);
+      EXPECT_EQ(a.outcomes[i].attempts[0].used, b.outcomes[i].attempts[0].used);
+      EXPECT_DOUBLE_EQ(a.outcomes[i].makespan, b.outcomes[i].makespan);
+      EXPECT_DOUBLE_EQ(a.outcomes[i].ratio, b.outcomes[i].ratio);
+    }
+  }
+}
+
+TEST(SingleSolver, AutoResolvesPerInstanceAndAggregatesByResolvedName) {
+  // n=4 on m=512 is deep in the FPTAS regime; n=64 on m=64 is not. Under
+  // "auto" the two must resolve to different solvers, recorded per attempt
+  // and aggregated under their resolved names.
+  std::vector<Instance> batch;
+  batch.push_back(make_instance(Family::kAmdahl, 4, 512, 3));
+  batch.push_back(make_instance(Family::kAmdahl, 64, 64, 3));
+  PortfolioConfig config = single("auto");
+  config.eps = 0.5;
+  const PortfolioResult r = PortfolioSolver().solve(batch, config);
+  ASSERT_EQ(r.solved, 2u);
+  EXPECT_EQ(core::algorithm_name(r.outcomes[0].attempts[0].used), "fptas");
+  EXPECT_EQ(core::algorithm_name(r.outcomes[1].attempts[0].used), "algorithm3-linear");
+  ASSERT_EQ(r.per_variant.size(), 1u);
+  const std::vector<std::pair<std::string, std::size_t>> resolved = {
+      {"algorithm3-linear", 1}, {"fptas", 1}};
+  EXPECT_EQ(r.per_variant[0].resolved, resolved);
+  // A variant that always runs itself dispatches to nothing else.
+  EXPECT_TRUE(PortfolioSolver().solve(batch, single("mrt")).per_variant[0].resolved.empty());
+}
+
+TEST(SingleSolver, FailureIsIsolatedToTheOffendingInstance) {
+  // `exact` hard-caps at n <= 7, m <= 8: the middle instance violates the
+  // cap and must fail alone while its neighbours solve.
+  std::vector<Instance> batch;
+  batch.push_back(make_instance(Family::kMixed, 4, 8, 21));
+  batch.push_back(make_instance(Family::kMixed, 40, 64, 22));  // over the caps
+  batch.push_back(make_instance(Family::kMixed, 4, 8, 23));
+  PortfolioConfig config = single("exact");
+  config.threads = 2;
+  const PortfolioResult r = PortfolioSolver().solve(batch, config);
+  EXPECT_EQ(r.solved, 2u);
+  EXPECT_EQ(r.failed, 1u);
+  EXPECT_TRUE(r.outcomes[0].ok);
+  EXPECT_FALSE(r.outcomes[1].ok);
+  EXPECT_FALSE(r.outcomes[1].attempts[0].error.empty());
+  EXPECT_TRUE(r.outcomes[2].ok);
+  ASSERT_EQ(r.per_variant.size(), 1u);
+  EXPECT_EQ(r.per_variant[0].solved, 2u);
+  EXPECT_EQ(r.per_variant[0].failed, 1u);
+}
+
+TEST(SingleSolver, InvalidConfigThrowsUpFront) {
+  const auto batch = small_batch(2);
+  EXPECT_THROW(PortfolioSolver().solve(batch, single("no-such-solver")),
+               std::invalid_argument);
+  PortfolioConfig bad_eps = single("auto");
+  bad_eps.eps = 0;
+  EXPECT_THROW(PortfolioSolver().solve(batch, bad_eps), std::invalid_argument);
+  bad_eps.eps = 1.5;
+  EXPECT_THROW(PortfolioSolver().solve(batch, bad_eps), std::invalid_argument);
+}
+
+TEST(SingleSolver, CapabilityErrorIsIsolatedPerInstance) {
+  // A memory-capped instance routed to a blind single solver yields the
+  // named capability error on that slot alone — the batch never aborts.
+  std::vector<Instance> batch = small_batch(2, 8);
+  batch.insert(batch.begin() + 1, memory_capped(5));
+  const PortfolioResult r = PortfolioSolver().solve(batch, single("lt-2approx"));
+  EXPECT_EQ(r.solved, 2u);
+  EXPECT_EQ(r.failed, 1u);
+  EXPECT_TRUE(r.outcomes[0].ok);
+  ASSERT_FALSE(r.outcomes[1].ok);
+  const std::string& error = r.outcomes[1].attempts[0].error;
+  EXPECT_NE(error.find("capability:"), std::string::npos) << error;
+  EXPECT_TRUE(r.outcomes[2].ok);
+}
+
+TEST(SingleSolver, MemoryAwareBatchIsDeterministicAcrossThreadCounts) {
+  std::vector<Instance> batch;
+  for (std::size_t i = 0; i < 12; ++i) batch.push_back(memory_capped(50 + i));
+  for (const char* algorithm : {"mem-greedy", "exact"}) {
+    PortfolioConfig serial = single(algorithm);
+    serial.eps = 0.5;
+    serial.threads = 1;
+    PortfolioConfig parallel = serial;
+    parallel.threads = 4;
+    const PortfolioResult a = PortfolioSolver().solve(batch, serial);
+    const PortfolioResult b = PortfolioSolver().solve(batch, parallel);
+    EXPECT_EQ(a.failed, 0u) << algorithm;
+    EXPECT_EQ(a.digest(), b.digest()) << algorithm;
+  }
+}
+
+TEST(SingleSolver, PercentilesAreOrdered) {
+  const auto batch = small_batch(40);
+  PortfolioConfig config = single("lt-2approx");
+  config.threads = 3;
+  const PortfolioResult r = PortfolioSolver().solve(batch, config);
+  ASSERT_EQ(r.per_variant.size(), 1u);
+  const VariantStats& s = r.per_variant[0];
+  EXPECT_EQ(s.solved, 40u);
+  EXPECT_LE(s.ratio_p50, s.ratio_p90);
+  EXPECT_LE(s.ratio_p90, s.ratio_p99);
+  EXPECT_LE(s.ratio_p99, s.ratio_max);
+  EXPECT_LE(s.ratio_mean, s.ratio_max);
+  EXPECT_GE(s.ratio_p50, 1.0 - 1e-9);
+  EXPECT_LE(s.ratio_max, 2.0 + 1e-9);  // Ludwig-Tiwari guarantee
+  EXPECT_LE(s.wall_p50, s.wall_max);
+}
+
+TEST(SingleSolver, MemoServesDuplicatesWithUnchangedDigest) {
+  auto batch = small_batch(5);
+  batch.push_back(batch[1]);  // two intra-batch duplicates
+  batch.push_back(batch[3]);
+  PortfolioConfig config = single("lt-2approx");
+  config.threads = 3;
+
+  const PortfolioResult plain = PortfolioSolver().solve(batch, config);
+  EXPECT_EQ(plain.memo_hits, 0u);  // no store, no tally
+
+  exec::MemoStore<PortfolioOutcome> store;
+  const PortfolioResult memo = PortfolioSolver().solve(batch, config, &store);
+  EXPECT_EQ(memo.memo_hits, 2u);
+  EXPECT_EQ(memo.memo_misses, 5u);
+  EXPECT_EQ(store.size(), 5u);
+  // Memoization must not move any algorithmic output: identical digest,
+  // identical per-outcome fields, fresh index stamps on the served slots.
+  EXPECT_EQ(memo.digest(), plain.digest());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(memo.outcomes[i].index, i);
+    EXPECT_DOUBLE_EQ(memo.outcomes[i].makespan, plain.outcomes[i].makespan);
+  }
+  // Served slots did not solve: zero compute, and the originals kept theirs.
+  EXPECT_DOUBLE_EQ(memo.outcomes[5].compute_seconds, 0.0);
+  EXPECT_DOUBLE_EQ(memo.outcomes[6].compute_seconds, 0.0);
+  EXPECT_GT(memo.outcomes[1].compute_seconds, 0.0);
+
+  // Cross-batch reuse: a replay against the same store is all hits, and the
+  // hit/miss tallies are thread-count independent (the plan is serial).
+  PortfolioConfig serial = config;
+  serial.threads = 1;
+  exec::MemoStore<PortfolioOutcome> store2;
+  const PortfolioResult serial_memo = PortfolioSolver().solve(batch, serial, &store2);
+  EXPECT_EQ(serial_memo.memo_hits, memo.memo_hits);
+  const PortfolioResult replay = PortfolioSolver().solve(batch, config, &store);
+  EXPECT_EQ(replay.memo_hits, batch.size());
+  EXPECT_EQ(replay.memo_misses, 0u);
+  EXPECT_EQ(replay.digest(), plain.digest());
+}
+
+TEST(SingleSolver, MemoKeyDistinguishesConfigs) {
+  // The same instance under a different variant list, eps, or tie-break
+  // must not alias in the store: the config is folded into every memo key.
+  const auto batch = small_batch(2);
+  exec::MemoStore<PortfolioOutcome> store;
+  const PortfolioConfig a = single("lt-2approx");
+  EXPECT_EQ(PortfolioSolver().solve(batch, a, &store).memo_hits, 0u);
+
+  PortfolioConfig other_eps = a;
+  other_eps.eps = 0.5;
+  PortfolioConfig other_tie = a;
+  other_tie.tie_break = TieBreak::kPortfolioOrder;
+  PortfolioConfig wider = a;
+  wider.variants = {"lt-2approx", "mrt"};
+  for (const PortfolioConfig& other : {other_eps, other_tie, wider, single("mrt")})
+    EXPECT_EQ(PortfolioSolver().solve(batch, other, &store).memo_hits, 0u);
+
+  EXPECT_EQ(PortfolioSolver().solve(batch, a, &store).memo_hits, batch.size());
+}
+
+TEST(SingleSolver, MemoizedFailuresAreServedToo) {
+  // A failing instance (exact over its caps) is cached like any other
+  // outcome — replaying it must not re-run the doomed solve or change
+  // counts.
+  std::vector<Instance> batch;
+  batch.push_back(make_instance(Family::kMixed, 40, 64, 22));  // over the caps
+  batch.push_back(make_instance(Family::kMixed, 40, 64, 22));  // duplicate
+  exec::MemoStore<PortfolioOutcome> store;
+  const PortfolioResult r = PortfolioSolver().solve(batch, single("exact"), &store);
+  EXPECT_EQ(r.failed, 2u);
+  EXPECT_EQ(r.memo_hits, 1u);
+  EXPECT_FALSE(r.outcomes[1].ok);
+  EXPECT_EQ(r.outcomes[1].attempts[0].error, r.outcomes[0].attempts[0].error);
+}
+
+TEST(SingleSolver, QueueAndComputeLatenciesAreSplit) {
+  const auto batch = small_batch(30);
+  PortfolioConfig config = single("lt-2approx");
+  config.threads = 2;
+  const PortfolioResult r = PortfolioSolver().solve(batch, config);
+
+  for (const PortfolioOutcome& o : r.outcomes) {
+    EXPECT_GE(o.queue_seconds, 0) << o.index;
+    EXPECT_GE(o.compute_seconds, 0) << o.index;
+    // Pickup cannot come after the whole-batch wall clock ended.
+    EXPECT_LE(o.queue_seconds, r.wall_seconds + 1e-6) << o.index;
+  }
+  EXPECT_LE(r.queue_p50, r.queue_p99);
+  EXPECT_LE(r.queue_p99, r.queue_max);
+  // On 2 threads over 30 instances some instance queues behind its shard.
+  EXPECT_GT(r.queue_max, 0);
+
+  // The latency fields must not leak into the digest: same batch + config
+  // re-solved gives the same digest even though timings differ.
+  EXPECT_EQ(r.digest(), PortfolioSolver().solve(batch, config).digest());
 }
 
 }  // namespace

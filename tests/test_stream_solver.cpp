@@ -11,8 +11,8 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "src/engine/batch_solver.hpp"
 #include "src/engine/portfolio.hpp"
+#include "src/engine/registry.hpp"
 #include "src/engine/stream_solver.hpp"
 #include "src/jobs/generators.hpp"
 #include "src/jobs/io.hpp"
@@ -44,6 +44,15 @@ std::string to_stream(const std::vector<Instance>& instances) {
 StreamResult run_stream(const std::string& text, const StreamConfig& config) {
   std::istringstream input(text);
   return StreamSolver().run(input, config);
+}
+
+/// One-shot digest of `batch` under a single solver — what a serve of the
+/// same instances in the same order must reproduce.
+std::uint64_t one_shot_digest(const std::vector<Instance>& batch,
+                              const std::string& algorithm = "auto") {
+  PortfolioConfig config;
+  config.variants = {algorithm};
+  return PortfolioSolver().solve(batch, config).digest();
 }
 
 TEST(StreamSolver, WindowBoundaries) {
@@ -80,20 +89,17 @@ TEST(StreamSolver, EmptyStreamMatchesEmptyBatch) {
   EXPECT_EQ(r.windows, 0u);
   EXPECT_EQ(r.instances, 0u);
   EXPECT_EQ(r.malformed, 0u);
-  EXPECT_EQ(r.rolling_digest, BatchSolver().solve({}, {}).digest());
+  EXPECT_EQ(r.rolling_digest, one_shot_digest({}));
 }
 
 TEST(StreamSolver, RollingDigestEqualsOneShotBatchDigest) {
   // No arrival metadata -> the stable sort preserves stream order, so the
   // concatenated windows are exactly the input batch, and the rolling
-  // digest must equal BatchSolver's one-shot digest over it — the window
-  // cuts must leave no trace.
+  // digest must equal the one-shot digest over it — the window cuts must
+  // leave no trace.
   const auto batch = small_batch(11);
   const std::string text = to_stream(batch);
-
-  BatchConfig one_shot;
-  one_shot.threads = 3;
-  const std::uint64_t expected = BatchSolver().solve(batch, one_shot).digest();
+  const std::uint64_t expected = one_shot_digest(batch);
 
   for (const std::size_t window : {1ul, 3ul, 4ul, 11ul, 64ul}) {
     StreamConfig config;
@@ -143,7 +149,7 @@ TEST(StreamSolver, MalformedRecordIsIsolatedMidStream) {
 
   // The skipped record must leave no trace in the digest: the stream result
   // equals a one-shot batch over just the two good instances.
-  EXPECT_EQ(r.rolling_digest, BatchSolver().solve(good, {}).digest());
+  EXPECT_EQ(r.rolling_digest, one_shot_digest(good));
 }
 
 TEST(StreamSolver, StrayTextOutsideRecordsIsReportedNotSilentlySkipped) {
@@ -168,8 +174,8 @@ TEST(StreamSolver, ArrivalOrdersWindowsInsideTheHorizon) {
   const std::string text = to_stream(batch);
 
   std::vector<Instance> by_arrival(batch.rbegin(), batch.rend());
-  const std::uint64_t sorted_digest = BatchSolver().solve(by_arrival, {}).digest();
-  const std::uint64_t stream_order_digest = BatchSolver().solve(batch, {}).digest();
+  const std::uint64_t sorted_digest = one_shot_digest(by_arrival);
+  const std::uint64_t stream_order_digest = one_shot_digest(batch);
   ASSERT_NE(sorted_digest, stream_order_digest);  // distinct instances: orders differ
 
   StreamConfig config;
@@ -190,7 +196,57 @@ TEST(StreamSolver, ReorderHorizonIsBounded) {
   config.window = 1;
   config.max_inflight = 1;
   const StreamResult r = run_stream(to_stream(batch), config);
-  EXPECT_EQ(r.rolling_digest, BatchSolver().solve(batch, {}).digest());
+  EXPECT_EQ(r.rolling_digest, one_shot_digest(batch));
+}
+
+TEST(StreamSolver, SingleAlgorithmIsTheOneVariantPortfolioForEveryBuiltin) {
+  // `--algorithm X` and `--portfolio X` are one configuration: for every
+  // builtin, serving with `algorithm = X` and with `variants = {X}` gives
+  // one rolling digest, and both equal the one-shot batch digest. Failures
+  // (exact over its caps, fptas below its machine threshold) included.
+  const std::vector<Instance> batch = {
+      make_instance(Family::kMixed, 4, 8, 7),
+      make_instance(Family::kAmdahl, 4, 512, 7),
+      make_instance(Family::kPowerLaw, 6, 64, 9),
+  };
+  const std::string text = to_stream(batch);
+  for (const std::string& name : AlgorithmRegistry::global().names()) {
+    StreamConfig by_algorithm;
+    by_algorithm.algorithm = name;
+    by_algorithm.eps = 0.5;
+    by_algorithm.window = 2;
+    StreamConfig by_portfolio = by_algorithm;
+    by_portfolio.variants = {name};
+    const std::uint64_t serve = run_stream(text, by_algorithm).rolling_digest;
+    EXPECT_EQ(run_stream(text, by_portfolio).rolling_digest, serve) << name;
+    PortfolioConfig one_shot;
+    one_shot.variants = {name};
+    one_shot.eps = 0.5;
+    EXPECT_EQ(PortfolioSolver().solve(batch, one_shot).digest(), serve) << name;
+  }
+}
+
+TEST(StreamSolver, MemoKeepsTheMemoryConstrainedTwinApart) {
+  // Identical jobs, but the second record is memory-constrained, so only
+  // mem-greedy may serve it. A memo key blind to memcap/mem would hand it
+  // the first record's memory-blind lt-2approx schedule: memo on must give
+  // the memo-off digest, with no hit.
+  const std::string jobs_text =
+      "machines 4\njob amdahl 10 0.5 a\njob amdahl 8 0.8 b\n"
+      "job powerlaw 6 0.7 c\njob comm 4 0.2 d\njob amdahl 2 0.9 e\n";
+  const std::string twins = "moldable-instance v1\n" + jobs_text +
+                            "moldable-instance v1\nmemcap 1\nmem 5 4 4 4 0 0\n" +
+                            jobs_text;
+  StreamConfig config;
+  config.variants = {"lt-2approx", "mem-greedy"};
+  config.tie_break = TieBreak::kPortfolioOrder;
+  config.window = 1;
+  const StreamResult plain = run_stream(twins, config);
+  ASSERT_EQ(plain.solved, 2u);
+  config.memo = true;
+  const StreamResult memo = run_stream(twins, config);
+  EXPECT_EQ(memo.memo_hits, 0u);
+  EXPECT_EQ(memo.rolling_digest, plain.rolling_digest);
 }
 
 TEST(StreamSolver, MemoServesDuplicatesWithUnchangedDigest) {
@@ -322,8 +378,8 @@ TEST(StreamSolver, DeadlineClassJumpsTheReorderBuffer) {
   const std::string text = to_stream(batch);
 
   std::vector<Instance> jumped = {batch[3], batch[0], batch[1], batch[2]};
-  const std::uint64_t jumped_digest = BatchSolver().solve(jumped, {}).digest();
-  const std::uint64_t stream_order_digest = BatchSolver().solve(batch, {}).digest();
+  const std::uint64_t jumped_digest = one_shot_digest(jumped);
+  const std::uint64_t stream_order_digest = one_shot_digest(batch);
   ASSERT_NE(jumped_digest, stream_order_digest);
 
   StreamConfig config;
@@ -354,7 +410,7 @@ TEST(StreamSolver, EarlierDeadlineWinsWithinADeadlineClass) {
   config.window = 3;
   config.class_deadlines["interactive"] = 2.0;
   EXPECT_EQ(run_stream(text, config).rolling_digest,
-            BatchSolver().solve(expected, {}).digest());
+            one_shot_digest(expected));
 }
 
 TEST(StreamSolver, DeadlineMissesAreCountedPerClassAndPerWindow) {
@@ -476,11 +532,7 @@ TEST(StreamSolver, PerInstanceFailureIsIsolated) {
   const StreamResult r = run_stream(to_stream(batch), config);
   EXPECT_EQ(r.solved, 2u);
   EXPECT_EQ(r.failed, 1u);
-  EXPECT_EQ(r.rolling_digest, [&] {
-    BatchConfig bc;
-    bc.algorithm = "exact";
-    return BatchSolver().solve(batch, bc).digest();
-  }());
+  EXPECT_EQ(r.rolling_digest, one_shot_digest(batch, "exact"));
 }
 
 TEST(StreamSolver, InvalidConfigThrowsBeforeConsumingInput) {
@@ -677,6 +729,23 @@ TEST(StreamRecordReplay, TruncatedFilesAreRejectedWithADiagnostic) {
   EXPECT_THROW(traffic::load_record(not_a_record), std::runtime_error);
   std::istringstream empty("");
   EXPECT_THROW(traffic::load_record(empty), std::runtime_error);
+}
+
+TEST(StreamRecordReplay, VersionOneRecordsAreRejectedByName) {
+  // v1 recordings predate single-solver sessions becoming one-variant
+  // portfolios: their digests cannot replay, and the loader must say why
+  // instead of reporting a divergence.
+  std::ostringstream written;
+  const traffic::StreamRecorder recorder(written, StreamConfig{});
+  ASSERT_EQ(written.str().rfind("# moldable-record v2\n", 0), 0u);
+  std::istringstream file("# moldable-record v1\n# serve window=16\n");
+  try {
+    traffic::load_record(file);
+    FAIL() << "a v1 record file must not load";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("v1"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("single-solver"), std::string::npos) << e.what();
+  }
 }
 
 TEST(StreamRecordReplay, CorruptedBodyIsRejectedWithADiagnostic) {
