@@ -1,15 +1,11 @@
-// Knapsack-engine ablation (Section 4.1 vs 4.2 vs 4.3): the dense O(nC) DP
-// against the compressible solver (Algorithm 2) as capacity grows — the
-// crossover the paper's complexity claims predict.
-//
-// Before the google-benchmark loops run, a pinned-shape section times the
-// hot-path kernels (dense DP row update, dense solve with reconstruction,
-// Pareto merge, pair-list solve) on fixed sizes/seeds and emits
-// BENCH_knapsack.json for the perf-regression gate (bench/check_regression
-// against bench/baselines/BENCH_knapsack.json). Shapes are pinned: changing
-// them invalidates the committed baseline, so re-record it in the same PR.
-#include <benchmark/benchmark.h>
-
+// Knapsack hot-path kernels (Sections 4.1-4.3) on pinned shapes: the dense
+// DP row update, dense solve with reconstruction, Pareto merge, pair-list
+// solve, the compressible solver (Algorithm 2) and the bounded pipeline.
+// Each is timed on fixed sizes/seeds and emitted to BENCH_knapsack.json for
+// the perf-regression gate (bench/check_regression against
+// bench/baselines/BENCH_knapsack.json). Shapes are pinned: changing them
+// invalidates the committed baseline, so re-record it in the same PR.
+#include <algorithm>
 #include <cstdio>
 
 #include "bench/pinned_harness.hpp"
@@ -34,62 +30,6 @@ std::vector<Item> make_items(int n, procs_t cap, std::uint64_t seed) {
                      rng.uniform_real(0.1, 100)});
   return items;
 }
-
-void BM_DenseDp(benchmark::State& state) {
-  const auto cap = static_cast<procs_t>(state.range(0));
-  const auto items = make_items(256, cap, 3);
-  for (auto _ : state) {
-    auto s = knapsack::solve_dense(items, cap);
-    benchmark::DoNotOptimize(s.profit);
-  }
-}
-BENCHMARK(BM_DenseDp)->RangeMultiplier(4)->Range(1 << 8, 1 << 18);
-
-void BM_Pairlist(benchmark::State& state) {
-  const auto cap = static_cast<procs_t>(state.range(0));
-  const auto items = make_items(256, cap, 3);
-  for (auto _ : state) {
-    auto s = knapsack::solve_pairlist(items, static_cast<double>(cap));
-    benchmark::DoNotOptimize(s.profit);
-  }
-}
-BENCHMARK(BM_Pairlist)->RangeMultiplier(4)->Range(1 << 8, 1 << 16);
-
-void BM_Compressible(benchmark::State& state) {
-  const auto cap = static_cast<procs_t>(state.range(0));
-  CompressibleInput in;
-  in.items = make_items(256, cap, 3);
-  in.capacity = cap;
-  in.rho = 0.1;
-  const double wide = static_cast<double>(cap) / 16;
-  double amin = static_cast<double>(cap);
-  for (const Item& it : in.items) {
-    const bool comp = it.size >= wide;
-    in.compressible.push_back(comp ? 1 : 0);
-    if (comp) amin = std::min(amin, it.size);
-  }
-  in.alpha_min = amin;
-  in.beta_max = cap;
-  in.nbar = 32;
-  for (auto _ : state) {
-    auto s = knapsack::solve_compressible(in);
-    benchmark::DoNotOptimize(s.profit);
-  }
-}
-BENCHMARK(BM_Compressible)->RangeMultiplier(4)->Range(1 << 8, 1 << 18);
-
-void BM_MultiCapacityOnePass(benchmark::State& state) {
-  // Section 4.2.4: k capacities answered by one sweep.
-  const auto items = make_items(256, 1 << 12, 7);
-  std::vector<double> caps;
-  for (int i = 1; i <= state.range(0); ++i)
-    caps.push_back(static_cast<double>((1 << 12) * i) / static_cast<double>(state.range(0)));
-  for (auto _ : state) {
-    auto p = knapsack::profits_for_capacities(items, caps);
-    benchmark::DoNotOptimize(p.data());
-  }
-}
-BENCHMARK(BM_MultiCapacityOnePass)->Arg(4)->Arg(16)->Arg(64);
 
 /// The pinned shapes behind BENCH_knapsack.json. Volatile sinks keep the
 /// kernels from being optimized away without perturbing their code.
@@ -123,8 +63,8 @@ std::vector<moldable::bench::PinnedResult> run_pinned() {
                       })});
   }
   {
-    // The Algorithm 2 engine on the BM_Compressible shape at cap 2^16 —
-    // the compressed-item path the crossover claims hinge on.
+    // The Algorithm 2 engine at cap 2^16, items at least cap/16 wide
+    // compressible — the compressed-item path.
     const procs_t cap = 1 << 16;
     CompressibleInput in;
     in.items = make_items(256, cap, 3);
@@ -175,14 +115,10 @@ std::vector<moldable::bench::PinnedResult> run_pinned() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   const auto pinned = run_pinned();
   for (const auto& p : pinned) std::printf("%-28s %10.4f ms\n", p.name.c_str(), p.ms);
   if (moldable::bench::write_pinned_json("BENCH_knapsack.json", "knapsack", "", pinned))
-    std::printf("wrote BENCH_knapsack.json\n\n");
-
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+    std::printf("wrote BENCH_knapsack.json\n");
   return 0;
 }

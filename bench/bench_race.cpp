@@ -1,8 +1,8 @@
 // Portfolio racing benchmark: sequential vs raced variant execution on a
 // heavy-tailed instance family, reported as per-instance latency
-// percentiles (the serving-tail metric racing exists to cut) plus
-// google-benchmark wall-clock loops. Emits BENCH_race.json next to the
-// binary so the numbers seed the perf trajectory across PRs.
+// percentiles (the serving-tail metric racing exists to cut). Emits
+// BENCH_race.json next to the binary so the numbers seed the perf
+// trajectory across PRs.
 //
 // Two effects are measured, matching the engine's racing contract:
 //   * overlap — a raced instance costs max(variant walls) instead of the
@@ -14,8 +14,6 @@
 //
 // Determinism is cross-checked on every run: all execution modes must agree
 // on the result digest bit for bit, or the bench aborts.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -97,38 +95,15 @@ ModeReport run_mode(const std::vector<jobs::Instance>& family, const std::string
   return report;
 }
 
-void BM_PortfolioSequential(benchmark::State& state) {
-  const auto family = make_family();
-  const PortfolioConfig config = make_config(false, 0);
-  const PortfolioSolver solver;
-  for (auto _ : state) {
-    const PortfolioResult r = solver.solve(family, config);
-    benchmark::DoNotOptimize(r.solved);
-  }
-}
-BENCHMARK(BM_PortfolioSequential)->Unit(benchmark::kMillisecond);
-
-void BM_PortfolioRaced(benchmark::State& state) {
-  const auto family = make_family();
-  const PortfolioConfig config =
-      make_config(true, static_cast<unsigned>(state.range(0)));
-  const PortfolioSolver solver;
-  for (auto _ : state) {
-    const PortfolioResult r = solver.solve(family, config);
-    benchmark::DoNotOptimize(r.solved);
-  }
-}
-BENCHMARK(BM_PortfolioRaced)->Arg(2)->Arg(3)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   // Head-to-head latency-tail comparison + determinism cross-check, emitted
-  // as BENCH_race.json before the google-benchmark loops run. Each mode runs
-  // kReps times: the best (minimum-total) run is reported and doubles as the
-  // pinned shape for the perf-regression gate, and every repetition's digest
-  // is cross-checked — a racing engine whose digest wobbles across reps is a
-  // determinism bug, caught here before it reaches the serving gates.
+  // as BENCH_race.json. Each mode runs kReps times: the best (minimum-total)
+  // run is reported and doubles as the pinned shape for the perf-regression
+  // gate, and every repetition's digest is cross-checked — a racing engine
+  // whose digest wobbles across reps is a determinism bug, caught here
+  // before it reaches the serving gates.
   constexpr int kReps = 5;
   const auto family = make_family();
   std::vector<ModeReport> reports;
@@ -190,10 +165,6 @@ int main(int argc, char** argv) {
     std::printf("%-11s p50 %8.3f ms  p99 %8.3f ms  max %8.3f ms  total %7.3f s  "
                 "cancelled %zu\n",
                 r.name.c_str(), r.p50_ms, r.p99_ms, r.max_ms, r.total_s, r.cancelled);
-  std::printf("determinism: OK (all modes agree); wrote BENCH_race.json\n\n");
-
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+  std::printf("determinism: OK (all modes agree); wrote BENCH_race.json\n");
   return 0;
 }

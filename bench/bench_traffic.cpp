@@ -14,8 +14,6 @@
 // nearly all — the per-curve arrivals/sec spread below is that acceptance
 // ratio made visible. Determinism is cross-checked on every run: two
 // generations of every storm must agree byte for byte, or the bench aborts.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <memory>
 #include <sstream>
@@ -105,44 +103,11 @@ CurveReport measure(const CurveCase& c,
   return report;
 }
 
-void BM_ArrivalSampling(benchmark::State& state) {
-  const CurveCase& c = kCurves[static_cast<std::size_t>(state.range(0))];
-  const auto curve = traffic::parse_curve_spec(c.spec);
-  std::uint64_t seed = 1;
-  std::size_t arrivals = 0;
-  for (auto _ : state) {
-    const auto times = ArrivalProcess::generate(*curve, c.horizon, seed++);
-    arrivals += times.size();
-    benchmark::DoNotOptimize(times.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(arrivals));
-  state.SetLabel(c.name);
-}
-BENCHMARK(BM_ArrivalSampling)->DenseRange(0, 3)->Unit(benchmark::kMillisecond);
-
-void BM_StormEmission(benchmark::State& state) {
-  const CurveCase& c = kCurves[static_cast<std::size_t>(state.range(0))];
-  TrafficConfig config;
-  config.curve = c.spec;
-  config.horizon = c.horizon;
-  config.duplicate_every = 11;
-  std::size_t arrivals = 0;
-  for (auto _ : state) {
-    config.seed++;
-    std::ostringstream storm;
-    arrivals += TrafficGenerator(config).write(storm).arrivals;
-    benchmark::DoNotOptimize(storm.str().data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(arrivals));
-  state.SetLabel(c.name);
-}
-BENCHMARK(BM_StormEmission)->DenseRange(0, 3)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   // Per-curve throughput + determinism cross-check, emitted as
-  // BENCH_traffic.json (pinned schema) before the google-benchmark loops.
+  // BENCH_traffic.json (pinned schema).
   std::vector<moldable::bench::PinnedResult> pinned;
   std::vector<CurveReport> reports;
   for (const CurveCase& c : kCurves) reports.push_back(measure(c, pinned));
@@ -168,11 +133,7 @@ int main(int argc, char** argv) {
   for (const CurveReport& r : reports)
     std::printf("%-8s %8zu arrivals   sample %12.0f /s   emit %12.0f /s\n",
                 r.name.c_str(), r.arrivals, r.arrivals_per_sec, r.emit_per_sec);
-  std::printf("determinism: OK (regeneration is byte-identical)%s\n\n",
+  std::printf("determinism: OK (regeneration is byte-identical)%s\n",
               wrote ? "; wrote BENCH_traffic.json" : "");
-
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

@@ -156,10 +156,14 @@ Instance read_instance(std::istream& is, std::string default_name) {
       std::size_t count = 0;
       if (!(ds >> count) || count == 0)
         fail(lineno, "'mem' needs <count> then <count> values");
-      job_memory.resize(count);
-      for (double& v : job_memory)
+      // Appended as read, never sized from the declared count: memory
+      // follows the record's bytes, not a number it claims.
+      while (job_memory.size() < count) {
+        double v = 0;
         if (!(ds >> v) || !std::isfinite(v) || v < 0)
           fail(lineno, "'mem' values must be finite and >= 0");
+        job_memory.push_back(v);
+      }
       std::string junk;
       if (ds >> junk) fail(lineno, "'mem' has trailing junk after its values");
     } else {
@@ -199,9 +203,12 @@ Instance read_instance(std::istream& is, std::string default_name) {
         if (!(js >> k) || k == 0) fail(lineno, "table needs <k> values");
         if (static_cast<procs_t>(k) != m)
           fail(lineno, "table length must equal the machine count");
-        std::vector<double> values(k);
-        for (double& v : values)
+        std::vector<double> values;  // appended as read, like 'mem'
+        while (values.size() < k) {
+          double v = 0;
           if (!(js >> v)) fail(lineno, "table: too few values");
+          values.push_back(v);
+        }
         f = std::make_shared<TableTime>(std::move(values));
       } else if (kind == "linred") {
         std::int64_t mm, a;

@@ -208,10 +208,16 @@ void SocketServer::maybe_complete_session(Session& session) {
 
 bool SocketServer::next(jobs::StreamRecord& record) {
   std::unique_lock<std::mutex> lock(mutex_);
-  queue_cv_.wait(lock, [&] {
+  const auto ready = [&] {
     return !queue_.empty() || aborting_ ||
            (active_sessions_ == 0 && (accept_done_ || flush_armed_));
-  });
+  };
+  // A connected session that sends nothing keeps active_sessions_ above 0,
+  // so the all-drained marker below would never fire while it stays. Once
+  // records were pushed since the last marker, a queue that stays empty
+  // for kIdleFlushInterval therefore earns a marker too.
+  const bool idle = flush_armed_ && !queue_cv_.wait_for(lock, kIdleFlushInterval, ready);
+  if (!idle) queue_cv_.wait(lock, ready);
   if (!queue_.empty()) {
     record = std::move(queue_.front());
     queue_.pop_front();
@@ -220,12 +226,12 @@ bool SocketServer::next(jobs::StreamRecord& record) {
     return true;
   }
   if (aborting_) return false;
-  // Every connected session has drained but the listener stays open: emit
-  // one flush marker so the serve loop cuts its reorder buffer now — a lone
-  // client's tail records must not wait for some future session's traffic.
-  // Armed only by record pushes, so an idle listener emits exactly one
-  // marker per quiet period, then blocks here again.
-  if (!accept_done_ && flush_armed_) {
+  // The merged queue went idle, or every connected session has drained but
+  // the listener stays open: emit one flush marker so the serve loop cuts
+  // its reorder buffer now — a client's tail records must not wait for
+  // some other session's traffic. Armed only by record pushes, so a quiet
+  // listener emits exactly one marker per quiet period, then blocks here.
+  if (flush_armed_ && (idle || !accept_done_)) {
     flush_armed_ = false;
     record = jobs::StreamRecord{};
     record.flush = true;

@@ -23,8 +23,9 @@
 // deterministic counter bit for bit (the network edge adds no new
 // determinism obligations — it only decides the merge). When the queue
 // empties with every connected session drained but the listener still
-// open, next() yields one flush marker (StreamRecord::flush) so the serve
-// loop cuts its reorder buffer immediately — markers are recorded like
+// open, or stays empty for kIdleFlushInterval after records arrived,
+// next() yields one flush marker (StreamRecord::flush) so the serve loop
+// cuts its reorder buffer immediately — markers are recorded like
 // records, so replay re-derives the same cuts.
 //
 // Result routing: the serve loop calls publish() from its on_served hook;
@@ -54,10 +55,10 @@
 // session's SUMMARY and closes it — a client of an endless listener gets
 // its answer and leaves without waiting for the server to drain.
 //
-// Clients MUST half-close when done sending: the reorder buffer fills on a
-// blocking next(), so a client that holds its write side open while waiting
-// for results would stall the window cut exactly like a stdin pipe that
-// never ends.
+// Clients MUST half-close when done sending: a session completes (SUMMARY,
+// close) only once its reader is at EOF. Its RESULT frames do not wait for
+// that — the idle flush marker cuts the window once the merged queue has
+// been quiet for kIdleFlushInterval, so a silent client stalls no one.
 //
 // Clean drain: next() returns false only after (a) accepting has finished,
 // (b) every admitted session hit reader EOF, and (c) the merged queue is
@@ -66,6 +67,7 @@
 // connections, and joins every thread.
 #pragma once
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -188,6 +190,11 @@ class SocketServer : public engine::InstanceSource {
   std::vector<SessionCounters> session_counters() const;
 
  private:
+  /// How long the merged queue must stay empty, with records pushed since
+  /// the last flush marker, before next() emits a marker while sessions are
+  /// still connected.
+  static constexpr std::chrono::milliseconds kIdleFlushInterval{5};
+
   struct Session {
     std::uint64_t id = 0;
     ScopedFd fd;
@@ -229,10 +236,11 @@ class SocketServer : public engine::InstanceSource {
   std::size_t active_sessions_ = 0;    ///< admitted, reader not yet at EOF
   std::size_t merged_ordinal_ = 0;     ///< stream-wide ordinal across sessions
   /// Records pushed since the last flush marker: when the merged queue
-  /// empties with no session mid-stream but the listener still open, next()
-  /// emits ONE flush record (StreamRecord::flush) so the serve loop cuts
-  /// its reorder buffer instead of stranding tail records until the next
-  /// connection. Re-armed by every record push.
+  /// empties with no session mid-stream but the listener still open, or
+  /// stays empty for kIdleFlushInterval, next() emits ONE flush record
+  /// (StreamRecord::flush) so the serve loop cuts its reorder buffer
+  /// instead of stranding tail records behind other sessions. Re-armed by
+  /// every record push.
   bool flush_armed_ = false;
   bool accept_done_ = false;
   bool stop_accepting_ = false;

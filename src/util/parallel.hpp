@@ -1,7 +1,7 @@
-// Minimal fork-join helper for embarrassingly parallel sweeps (the quality
-// benches and parameter studies evaluate hundreds of independent
-// (instance, algorithm) cells; the library itself is single-threaded and
-// deterministic — parallelism lives only in the drivers).
+// Minimal fork-join helper: the execution core (src/engine/exec_core.hpp)
+// shards every batch and serve window across threads with it. Everything
+// below src/engine is single-threaded and deterministic; parallelism lives
+// only in the engine.
 #pragma once
 
 #include <algorithm>

@@ -1,5 +1,5 @@
-// Wall-clock stopwatch used by the plain (non google-benchmark) harness
-// binaries that report per-configuration timings in table form.
+// Steady-clock stopwatch behind the engine's batch, window and attempt
+// timings and the benches' best-of-R minima.
 #pragma once
 
 #include <chrono>

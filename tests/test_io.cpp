@@ -2,6 +2,7 @@
 // compact-encoding property (closed-form jobs serialize in O(1) space).
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -424,6 +425,39 @@ TEST(Io, MemoryDirectivesAreValidated) {
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos) << e.what();
   }
+}
+
+/// Peak resident set size of this process so far, in KiB (Linux ru_maxrss).
+long peak_rss_kib() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_maxrss;
+}
+
+/// A record that declares a huge count but carries one value must be
+/// rejected with `diagnostic` at a cost that follows its bytes: the parser
+/// may not allocate (and zero) the declared count before reading values.
+void expect_rejected_cheaply(const std::string& text, const std::string& diagnostic) {
+  const long before = peak_rss_kib();
+  try {
+    from_text(text);
+    FAIL() << "expected throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(diagnostic), std::string::npos) << e.what();
+  }
+  EXPECT_LT(peak_rss_kib() - before, 16 * 1024) << "peak RSS growth in KiB";
+}
+
+TEST(Io, HugeTableLengthCostsOnlyItsBytes) {
+  expect_rejected_cheaply(
+      "moldable-instance v1\nmachines 50000000\njob table 50000000 1\n",
+      "table: too few values");
+}
+
+TEST(Io, HugeMemCountCostsOnlyItsBytes) {
+  expect_rejected_cheaply(
+      "moldable-instance v1\nmem 50000000 1\nmachines 4\njob amdahl 1 0.5\n",
+      "'mem' values must be finite and >= 0");
 }
 
 TEST(Io, MemorySettersValidate) {

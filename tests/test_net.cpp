@@ -3,8 +3,9 @@
 // unknown type, truncated tail), watch-dir pickup order / ledger restart
 // safety / partial-file skipping, and the socket server end to end on a
 // loopback listener — session-id monotonicity, the admission-cap REJECT
-// frame, mid-record disconnect isolation, and a multi-client storm whose
-// recorded merged session replays bit-exact on one thread.
+// frame, mid-record disconnect isolation, a multi-client storm whose
+// recorded merged session replays bit-exact on one thread, and an idle
+// client that must not stall another session.
 //
 // Every socket test binds port 0 (kernel-chosen), so the suite is safe
 // under `ctest -j` with any number of concurrent test binaries.
@@ -13,8 +14,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -421,6 +424,19 @@ ClientOutcome run_client(std::uint16_t port, const std::string& payload) {
   return out;
 }
 
+/// Reads `fd` until its first frame lands; returns that WELCOME's session id.
+std::uint64_t await_welcome(int fd) {
+  FrameDecoder decoder;
+  char buf[256];
+  Frame frame;
+  while (!decoder.next(frame)) {
+    const long n = read_some(fd, buf, sizeof(buf));
+    if (n <= 0) return 0;
+    decoder.feed(buf, static_cast<std::size_t>(n));
+  }
+  return decode_welcome(frame).session;
+}
+
 SocketServerConfig loopback_config(std::size_t expected_sessions,
                                    std::size_t max_sessions = 64) {
   SocketServerConfig config;
@@ -481,17 +497,7 @@ TEST(SocketServer, OverCapConnectionGetsNamedRejectFrame) {
   // not half-closing until told).
   ScopedFd holder = dial("127.0.0.1:" + std::to_string(server.port()));
   // Its WELCOME confirms admission before the over-cap connect races in.
-  {
-    FrameDecoder decoder;
-    char buf[256];
-    Frame frame;
-    while (!decoder.next(frame)) {
-      const long n = read_some(holder.get(), buf, sizeof(buf));
-      ASSERT_GT(n, 0);
-      decoder.feed(buf, static_cast<std::size_t>(n));
-    }
-    EXPECT_EQ(decode_welcome(frame).session, 1u);
-  }
+  ASSERT_EQ(await_welcome(holder.get()), 1u);
 
   // Second client: over the cap — a named REJECT, then close, session id 0.
   const ClientOutcome rejected = run_client(server.port(), "");
@@ -706,6 +712,45 @@ TEST(SocketServer, EndlessListenerClientCompletesWithoutServerDrain) {
   ASSERT_EQ(sessions.size(), 2u);
   EXPECT_FALSE(sessions[0].write_failed);
   EXPECT_FALSE(sessions[1].write_failed);
+}
+
+TEST(SocketServer, IdleClientDoesNotStallAnotherSession) {
+  // A connected client that never sends keeps its session active, so the
+  // all-drained flush marker cannot fire while it stays. The idle-queue
+  // marker must still cut the window: a second client's record is answered
+  // while the silent client remains connected.
+  SocketServer server(loopback_config(/*expected_sessions=*/0));
+  server.start();
+
+  engine::StreamConfig config;
+  config.algorithm = "lt-2approx";
+  config.threads = 1;
+  SocketServer* raw_server = &server;
+  config.on_served = [raw_server](std::size_t index, std::uint64_t tag, bool ok,
+                                  double queue_seconds, double compute_seconds) {
+    raw_server->publish(index, tag, ok, queue_seconds, compute_seconds);
+  };
+  std::thread serve([&] { engine::StreamSolver().run(server, config); });
+
+  ScopedFd idle = dial("127.0.0.1:" + std::to_string(server.port()));
+  EXPECT_EQ(await_welcome(idle.get()), 1u);  // admitted before the other dials
+
+  auto answered = std::async(std::launch::async, [&] {
+    return run_client(server.port(), client_storm(23, 1));
+  });
+  // Loose enough for the sanitizer legs; a stalled record waits forever.
+  const bool in_time =
+      answered.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+  ::shutdown(idle.get(), SHUT_WR);  // ends the idle session, so a stall drains
+  const ClientOutcome outcome = answered.get();
+  EXPECT_TRUE(in_time) << "the record waited for the idle client";
+  EXPECT_EQ(outcome.session, 2u);
+  EXPECT_EQ(outcome.results, 1u);
+  EXPECT_TRUE(outcome.summary_seen);
+
+  server.shutdown();
+  serve.join();
+  server.finish();
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Docs drift guard: relative links must resolve, flags must be documented.
+"""Docs drift guard: links and driver names must resolve, flags must be documented.
 
-Two checks, both cheap enough to run as a ctest case on every build:
+Three checks, all cheap enough to run as a ctest case on every build:
 
 1. Link check — every relative markdown link in README.md and docs/*.md
    must point at a file (or directory) that exists in the repo. External
@@ -10,7 +10,12 @@ Two checks, both cheap enough to run as a ctest case on every build:
    what catches a renamed doc or a moved header leaving a dead link
    behind.
 
-2. Flag coverage — every `--flag` that `batch_service --help` and
+2. Driver names — every `./build/<name>` in README.md, docs/*.md and
+   the verify skill (.claude/skills/verify/SKILL.md) must name a binary
+   built from examples/<name>.cpp, bench/<name>.cpp or tests/<name>.cpp.
+   This is what catches a deleted driver still being advertised.
+
+3. Flag coverage — every `--flag` that `batch_service --help` and
    `traffic_gen --help` print must appear somewhere in
    docs/OPERATIONS.md, which promises a complete flag reference. Adding
    a CLI flag without documenting it fails the build. (The reverse
@@ -20,9 +25,9 @@ Two checks, both cheap enough to run as a ctest case on every build:
 Usage:
     tools/docs_lint.py REPO_ROOT [BATCH_SERVICE_BIN TRAFFIC_GEN_BIN]
 
-Without the two binary paths only the link check runs (handy when the
-tree is not built). Exit 0 = clean, 1 = findings (each printed one per
-line), 2 = usage/environment error.
+Without the two binary paths only the link and driver-name checks run
+(handy when the tree is not built). Exit 0 = clean, 1 = findings (each
+printed one per line), 2 = usage/environment error.
 """
 
 import re
@@ -31,6 +36,9 @@ import sys
 from pathlib import Path
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+DRIVER_RE = re.compile(r"\./build/([A-Za-z0-9_]+)")
+DRIVER_DIRS = ("examples", "bench", "tests")
+VERIFY_SKILL = Path(".claude") / "skills" / "verify" / "SKILL.md"
 FLAG_RE = re.compile(r"--[A-Za-z][A-Za-z0-9-]*")
 SKIP_SCHEMES = ("http://", "https://", "mailto:")
 
@@ -59,6 +67,24 @@ def check_links(root: Path):
                     rel = md.relative_to(root)
                     problems.append(
                         f"{rel}:{lineno}: dead relative link '{target}'"
+                    )
+    return problems
+
+
+def check_driver_names(root: Path):
+    problems = []
+    docs = markdown_files(root)
+    if (root / VERIFY_SKILL).is_file():
+        docs.append(root / VERIFY_SKILL)
+    for md in docs:
+        text = md.read_text(encoding="utf-8")
+        for lineno, line in enumerate(text.splitlines(), 1):
+            for name in DRIVER_RE.findall(line):
+                if not any((root / d / f"{name}.cpp").is_file() for d in DRIVER_DIRS):
+                    rel = md.relative_to(root)
+                    problems.append(
+                        f"{rel}:{lineno}: './build/{name}' has no "
+                        f"examples/, bench/ or tests/ source"
                     )
     return problems
 
@@ -97,7 +123,7 @@ def main(argv):
         print(f"docs_lint: no README.md under {root}", file=sys.stderr)
         return 2
 
-    problems = check_links(root)
+    problems = check_links(root) + check_driver_names(root)
     if len(argv) == 4:
         problems += check_flag_coverage(root, argv[2:4])
 
