@@ -23,7 +23,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <sstream>
 #include <stdexcept>
@@ -34,143 +33,68 @@
 #include "src/net/fd_io.hpp"
 #include "src/net/framing.hpp"
 #include "src/traffic/traffic_gen.hpp"
+#include "src/util/cli.hpp"
 
 namespace {
+
+namespace cli = moldable::util::cli;
 
 using moldable::traffic::TrafficConfig;
 using moldable::traffic::TrafficGenerator;
 using moldable::traffic::TrafficSummary;
 
-void usage(const char* argv0) {
-  std::cout
-      << "usage: " << argv0 << " [options]  (stream goes to stdout)\n"
-      << "  --curve SPEC    rate curve (default flash). SPEC is NAME or\n"
-      << "                  NAME:k=v,k=v with NAME one of:\n"
-      << "                    flash   [base peak t0 ramp hold decay]\n"
-      << "                    diurnal [base amp period phase]\n"
-      << "                    steps   [t0=rate,t1=rate,... — k IS the start]\n"
-      << "                    const   [rate]\n"
-      << "  --seed S        manifest seed; the whole storm derives from it\n"
-      << "                  (default 1)\n"
-      << "  --horizon T     generate arrivals in [0, T] (default 120)\n"
-      << "  --max-arrivals N  stop after N arrivals (0 = horizon only)\n"
-      << "  --classes SPEC  weighted SLA mix, name=weight,... ('default' or\n"
-      << "                  an empty name = unlabelled; default\n"
-      << "                  interactive=0.5,batch=0.3,default=0.2)\n"
-      << "  --pareto-alpha A  job-count tail index (default 1.5; smaller =\n"
-      << "                  heavier tail)\n"
-      << "  --jobs-min N    minimum job count / Pareto scale (default 1)\n"
-      << "  --jobs-cap N    job-count cap (default 64)\n"
-      << "  --machines M    machine count per instance (default 32)\n"
-      << "  --families A,B  generator families to draw from (default\n"
-      << "                  amdahl,powerlaw,comm,mixed)\n"
-      << "  --dup-every K   every Kth arrival repeats one fixed instance —\n"
-      << "                  memoization fodder (0 = off, the default)\n"
-      << "  --memcap C      per-machine memory capacity: every emitted\n"
-      << "                  instance carries memcap C and per-job footprints\n"
-      << "                  (0 = no memory axis, the default). Footprints come\n"
-      << "                  from an independent seed stream, so the jobs\n"
-      << "                  themselves are identical with or without --memcap\n"
-      << "  --mem-min A     log-uniform footprint lower bound (default 1)\n"
-      << "  --mem-max B     log-uniform footprint upper bound (default 1);\n"
-      << "                  needs 0 < A <= B. B > C x machines makes some\n"
-      << "                  instances provably unschedulable — shed fodder\n"
-      << "  --connect ADDR  send the storm to a `batch_service --listen` server\n"
-      << "                  (HOST:PORT, :PORT, PORT, or unix:PATH) instead of\n"
-      << "                  stdout, and check the framed responses: exit 0 only\n"
-      << "                  if admitted and every arrival came back as a result\n";
-}
-
 struct Options {
   TrafficConfig config;
-  std::string connect;  // empty = stream to stdout as before
+  std::string connect;  // empty = stream to stdout
 };
 
-// Same contract as batch_service: a malformed numeric exits 2 with the flag
-// named instead of escaping as an uncaught stoXX exception.
-[[noreturn]] void bad_numeric(const std::string& arg, const char* kind,
-                              const std::string& text) {
-  std::cerr << arg << " needs " << kind << ", got '" << text << "'\n";
-  std::exit(2);
-}
-
-std::uint64_t parse_count(const std::string& arg, const std::string& text) {
-  try {
-    if (text.empty() || text[0] == '-')  // stoull silently wraps negatives
-      throw std::invalid_argument("negative");
-    std::size_t pos = 0;
-    const unsigned long long v = std::stoull(text, &pos);
-    if (pos != text.size()) throw std::invalid_argument("trailing junk");
-    return v;
-  } catch (const std::exception&) {
-    bad_numeric(arg, "a non-negative integer", text);
-  }
-}
-
-double parse_real(const std::string& arg, const std::string& text) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(text, &pos);
-    if (pos != text.size()) throw std::invalid_argument("trailing junk");
-    return v;
-  } catch (const std::exception&) {
-    bad_numeric(arg, "a number", text);
-  }
-}
-
-Options parse(int argc, char** argv) {
-  Options opt;
-  TrafficConfig& config = opt.config;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << "missing value for " << arg << "\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--curve") config.curve = value();
-    else if (arg == "--seed") config.seed = parse_count(arg, value());
-    else if (arg == "--horizon") config.horizon = parse_real(arg, value());
-    else if (arg == "--max-arrivals") config.max_arrivals = parse_count(arg, value());
-    else if (arg == "--classes") config.classes = moldable::traffic::parse_class_mix(value());
-    else if (arg == "--pareto-alpha") config.pareto_alpha = parse_real(arg, value());
-    else if (arg == "--jobs-min") config.jobs_min = parse_count(arg, value());
-    else if (arg == "--jobs-cap") config.jobs_cap = parse_count(arg, value());
-    else if (arg == "--machines")
-      config.machines = static_cast<moldable::procs_t>(parse_count(arg, value()));
-    else if (arg == "--memcap") config.memory_capacity = parse_real(arg, value());
-    else if (arg == "--mem-min") config.mem_min = parse_real(arg, value());
-    else if (arg == "--mem-max") config.mem_max = parse_real(arg, value());
-    else if (arg == "--families") {
-      config.families.clear();
-      std::istringstream list(value());
-      std::string name;
-      while (std::getline(list, name, ','))
-        if (!name.empty())
-          config.families.push_back(moldable::jobs::family_from_name(name));
-      if (config.families.empty()) {
-        std::cerr << "empty --families list\n";
-        std::exit(2);
-      }
-    }
-    else if (arg == "--dup-every") config.duplicate_every = parse_count(arg, value());
-    else if (arg == "--connect") {
-      opt.connect = value();
-      if (opt.connect.empty()) {
-        std::cerr << "empty --connect address\n";
-        std::exit(2);
-      }
-    }
-    else if (arg == "--help" || arg == "-h") { usage(argv[0]); std::exit(0); }
-    else {
-      std::cerr << "unknown option " << arg << "\n";
-      usage(argv[0]);
-      std::exit(2);
-    }
-  }
-  return opt;
+cli::FlagTable make_flags(Options& opt) {
+  TrafficConfig& c = opt.config;
+  return cli::FlagTable("[options]  (stream goes to stdout)", {
+      {"--curve", "SPEC",
+       "rate curve NAME or NAME:k=v,... (default flash), NAME\n"
+       "one of flash, diurnal, steps, const",
+       "", cli::text(c.curve)},
+      {"--seed", "S", "manifest seed; the whole storm derives from it (default 1)", "",
+       cli::count(c.seed)},
+      {"--horizon", "T", "generate arrivals in [0, T] (default 120)", "", cli::real(c.horizon)},
+      {"--max-arrivals", "N", "stop after N arrivals (0 = horizon only)", "",
+       cli::count(c.max_arrivals)},
+      {"--classes", "SPEC",
+       "weighted SLA mix name=weight,... (default\n"
+       "interactive=0.5,batch=0.3,default=0.2)",
+       "", [&c](const std::string& v) { c.classes = moldable::traffic::parse_class_mix(v); }},
+      {"--pareto-alpha", "A", "job-count tail index (default 1.5; smaller = heavier)", "",
+       cli::real(c.pareto_alpha)},
+      {"--jobs-min", "N", "minimum job count / Pareto scale (default 1)", "",
+       cli::count(c.jobs_min)},
+      {"--jobs-cap", "N", "job-count cap (default 64)", "", cli::count(c.jobs_cap)},
+      {"--machines", "M", "machine count per instance (default 32)", "",
+       cli::count(c.machines)},
+      {"--families", "A,B", "generator families (default amdahl,powerlaw,comm,mixed)", "",
+       [&c](const std::string& v) {
+         c.families.clear();
+         std::istringstream list(v);
+         std::string name;
+         while (std::getline(list, name, ','))
+           if (!name.empty()) c.families.push_back(moldable::jobs::family_from_name(name));
+         if (c.families.empty()) throw cli::BadValue("needs at least one family name");
+       }},
+      {"--dup-every", "K", "every Kth arrival repeats one fixed instance (0 = off)", "",
+       cli::count(c.duplicate_every)},
+      {"--memcap", "C",
+       "per-machine memory capacity stamped on every instance\n"
+       "(0 = no memory axis, the default)",
+       "", cli::real(c.memory_capacity)},
+      {"--mem-min", "A", "log-uniform footprint lower bound (default 1)", "",
+       cli::real(c.mem_min)},
+      {"--mem-max", "B", "log-uniform footprint upper bound (default 1; 0 < A <= B)", "",
+       cli::real(c.mem_max)},
+      {"--connect", "ADDR",
+       "send the storm to a `batch_service --listen` server and\n"
+       "exit 0 only if every arrival is answered",
+       "", cli::text(opt.connect)},
+  });
 }
 
 /// Everything the response-reader thread learns from the server's frames;
@@ -305,7 +229,8 @@ int run_connect(const Options& opt) {
 
 int main(int argc, char** argv) {
   try {
-    const Options opt = parse(argc, argv);
+    Options opt;
+    make_flags(opt).parse(argc, argv);
     if (!opt.connect.empty()) return run_connect(opt);
     const TrafficGenerator generator(opt.config);
     const TrafficSummary summary = generator.write(std::cout);

@@ -29,6 +29,17 @@ struct ClassBucket {
 
 }  // namespace
 
+PortfolioConfig StreamConfig::portfolio() const {
+  PortfolioConfig config;
+  config.variants = variants.empty() ? std::vector<std::string>{algorithm} : variants;
+  config.eps = eps;
+  config.threads = threads;
+  config.tie_break = tie_break;
+  config.race = race;
+  config.race_width = race_width;
+  return config;
+}
+
 StreamSolver::StreamSolver(const AlgorithmRegistry& registry) : registry_(&registry) {}
 
 StreamResult StreamSolver::run(std::istream& input, const StreamConfig& config,
@@ -47,6 +58,10 @@ StreamResult StreamSolver::run(InstanceSource& source, const StreamConfig& confi
     throw std::invalid_argument("stream: window must be >= 1");
   if (config.max_inflight == 0)
     throw std::invalid_argument("stream: max-inflight must be >= 1");
+  // The reorder buffer holds window x max-inflight records; a product that
+  // wraps would size it to nothing and serve nothing.
+  if (config.max_inflight > std::numeric_limits<std::size_t>::max() / config.window)
+    throw std::invalid_argument("stream: window x max-inflight overflows the reorder buffer");
   if (!(config.eps > 0) || config.eps > 1)
     throw std::invalid_argument("stream: eps must be in (0, 1]");
   // Single-solver mode is the one-variant portfolio {algorithm}.
@@ -55,9 +70,7 @@ StreamResult StreamSolver::run(InstanceSource& source, const StreamConfig& confi
     throw std::invalid_argument(
         "stream: race mode requires a portfolio (a single solver has no "
         "peers to race)");
-  PortfolioConfig portfolio_config;
-  portfolio_config.variants =
-      portfolio_mode ? config.variants : std::vector<std::string>{config.algorithm};
+  PortfolioConfig portfolio_config = config.portfolio();
   const std::vector<std::string>& variants = portfolio_config.variants;
   for (std::size_t v = 0; v < variants.size(); ++v) {
     registry_->at(variants[v]);  // throws with the known-name list
@@ -97,11 +110,6 @@ StreamResult StreamSolver::run(InstanceSource& source, const StreamConfig& confi
   }
   const bool learn = policy && variants.size() > 1;
 
-  portfolio_config.eps = config.eps;
-  portfolio_config.threads = config.threads;
-  portfolio_config.tie_break = config.tie_break;
-  portfolio_config.race = config.race;
-  portfolio_config.race_width = config.race_width;
   const PortfolioSolver solver(*registry_);
   exec::MemoStore<PortfolioOutcome> memo(config.memo_capacity);
 

@@ -173,6 +173,10 @@ struct StreamConfig {
   /// replay. Indices beyond the vector fall back to live measurement. The
   /// digest never covers latencies, so it is unaffected either way.
   const std::vector<std::pair<double, double>>* replay_latencies = nullptr;
+
+  /// The solver knobs as a PortfolioConfig (no variant plans): a single
+  /// solver is the one-variant portfolio {algorithm}.
+  PortfolioConfig portfolio() const;
 };
 
 /// Stats for one completed micro-batch.
@@ -281,11 +285,12 @@ class StreamSolver {
   explicit StreamSolver(const AlgorithmRegistry& registry = AlgorithmRegistry::global());
 
   /// Serves `source` to exhaustion. Throws std::invalid_argument up front —
-  /// before consuming any input — for a zero window/max_inflight, an
-  /// unknown or duplicate solver name, eps out of range, a non-finite or
-  /// non-positive class deadline, `shed` without any class deadline, or
-  /// `adapt` outside portfolio mode; per-instance failures and malformed
-  /// records are recorded, never thrown.
+  /// before consuming any input — for a zero window/max_inflight, a
+  /// window × max_inflight product that overflows, an unknown or duplicate
+  /// solver name, eps out of range, a non-finite or non-positive class
+  /// deadline, `shed` without any class deadline, or `adapt` outside
+  /// portfolio mode; per-instance failures and malformed records are
+  /// recorded, never thrown.
   StreamResult run(InstanceSource& source, const StreamConfig& config,
                    const WindowCallback& on_window = {},
                    const ErrorCallback& on_error = {}) const;

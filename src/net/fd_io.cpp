@@ -12,6 +12,8 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "src/util/cli.hpp"
+
 namespace moldable::net {
 
 namespace {
@@ -21,14 +23,12 @@ namespace {
 }
 
 std::uint16_t parse_port(const std::string& text, const std::string& spec) {
-  if (text.empty() || text.find_first_not_of("0123456789") != std::string::npos)
+  try {
+    return util::cli::parse_count<std::uint16_t>(text);
+  } catch (const util::cli::BadValue&) {
     throw std::invalid_argument("address '" + spec + "': port '" + text +
-                                "' is not a number");
-  const unsigned long v = std::stoul(text);
-  if (v > 65535)
-    throw std::invalid_argument("address '" + spec + "': port " + text +
-                                " out of range");
-  return static_cast<std::uint16_t>(v);
+                                "' is not a number in [0, 65535]");
+  }
 }
 
 sockaddr_in tcp_sockaddr(const Address& address) {

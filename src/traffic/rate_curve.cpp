@@ -6,6 +6,8 @@
 #include <numbers>
 #include <stdexcept>
 
+#include "src/util/cli.hpp"
+
 namespace moldable::traffic {
 
 namespace {
@@ -180,16 +182,11 @@ std::string FlashCrowdCurve::spec() const {
 namespace {
 
 double parse_num(const std::string& token, const std::string& spec) {
-  std::size_t used = 0;
-  double v = 0;
   try {
-    v = std::stod(token, &used);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  if (used != token.size() || token.empty())
+    return util::cli::parse_real(token);
+  } catch (const util::cli::BadValue&) {
     throw std::invalid_argument("curve spec '" + spec + "': bad number '" + token + "'");
-  return v;
+  }
 }
 
 /// Splits "k1=v1,k2=v2" into ordered pairs; empty string -> no pairs.

@@ -11,6 +11,7 @@
 
 #include "src/engine/exec_core.hpp"
 #include "src/jobs/io.hpp"
+#include "src/util/cli.hpp"
 
 namespace moldable::traffic {
 
@@ -62,15 +63,19 @@ std::vector<std::pair<std::string, std::string>> split_kv(const std::string& bod
   return out;
 }
 
-std::uint64_t parse_u64(const std::string& v, const std::string& what) {
+/// Runs a strict util::cli value parser over a record value, naming the
+/// key when the value is refused.
+template <class Parse>
+auto parse_value(Parse parse, const std::string& v, const std::string& what) {
   try {
-    std::size_t pos = 0;
-    const unsigned long long r = std::stoull(v, &pos);
-    if (pos != v.size()) throw std::invalid_argument(v);
-    return r;
-  } catch (const std::exception&) {
+    return parse(v);
+  } catch (const util::cli::BadValue&) {
     fail("invalid " + what + " value '" + v + "'");
   }
+}
+
+std::size_t parse_size(const std::string& v, const std::string& what) {
+  return parse_value(util::cli::parse_count<std::size_t>, v, what);
 }
 
 std::uint64_t parse_hex(const std::string& v, const std::string& what) {
@@ -85,14 +90,7 @@ std::uint64_t parse_hex(const std::string& v, const std::string& what) {
 }
 
 double parse_num(const std::string& v, const std::string& what) {
-  try {
-    std::size_t pos = 0;
-    const double r = std::stod(v, &pos);
-    if (pos != v.size()) throw std::invalid_argument(v);
-    return r;
-  } catch (const std::exception&) {
-    fail("invalid " + what + " value '" + v + "'");
-  }
+  return parse_value(util::cli::parse_real, v, what);
 }
 
 /// The `# serve ...` line: every StreamConfig knob that shapes the
@@ -112,23 +110,23 @@ std::string serve_line(const engine::StreamConfig& c) {
 
 void apply_serve_kv(engine::StreamConfig& c, const std::string& key,
                     const std::string& value) {
-  if (key == "window") c.window = parse_u64(value, key);
-  else if (key == "max-inflight") c.max_inflight = parse_u64(value, key);
+  if (key == "window") c.window = parse_size(value, key);
+  else if (key == "max-inflight") c.max_inflight = parse_size(value, key);
   else if (key == "eps") c.eps = parse_num(value, key);
   else if (key == "algorithm") c.algorithm = value;
-  else if (key == "memo") c.memo = parse_u64(value, key) != 0;
-  else if (key == "memo-capacity") c.memo_capacity = parse_u64(value, key);
-  else if (key == "window-history") c.window_history = parse_u64(value, key);
-  else if (key == "raw-samples") c.raw_samples = parse_u64(value, key) != 0;
+  else if (key == "memo") c.memo = parse_size(value, key) != 0;
+  else if (key == "memo-capacity") c.memo_capacity = parse_size(value, key);
+  else if (key == "window-history") c.window_history = parse_size(value, key);
+  else if (key == "raw-samples") c.raw_samples = parse_size(value, key) != 0;
   else if (key == "tie-break") {
     if (value == "wall") c.tie_break = engine::TieBreak::kWallTime;
     else if (value == "order") c.tie_break = engine::TieBreak::kPortfolioOrder;
     else fail("unknown tie-break '" + value + "' (expected wall|order)");
-  } else if (key == "race") c.race = parse_u64(value, key) != 0;
+  } else if (key == "race") c.race = parse_size(value, key) != 0;
   else if (key == "race-width")
-    c.race_width = static_cast<unsigned>(parse_u64(value, key));
-  else if (key == "shed") c.shed = parse_u64(value, key) != 0;
-  else if (key == "adapt") c.adapt = parse_u64(value, key) != 0;
+    c.race_width = parse_value(util::cli::parse_count<unsigned>, value, key);
+  else if (key == "shed") c.shed = parse_size(value, key) != 0;
+  else if (key == "adapt") c.adapt = parse_size(value, key) != 0;
   else fail("unknown serve-config key '" + key + "'");
 }
 
@@ -145,7 +143,7 @@ std::string counters_line(const RecordedCounters& c) {
 
 void apply_counter_kv(RecordedCounters& c, const std::string& key,
                       const std::string& value) {
-  const std::uint64_t v = parse_u64(value, "served " + key);
+  const std::size_t v = parse_size(value, "served " + key);
   if (key == "instances") c.instances = v;
   else if (key == "solved") c.solved = v;
   else if (key == "failed") c.failed = v;

@@ -8,6 +8,7 @@
 #include "src/engine/exec_core.hpp"  // the shared FNV-1a helpers
 #include "src/jobs/io.hpp"
 #include "src/traffic/arrival_process.hpp"
+#include "src/util/cli.hpp"
 #include "src/util/prng.hpp"
 
 namespace moldable::traffic {
@@ -46,15 +47,15 @@ std::vector<ClassShare> parse_class_mix(const std::string& spec) {
                                   item + "'");
     ClassShare share;
     share.name = item.substr(0, eq);
-    std::size_t used = 0;
+    const auto bad_weight = [&] {
+      return std::invalid_argument("class mix '" + spec + "': bad weight in '" + item + "'");
+    };
     try {
-      share.weight = std::stod(item.substr(eq + 1), &used);
-    } catch (const std::exception&) {
-      used = 0;
+      share.weight = util::cli::parse_real(item.substr(eq + 1));
+    } catch (const util::cli::BadValue&) {
+      throw bad_weight();
     }
-    if (used != item.size() - eq - 1 || !std::isfinite(share.weight) || share.weight < 0)
-      throw std::invalid_argument("class mix '" + spec + "': bad weight in '" + item +
-                                  "'");
+    if (!std::isfinite(share.weight) || share.weight < 0) throw bad_weight();
     total += share.weight;
     mix.push_back(std::move(share));
     pos = comma + 1;

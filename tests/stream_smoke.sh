@@ -72,11 +72,13 @@
 #            merge layer adds no new determinism obligations. The server
 #            binds port 0 and publishes the kernel-chosen port through
 #            --port-file, so concurrent `ctest -j` runs cannot collide.
-#   cli    — the numeric-parsing regression guard: every malformed numeric
-#            flag value (and a NaN/inf/negative --deadline budget) must
-#            exit 2 with a diagnostic naming the offending flag — never an
-#            uncaught std::invalid_argument abort — on both batch_service
-#            and traffic_gen, while the well-formed spellings still parse.
+#   cli    — the command-line contract guard: every malformed or out-of-
+#            range flag value (and a NaN/inf/negative --deadline budget),
+#            empty value, unknown option, missing value and mode conflict
+#            must exit 2 with a diagnostic naming the offending flag — never
+#            an uncaught std::invalid_argument abort — on both batch_service
+#            and traffic_gen, while the well-formed spellings still parse
+#            and a flag given outside its mode warns whatever its value.
 set -eu
 
 bin=$1
@@ -393,7 +395,62 @@ cli)
     "$bin" --serve --shed --deadline interactive=0.5 --deadline batch=8.5 < /dev/null > /dev/null
     "$traffic_gen" --curve flash --seed 3 --horizon 5 --max-arrivals 5 \
                    --machines 4 --memcap 1 --mem-min 0.25 --mem-max 16 > /dev/null
-    echo "stream_smoke (cli) OK: malformed numerics exit 2 with named diagnostics"
+
+    # Values that fit the parse but not the destination: 2^64-1 machines
+    # used to wrap to -1, and a wrapping reorder-buffer size served nothing.
+    expect_cli_error "$bin" "--machines needs a non-negative integer" \
+        --machines 18446744073709551615
+    expect_cli_error "$traffic_gen" "--machines needs a non-negative integer" \
+        --machines 18446744073709551615
+    expect_cli_error "$bin" "window x max-inflight" \
+        --serve --window 4294967296 --max-inflight 4294967296 < "$fixture"
+
+    # Every other exit-2 rule of batch_service: the parser's ...
+    expect_cli_error "$bin" "unknown option --bogus" --bogus
+    expect_cli_error "$bin" "missing value for --window" --window
+    expect_cli_error "$bin" "--tie-break must be 'wall' or 'order'" --tie-break fast
+    for flag in --portfolio --input --listen --port-file --watch --record --replay; do
+        expect_cli_error "$bin" "$flag" "$flag" ''
+    done
+    expect_cli_error "$traffic_gen" "--connect" --connect ''
+    expect_cli_error "$traffic_gen" "--families" --families ,
+    # ... and the mode conflicts main checks by hand.
+    nodir=${TMPDIR:-/tmp}/cli_guard_missing_$$
+    expect_cli_error "$bin" "--race needs a --portfolio" --race
+    expect_cli_error "$bin" "--listen and --watch are both ingestion sources" \
+        --listen 127.0.0.1:0 --watch "$nodir"
+    expect_cli_error "$bin" "--verify buffers stdin" --listen 127.0.0.1:0 --verify
+    expect_cli_error "$bin" "--verify buffers stdin" --watch "$nodir" --verify
+    expect_cli_error "$bin" "--listen/--watch are serve-mode sources" \
+        --listen 127.0.0.1:0 --input "$nodir"
+    expect_cli_error "$bin" "--listen/--watch are serve-mode sources" \
+        --watch "$nodir" --input "$nodir"
+    for conflict in --serve "--input $nodir" "--record $nodir/r.rec"; do
+        # shellcheck disable=SC2086 # $conflict is a flag and its value
+        expect_cli_error "$bin" "--replay re-serves a recorded session" \
+            --replay "$nodir/r.rec" $conflict
+    done
+    expect_cli_error "$bin" "--record captures a serve session" --record "$nodir/r.rec"
+    expect_cli_error "$bin" "--serve reads records from stdin" --serve --input "$nodir"
+    expect_cli_error "$bin" "--shed needs at least one --deadline" --serve --shed < "$fixture"
+    expect_cli_error "$bin" "--adapt learns per-class variant priors" \
+        --serve --adapt < "$fixture"
+
+    # A flag given outside its mode warns and the run still succeeds — even
+    # when its value equals the default.
+    set +e
+    err=$("$bin" --instances 1 --max-sessions 64 2>&1 >/dev/null)
+    status=$?
+    set -e
+    case $status:$err in
+    0:*"--max-sessions only affects listen mode"*) ;;
+    *)
+        echo "stream_smoke (cli): --max-sessions outside listen mode did not warn (exit $status):" >&2
+        printf '%s\n' "$err" >&2
+        exit 1
+        ;;
+    esac
+    echo "stream_smoke (cli) OK: malformed values and mode conflicts exit 2 with named diagnostics"
     exit 0
     ;;
 *)

@@ -582,6 +582,23 @@ TEST(StreamSolver, InvalidConfigThrowsBeforeConsumingInput) {
   expect_throw_without_reading(infinite_deadline);
 }
 
+TEST(StreamSolver, WindowTimesInflightOverflowIsRejected) {
+  // 2^32 x 2^32 wraps the reorder buffer's size to 0, which served nothing
+  // and reported success; the product must be refused up front instead.
+  StreamConfig config;
+  config.window = std::size_t{1} << 32;
+  config.max_inflight = std::size_t{1} << 32;
+  std::istringstream input(to_stream(small_batch(2)));
+  try {
+    StreamSolver().run(input, config);
+    FAIL() << "an overflowing window x max-inflight must be refused";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("window"), std::string::npos) << what;
+    EXPECT_NE(what.find("max-inflight"), std::string::npos) << what;
+  }
+}
+
 // ---------------------------------------------------------- record/replay --
 // The bit-exact record/replay contract (traffic/replay.hpp): a session
 // recorded while served live at --threads 4 --race must replay on 1 thread
@@ -745,6 +762,23 @@ TEST(StreamRecordReplay, VersionOneRecordsAreRejectedByName) {
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("v1"), std::string::npos) << e.what();
     EXPECT_NE(std::string(e.what()).find("single-solver"), std::string::npos) << e.what();
+  }
+}
+
+TEST(StreamRecordReplay, OutOfRangeServeValuesAreRefusedNamingTheKey) {
+  // A sign used to wrap through stoull — window=-16 became 2^64-16, and
+  // replay died in vector::reserve; memo-capacity=-1 replayed as 2^64-1 —
+  // and race-width was truncated into an unsigned.
+  for (const std::string kv : {"window=-16", "memo-capacity=-1", "race-width=4294967296"}) {
+    std::istringstream file("# moldable-record v2\n# serve " + kv + "\n");
+    try {
+      traffic::load_record(file);
+      FAIL() << kv << " must not load";
+    } catch (const std::runtime_error& e) {
+      const std::string key = kv.substr(0, kv.find('='));
+      EXPECT_NE(std::string(e.what()).find("invalid " + key + " value"), std::string::npos)
+          << e.what();
+    }
   }
 }
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs drift guard: links and driver names must resolve, flags must be documented.
 
-Three checks, all cheap enough to run as a ctest case on every build:
+Four checks, all cheap enough to run as a ctest case on every build:
 
 1. Link check — every relative markdown link in README.md and docs/*.md
    must point at a file (or directory) that exists in the repo. External
@@ -18,9 +18,14 @@ Three checks, all cheap enough to run as a ctest case on every build:
 3. Flag coverage — every `--flag` that `batch_service --help` and
    `traffic_gen --help` print must appear somewhere in
    docs/OPERATIONS.md, which promises a complete flag reference. Adding
-   a CLI flag without documenting it fails the build. (The reverse
-   direction is deliberately not enforced: OPERATIONS.md may mention
-   flags in prose examples beyond the help text.)
+   a CLI flag without documenting it fails the build.
+
+4. Flag tables — the reverse direction, for the reference tables only:
+   every `--flag` that opens a table row of OPERATIONS.md §2 must appear
+   in `batch_service --help`, and every one in §3 in `traffic_gen
+   --help`, so a flag removed from a binary cannot stay documented in
+   its table. Prose mentions stay exempt: OPERATIONS.md may name flags in
+   examples beyond the help text.
 
 Usage:
     tools/docs_lint.py REPO_ROOT [BATCH_SERVICE_BIN TRAFFIC_GEN_BIN]
@@ -40,6 +45,8 @@ DRIVER_RE = re.compile(r"\./build/([A-Za-z0-9_]+)")
 DRIVER_DIRS = ("examples", "bench", "tests")
 VERIFY_SKILL = Path(".claude") / "skills" / "verify" / "SKILL.md"
 FLAG_RE = re.compile(r"--[A-Za-z][A-Za-z0-9-]*")
+ROW_FLAG_RE = re.compile(r"^\|\s*`(--[A-Za-z][A-Za-z0-9-]*)")
+SECTION_RE = re.compile(r"^## (\d+)\.")
 SKIP_SCHEMES = ("http://", "https://", "mailto:")
 
 
@@ -98,18 +105,44 @@ def help_flags(binary: str):
     return sorted(set(FLAG_RE.findall(out.stdout + out.stderr)))
 
 
+def table_row_flags(ops_text: str):
+    """Maps each numbered section of OPERATIONS.md to (line, flag) for every
+    table row that opens with a `--flag`."""
+    rows = {}
+    section = None
+    for lineno, line in enumerate(ops_text.splitlines(), 1):
+        heading = SECTION_RE.match(line)
+        if heading:
+            section = int(heading.group(1))
+            continue
+        row = ROW_FLAG_RE.match(line)
+        if row and section is not None:
+            rows.setdefault(section, []).append((lineno, row.group(1)))
+    return rows
+
+
 def check_flag_coverage(root: Path, binaries):
     ops = root / "docs" / "OPERATIONS.md"
     if not ops.is_file():
         return [f"docs/OPERATIONS.md missing (flag reference lives there)"]
     ops_text = ops.read_text(encoding="utf-8")
+    rows = table_row_flags(ops_text)
     problems = []
-    for binary in binaries:
+    # §2 is the batch_service reference, §3 the traffic_gen one.
+    for section, binary in zip((2, 3), binaries):
         name = Path(binary).name
-        for flag in help_flags(binary):
+        flags = help_flags(binary)
+        for flag in flags:
             if flag not in ops_text:
                 problems.append(
                     f"docs/OPERATIONS.md: `{flag}` from `{name} --help` is undocumented"
+                )
+        if not rows.get(section):
+            problems.append(f"docs/OPERATIONS.md: §{section} has no `{name}` flag table")
+        for lineno, flag in rows.get(section, []):
+            if flag not in flags:
+                problems.append(
+                    f"docs/OPERATIONS.md:{lineno}: table row `{flag}` is not in `{name} --help`"
                 )
     return problems
 
