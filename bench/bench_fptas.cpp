@@ -12,6 +12,7 @@
 
 #include "bench/pinned_harness.hpp"
 #include "src/core/fptas.hpp"
+#include "src/core/scheduler.hpp"
 #include "src/jobs/generators.hpp"
 #include "src/sched/validator.hpp"
 #include "src/util/table.hpp"
@@ -23,6 +24,7 @@ namespace {
 /// huge-m solve and one wide-n solve, both past the Theorem 2 threshold.
 std::vector<moldable::bench::PinnedResult> run_pinned() {
   using namespace moldable;
+  using core::Algorithm;
   constexpr int kReps = 7;
   std::vector<moldable::bench::PinnedResult> pinned;
   volatile double sink = 0;
@@ -30,7 +32,8 @@ std::vector<moldable::bench::PinnedResult> run_pinned() {
     const jobs::Instance inst =
         jobs::make_instance(jobs::Family::kMixed, 64, procs_t{1} << 30, 11);
     pinned.push_back({"fptas_mixed_n64_m2pow30", moldable::bench::best_of_ms(kReps, [&] {
-                        sink = core::fptas_schedule(inst, 0.25).lower_bound;
+                        sink = core::schedule_moldable(inst, 0.25, Algorithm::kFptas)
+                                   .lower_bound;
                       })});
   }
   {
@@ -38,7 +41,8 @@ std::vector<moldable::bench::PinnedResult> run_pinned() {
     const jobs::Instance inst = jobs::make_instance(jobs::Family::kAmdahl, 256, m, 9);
     pinned.push_back({"fptas_amdahl_n256_2xthresh",
                       moldable::bench::best_of_ms(kReps, [&] {
-                        sink = core::fptas_schedule(inst, 0.25).lower_bound;
+                        sink = core::schedule_moldable(inst, 0.25, Algorithm::kFptas)
+                                   .lower_bound;
                       })});
   }
   (void)sink;
@@ -49,6 +53,7 @@ std::vector<moldable::bench::PinnedResult> run_pinned() {
 
 int main(int argc, char** argv) {
   using namespace moldable;
+  using core::Algorithm;
 
   const auto pinned = run_pinned();
   for (const auto& p : pinned) std::printf("%-28s %10.4f ms\n", p.name.c_str(), p.ms);
@@ -67,7 +72,7 @@ int main(int argc, char** argv) {
       const procs_t m = procs_t{1} << p;
       const jobs::Instance inst = jobs::make_instance(jobs::Family::kMixed, 64, m, 7);
       util::Timer timer;
-      const core::FptasResult r = core::fptas_schedule(inst, 0.25);
+      const core::ScheduleResult r = core::schedule_moldable(inst, 0.25, Algorithm::kFptas);
       const double t_ms = timer.millis();
       sched::validate_or_throw(r.schedule, inst);
       t.add_row({"2^" + std::to_string(p), util::fmt(t_ms, 4),
@@ -85,7 +90,7 @@ int main(int argc, char** argv) {
       const auto m = static_cast<procs_t>(core::fptas_machine_threshold(n, 0.25) * 2);
       const jobs::Instance inst = jobs::make_instance(jobs::Family::kAmdahl, n, m, 9);
       util::Timer timer;
-      const core::FptasResult r = core::fptas_schedule(inst, 0.25);
+      const core::ScheduleResult r = core::schedule_moldable(inst, 0.25, Algorithm::kFptas);
       const double t_ms = timer.millis();
       sched::validate_or_throw(r.schedule, inst);
       t.add_row({std::to_string(n), std::to_string(m), util::fmt(t_ms, 4),
@@ -102,7 +107,7 @@ int main(int argc, char** argv) {
         jobs::make_instance(jobs::Family::kMixed, 64, procs_t{1} << 30, 11);
     for (double eps : {1.0, 0.5, 0.25, 0.1, 0.05, 0.01}) {
       util::Timer timer;
-      const core::FptasResult r = core::fptas_schedule(inst, eps);
+      const core::ScheduleResult r = core::schedule_moldable(inst, eps, Algorithm::kFptas);
       const double t_ms = timer.millis();
       t.add_row({util::fmt(eps, 3), util::fmt(t_ms, 4), std::to_string(r.dual_calls),
                  util::fmt(r.schedule.makespan() / r.lower_bound, 4)});

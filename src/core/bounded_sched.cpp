@@ -3,7 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "src/core/estimator.hpp"
 #include "src/core/pipeline.hpp"
 #include "src/knapsack/bounded.hpp"
 #include "src/knapsack/compressible.hpp"
@@ -14,37 +13,22 @@ DualOutcome bounded_dual(const jobs::Instance& instance, double d, double eps,
                          const BoundedDualOptions& options) {
   if (!(eps > 0) || eps > 1)
     throw std::invalid_argument("bounded_dual: eps must be in (0, 1]");
-  if (!(d > 0)) return DualOutcome::reject();
-  if (deadline_infeasible(instance, d)) return DualOutcome::reject();
+  auto split = shelf_one_split(instance, d);
+  if (!split) return DualOutcome::reject();
 
-  const procs_t m = instance.machines();
+  const procs_t capacity = split->capacity;
   const double delta = eps / 5;
-  const knapsack::BoundedRounding R = knapsack::BoundedRounding::make(d, delta, m);
+  const knapsack::BoundedRounding R =
+      knapsack::BoundedRounding::make(d, delta, instance.machines());
   const double d_prime = (1 + delta) * (1 + delta) * d;
 
-  const BigSmallSplit split = split_small_big(instance, d);
-
-  std::vector<std::size_t> s1_jobs;
-  std::vector<std::size_t> free_jobs;
-  procs_t capacity = m;
-  for (std::size_t j : split.big) {
-    const jobs::Job& job = instance.job(j);
-    const auto g1 = job.gamma(d);
-    check_invariant(g1.has_value(), "bounded_dual: gamma(d) undefined");
-    if (!leq_tol(job.tmin(), d / 2)) {
-      s1_jobs.push_back(j);
-      capacity -= *g1;
-    } else {
-      free_jobs.push_back(j);
-    }
-  }
-  if (capacity < 0) return DualOutcome::reject();
-
-  if (!free_jobs.empty()) {
+  std::vector<std::size_t>& s1_jobs = split->forced;
+  if (!split->candidates.empty()) {
     // Round jobs into types and expand into binary containers (Sec. 4.3.1).
     std::vector<knapsack::RoundedBigJob> rounded;
-    rounded.reserve(free_jobs.size());
-    for (std::size_t j : free_jobs) rounded.push_back(knapsack::round_big_job(instance, j, R));
+    rounded.reserve(split->candidates.size());
+    for (std::size_t j : split->candidates)
+      rounded.push_back(knapsack::round_big_job(instance, j, R));
     const knapsack::BoundedInstance bk(rounded);
 
     // sigma: (1-sigma)^2 = (1-rho)^2 (1+rho) pays for size rounding plus
@@ -72,19 +56,6 @@ DualOutcome bounded_dual(const jobs::Instance& instance, double d, double eps,
   auto schedule = assemble_schedule(instance, d_prime, s1_jobs, policy, delta);
   if (!schedule) return DualOutcome::reject();
   return DualOutcome::accept(std::move(*schedule));
-}
-
-BoundedSchedResult bounded_schedule(const jobs::Instance& instance, double eps, bool linear) {
-  if (!(eps > 0) || eps > 1)
-    throw std::invalid_argument("bounded_schedule: eps in (0, 1]");
-  if (instance.size() == 0) return {};
-  const double eps_d = eps / 2;
-  const double eps_s = (eps / 2) / (1.5 + eps_d);
-  const EstimatorResult est = estimate_makespan(instance);
-  const BoundedDualOptions opts{linear};
-  const DualSearchResult sr = dual_search(
-      [&](double d) { return bounded_dual(instance, d, eps_d, opts); }, est.omega, eps_s);
-  return {sr.schedule, sr.lower_bound, sr.dual_calls};
 }
 
 }  // namespace moldable::core

@@ -14,10 +14,14 @@
 // heap, trading an extra delta*d of makespan for the removal of the
 // O(n log n) term — exactly the Section 4.3.3 trade.
 //
-// Constants vs the paper (see DESIGN.md): the knapsack is called with
-// sigma = 1 - sqrt((1-rho)^2 (1+rho)) so that its (1-sigma)^2 feasibility
-// budget covers both the geometric size rounding (factor 1+rho) and
-// Lemma 16's (1-rho)^2 compression; compressibility is keyed at gamma > b.
+// Constants vs the paper (docs/ARCHITECTURE.md, "Deviations from the
+// paper"): the knapsack is called with sigma = 1 - sqrt((1-rho)^2 (1+rho))
+// so that its (1-sigma)^2 feasibility budget covers both the geometric size
+// rounding (factor 1+rho) and Lemma 16's (1-rho)^2 compression;
+// compressibility is keyed at gamma > b.
+//
+// schedule_moldable(…, Algorithm::kBounded / kBoundedLinear) is the full
+// algorithm (Table 1, row 2 / row 3).
 #pragma once
 
 #include "src/core/dual_search.hpp"
@@ -32,16 +36,5 @@ struct BoundedDualOptions {
 /// One (3/2 + eps)-dual call at deadline d.
 DualOutcome bounded_dual(const jobs::Instance& instance, double d, double eps,
                          const BoundedDualOptions& options = {});
-
-struct BoundedSchedResult {
-  sched::Schedule schedule;
-  double lower_bound = 0;
-  int dual_calls = 0;
-};
-
-/// Full (3/2 + eps)-approximation via estimator + bisection; `linear`
-/// selects the Section 4.3.3 variant (Table 1, row 3 vs row 2).
-BoundedSchedResult bounded_schedule(const jobs::Instance& instance, double eps,
-                                    bool linear = false);
 
 }  // namespace moldable::core

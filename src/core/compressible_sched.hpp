@@ -9,14 +9,16 @@
 // (Lemma 4), and Corollary 10 carries the work bound from level d to level
 // d', so the dual returns a schedule of makespan (3/2) d' <= (3/2 + eps) d.
 //
-// Deviation from the paper's constants (see DESIGN.md): Algorithm 2
-// guarantees feasibility under rho' = 2 sigma - sigma^2 for its input
-// factor sigma, so we call it with sigma = 1 - sqrt(1 - rho_c), making
-// (1 - sigma)^2 = 1 - rho_c exactly the budget that one Lemma 4 compression
-// at factor rho_c pays back. The guarantee and asymptotic running time are
-// the paper's; only the constant inside eps changes.
+// Deviation from the paper's constants (docs/ARCHITECTURE.md, "Deviations
+// from the paper"): Algorithm 2 guarantees feasibility under
+// rho' = 2 sigma - sigma^2 for its input factor sigma, so we call it with
+// sigma = 1 - sqrt(1 - rho_c), making (1 - sigma)^2 = 1 - rho_c exactly the
+// budget that one Lemma 4 compression at factor rho_c pays back. The
+// guarantee and asymptotic running time are the paper's; only the constant
+// inside eps changes.
 //
 // Per-dual-call running time: O(n (log m + n log(eps m))) — Table 1, row 1.
+// schedule_moldable(…, Algorithm::kCompressible) is the full algorithm.
 #pragma once
 
 #include "src/core/dual_search.hpp"
@@ -26,14 +28,5 @@ namespace moldable::core {
 
 /// One (3/2 + eps)-dual call at deadline d.
 DualOutcome compressible_dual(const jobs::Instance& instance, double d, double eps);
-
-struct CompressibleSchedResult {
-  sched::Schedule schedule;
-  double lower_bound = 0;
-  int dual_calls = 0;
-};
-
-/// Full (3/2 + eps)-approximation via estimator + bisection.
-CompressibleSchedResult compressible_schedule(const jobs::Instance& instance, double eps);
 
 }  // namespace moldable::core

@@ -24,15 +24,17 @@ struct DualOutcome {
 using DualFn = std::function<DualOutcome(double d)>;
 
 struct DualSearchResult {
-  sched::Schedule schedule;
-  double d_accepted = 0;   ///< smallest accepted deadline (<= (1+eps) OPT)
-  double lower_bound = 0;  ///< largest value known to be <= OPT
+  sched::Schedule schedule;  ///< the dual's schedule at d_accepted
+  double d_accepted = 0;     ///< an accepted d <= (1+eps_search) lower_bound
+  double lower_bound = 0;    ///< omega, raised by each rejection; <= OPT
   int dual_calls = 0;
 };
 
 /// Bisects d in [omega, 2*omega] until the bracket is within a factor
-/// (1+eps_search). Returns the schedule of the smallest accepted d, which
-/// has makespan <= c * (1+eps_search) * OPT for a c-dual `dual`.
+/// (1+eps_search). Returns the schedule of an accepted d <= (1+eps_search)
+/// lower_bound, with lower_bound <= OPT, so a c-dual's schedule has
+/// makespan <= c (1+eps_search) lower_bound <= c (1+eps_search) OPT — the
+/// claim Scheduler.EveryBuiltinCertifiesItsGuarantee enforces.
 /// Requires omega > 0 (use an empty schedule directly for empty instances).
 DualSearchResult dual_search(const DualFn& dual, double omega, double eps_search);
 

@@ -2,7 +2,8 @@
 //
 // Used by the test suite to measure true approximation ratios (and as the
 // stand-in for the Jansen-Thöle PTAS in the small-m branch of Section 3.2's
-// composition — see DESIGN.md "Substitutions"). Two nested searches:
+// composition — docs/ARCHITECTURE.md, "Deviations from the paper"). Two
+// nested searches:
 //
 //   1. enumerate allotments (processor count per job) by DFS with
 //      work/max-time lower-bound pruning against the incumbent;

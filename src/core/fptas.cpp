@@ -1,9 +1,5 @@
 #include "src/core/fptas.hpp"
 
-#include <stdexcept>
-
-#include "src/core/estimator.hpp"
-
 namespace moldable::core {
 
 DualOutcome fptas_dual(const jobs::Instance& instance, double d, double eps_d) {
@@ -23,28 +19,6 @@ DualOutcome fptas_dual(const jobs::Instance& instance, double d, double eps_d) {
 
 double fptas_machine_threshold(std::size_t n, double eps) {
   return 24.0 * static_cast<double>(n) / eps;
-}
-
-FptasResult fptas_schedule(const jobs::Instance& instance, double eps) {
-  if (!(eps > 0) || eps > 1)
-    throw std::invalid_argument("fptas_schedule: eps must be in (0, 1]");
-  if (instance.size() == 0) return {};
-  const double eps_d = eps / 3;  // dual accuracy
-  const double eps_s = eps / 3;  // bisection accuracy; (1+e/3)^2 <= 1+e on (0,1]
-  if (static_cast<double>(instance.machines()) < 8.0 * static_cast<double>(instance.size()) / eps_d)
-    throw std::invalid_argument(
-        "fptas_schedule: requires m >= 24 n / eps (Theorem 2 regime); use the "
-        "(3/2+eps) algorithms below the threshold");
-
-  const EstimatorResult est = estimate_makespan(instance);
-  const DualSearchResult sr = dual_search(
-      [&](double d) { return fptas_dual(instance, d, eps_d); }, est.omega, eps_s);
-
-  FptasResult out;
-  out.schedule = sr.schedule;
-  out.lower_bound = sr.lower_bound;
-  out.dual_calls = sr.dual_calls;
-  return out;
 }
 
 }  // namespace moldable::core

@@ -7,8 +7,9 @@
 // processors with factor eps/4 frees enough processors that the canonical
 // allotment fits in m whenever m >= 8n/eps — see Section 3.1 / Lemma 5.
 //
-// Combined with the estimator and the dual search, the full algorithm runs
-// in O(n log^2 m (log m + log 1/eps)) and returns a schedule of makespan at
+// Combined with the estimator and the dual search in
+// schedule_moldable(…, Algorithm::kFptas), the full algorithm runs in
+// O(n log^2 m (log m + log 1/eps)) and returns a schedule of makespan at
 // most (1 + eps) OPT.
 #pragma once
 
@@ -21,20 +22,8 @@ namespace moldable::core {
 /// sound) whenever m >= 8n/eps_d; the caller enforces that.
 DualOutcome fptas_dual(const jobs::Instance& instance, double d, double eps_d);
 
-struct FptasResult {
-  sched::Schedule schedule;
-  double lower_bound = 0;  ///< certified lower bound on OPT
-  int dual_calls = 0;
-};
-
-/// Full FPTAS: makespan <= (1+eps) OPT. Requires eps in (0, 1] and
-/// m >= 24 n / eps (the internal dual accuracy is eps/3, so the Theorem 2
-/// threshold m >= 8n/eps_d becomes 24n/eps); throws std::invalid_argument
-/// otherwise — callers below the threshold should use the (3/2 + eps)
-/// algorithms (that is the paper's Section 3.2 composition).
-FptasResult fptas_schedule(const jobs::Instance& instance, double eps);
-
-/// The machine-count threshold above which fptas_schedule(eps) is valid.
+/// Theorem 2's m >= 8 n / eps_d at the FPTAS's eps_d = eps/3: 24 n / eps,
+/// the one regime test behind `auto`, `ptas` and `fptas`.
 double fptas_machine_threshold(std::size_t n, double eps);
 
 }  // namespace moldable::core

@@ -10,8 +10,8 @@
 //
 // The knapsack is solved exactly with the dense O(n m) dynamic program, so
 // a dual call costs O(n m): this is the baseline the paper's Algorithms 1
-// and 3 accelerate. The full approximation algorithm wraps the dual in the
-// estimator + bisection, giving (3/2)(1 + eps_search) <= 3/2 + eps overall.
+// and 3 accelerate. schedule_moldable(…, Algorithm::kMrt) wraps the dual in
+// the estimator + bisection, giving (3/2)(1 + eps_search) <= 3/2 + eps.
 #pragma once
 
 #include "src/core/dual_search.hpp"
@@ -22,15 +22,5 @@ namespace moldable::core {
 /// One (3/2)-dual call at deadline d. Accepted schedules have makespan
 /// <= (3/2) d; rejection certifies that no schedule of makespan d exists.
 DualOutcome mrt_dual(const jobs::Instance& instance, double d);
-
-struct MrtResult {
-  sched::Schedule schedule;
-  double lower_bound = 0;
-  int dual_calls = 0;
-};
-
-/// Full (3/2 + eps)-approximation: estimator + dual bisection around the
-/// exact dual. Requires eps in (0, 1]. Running time O(log(1/eps) * n m).
-MrtResult mrt_schedule(const jobs::Instance& instance, double eps);
 
 }  // namespace moldable::core

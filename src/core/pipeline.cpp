@@ -27,6 +27,38 @@ bool deadline_infeasible(const jobs::Instance& instance, double d) {
   return false;
 }
 
+std::optional<ShelfOneSplit> shelf_one_split(const jobs::Instance& instance, double d) {
+  if (!(d > 0) || deadline_infeasible(instance, d)) return std::nullopt;
+  ShelfOneSplit out;
+  out.capacity = instance.machines();
+  for (std::size_t j : split_small_big(instance, d).big) {
+    const jobs::Job& job = instance.job(j);
+    const auto g1 = job.gamma(d);
+    check_invariant(g1.has_value(), "shelf_one_split: gamma(d) undefined after feasibility test");
+    if (!leq_tol(job.tmin(), d / 2)) {
+      out.forced.push_back(j);
+      out.capacity -= *g1;
+    } else {
+      out.candidates.push_back(j);
+    }
+  }
+  if (out.capacity < 0) return std::nullopt;
+  return out;
+}
+
+std::vector<knapsack::Item> shelf_one_items(const jobs::Instance& instance,
+                                            const ShelfOneSplit& split, double d) {
+  std::vector<knapsack::Item> items;
+  items.reserve(split.candidates.size());
+  for (std::size_t j : split.candidates) {
+    const jobs::Job& job = instance.job(j);
+    const procs_t g1 = *job.gamma(d);
+    const procs_t g2 = *job.gamma(d / 2);
+    items.push_back({static_cast<double>(g1), std::max(0.0, job.work(g2) - job.work(g1))});
+  }
+  return items;
+}
+
 std::optional<sched::Schedule> assemble_schedule(const jobs::Instance& instance,
                                                  double d_level,
                                                  const std::vector<std::size_t>& s1_jobs,

@@ -1,15 +1,16 @@
 // Shared back-end of the three (3/2 + eps)-dual algorithms (Sections 4.1,
-// 4.2.5, 4.3): small/big splitting, the work-bound test of Lemma 6 /
-// Corollary 10, the Lemma 7 transformation, and Lemma 9 small-job
-// insertion. Each front-end algorithm differs only in how it selects the
-// shelf-1 set (exact knapsack, compressible knapsack, bounded knapsack) and
-// at which deadline level d' it assembles.
+// 4.2.5, 4.3): small/big splitting, the forced/candidate shelf-1 split, the
+// work-bound test of Lemma 6 / Corollary 10, the Lemma 7 transformation,
+// and Lemma 9 small-job insertion. Each dual differs only in how it selects
+// shelf 1 from the candidates (exact knapsack, compressible knapsack,
+// bounded knapsack) and at which deadline level d' it assembles.
 #pragma once
 
 #include <optional>
 #include <vector>
 
 #include "src/jobs/instance.hpp"
+#include "src/knapsack/item.hpp"
 #include "src/sched/schedule.hpp"
 #include "src/sched/transform.hpp"
 
@@ -24,7 +25,25 @@ struct BigSmallSplit {
 
 BigSmallSplit split_small_big(const jobs::Instance& instance, double d);
 
-/// Statistics of one assembly, for benches and EXPERIMENTS.md.
+/// The big jobs at deadline d, split for the shelf-1 knapsack (Section
+/// 4.1): a big job with t_j(m) > d/2 has no gamma_j(d/2), so it is forced
+/// into shelf 1; every other big job is a candidate item.
+struct ShelfOneSplit {
+  std::vector<std::size_t> forced;
+  std::vector<std::size_t> candidates;
+  procs_t capacity = 0;  ///< m minus the forced jobs' gamma_j(d)
+};
+
+/// The split every (3/2)-dual starts from, or nullopt when d is hopeless:
+/// d <= 0, some job misses d on m machines, or the forced jobs overflow m.
+std::optional<ShelfOneSplit> shelf_one_split(const jobs::Instance& instance, double d);
+
+/// KP(J_B(d), m, d) of Eq. (6), one item per candidate: size gamma_j(d) and
+/// profit v_j(d) = w_j(gamma_j(d/2)) - w_j(gamma_j(d)), clamped at 0.
+std::vector<knapsack::Item> shelf_one_items(const jobs::Instance& instance,
+                                            const ShelfOneSplit& split, double d);
+
+/// Statistics of one assembly, for the pipeline tests.
 struct AssemblyStats {
   double work = 0;          ///< W(J', d) of the two-shelf schedule
   double work_bound = 0;    ///< m d - W_S(d)
@@ -41,10 +60,8 @@ struct AssemblyStats {
 ///   3. applies the Lemma 7 transformation (policy/delta as given) and
 ///      inserts the small jobs next-fit.
 /// `s1_jobs` must contain every job with t_j(m) > d_level/2 (forced jobs).
-/// A transformation fixpoint that violates Lemma 8 also yields nullopt —
-/// by Lemma 7 that cannot happen when the work bound holds, so it is
-/// counted separately in `stats` consumers via the thrown-path being
-/// converted to rejection.
+/// A transformation fixpoint that violates Lemma 8 also yields nullopt; by
+/// Lemma 7 that cannot happen when the work bound holds.
 std::optional<sched::Schedule> assemble_schedule(const jobs::Instance& instance,
                                                  double d_level,
                                                  const std::vector<std::size_t>& s1_jobs,

@@ -5,11 +5,63 @@
 #include "src/core/baselines.hpp"
 #include "src/core/bounded_sched.hpp"
 #include "src/core/compressible_sched.hpp"
-#include "src/core/fptas.hpp"
+#include "src/core/estimator.hpp"
 #include "src/core/exact.hpp"
+#include "src/core/fptas.hpp"
 #include "src/core/mrt.hpp"
 
 namespace moldable::core {
+
+namespace {
+
+/// Theorem 2's regime: the FPTAS's rejections are sound.
+bool fptas_regime(const jobs::Instance& instance, double eps) {
+  return static_cast<double>(instance.machines()) >=
+         fptas_machine_threshold(instance.size(), eps);
+}
+
+/// What a dual algorithm brings to Section 3's composition: its c-dual, the
+/// share eps_search of eps left to the bisection, and c (1 + eps_search).
+struct DualAlgorithm {
+  DualFn dual;
+  double eps_search;
+  double guarantee;
+};
+
+DualAlgorithm dual_algorithm(const jobs::Instance& instance, double eps, Algorithm algo) {
+  // The (3/2 + eps_d)-duals: (3/2 + eps_d)(1 + eps_s) <= 3/2 + eps.
+  const double eps_d = eps / 2;
+  const double eps_s = (eps / 2) / (1.5 + eps_d);
+  switch (algo) {
+    case Algorithm::kFptas:
+      if (!fptas_regime(instance, eps))
+        throw std::invalid_argument(
+            "fptas: requires m >= 24 n / eps (Theorem 2 regime); use the "
+            "(3/2+eps) algorithms below the threshold");
+      // Dual and bisection at eps/3 each: (1 + eps/3)^2 <= 1 + eps on (0, 1].
+      return {[&instance, eps](double d) { return fptas_dual(instance, d, eps / 3); }, eps / 3,
+              1 + eps};
+    case Algorithm::kMrt:
+      // (3/2)(1 + eps_s) <= 3/2 + eps  <=>  eps_s = (2/3) eps.
+      return {[&instance](double d) { return mrt_dual(instance, d); }, (2.0 / 3.0) * eps,
+              1.5 + eps};
+    case Algorithm::kCompressible:
+      return {[&instance, eps_d](double d) { return compressible_dual(instance, d, eps_d); },
+              eps_s, 1.5 + eps};
+    case Algorithm::kBounded:
+    case Algorithm::kBoundedLinear: {
+      const BoundedDualOptions opts{algo == Algorithm::kBoundedLinear};
+      return {[&instance, eps_d, opts](double d) { return bounded_dual(instance, d, eps_d, opts); },
+              eps_s, 1.5 + eps};
+    }
+    case Algorithm::kAuto:
+    case Algorithm::kLudwigTiwari:
+      break;
+  }
+  throw internal_error("schedule_moldable: " + algorithm_name(algo) + " has no dual");
+}
+
+}  // namespace
 
 std::string algorithm_name(Algorithm a) {
   switch (a) {
@@ -36,57 +88,24 @@ ScheduleResult schedule_moldable(const jobs::Instance& instance, double eps, Alg
     return out;
   }
 
-  if (algo == Algorithm::kAuto) {
-    const bool fptas_ok = static_cast<double>(instance.machines()) >=
-                          fptas_machine_threshold(instance.size(), eps);
-    algo = fptas_ok ? Algorithm::kFptas : Algorithm::kBoundedLinear;
-  }
+  if (algo == Algorithm::kAuto)
+    algo = fptas_regime(instance, eps) ? Algorithm::kFptas : Algorithm::kBoundedLinear;
   out.used = algo;
 
-  switch (algo) {
-    case Algorithm::kFptas: {
-      const FptasResult r = fptas_schedule(instance, eps);
-      out.schedule = r.schedule;
-      out.lower_bound = r.lower_bound;
-      out.dual_calls = r.dual_calls;
-      out.guarantee = 1 + eps;
-      break;
-    }
-    case Algorithm::kMrt: {
-      const MrtResult r = mrt_schedule(instance, eps);
-      out.schedule = r.schedule;
-      out.lower_bound = r.lower_bound;
-      out.dual_calls = r.dual_calls;
-      out.guarantee = 1.5 + eps;
-      break;
-    }
-    case Algorithm::kCompressible: {
-      const CompressibleSchedResult r = compressible_schedule(instance, eps);
-      out.schedule = r.schedule;
-      out.lower_bound = r.lower_bound;
-      out.dual_calls = r.dual_calls;
-      out.guarantee = 1.5 + eps;
-      break;
-    }
-    case Algorithm::kBounded:
-    case Algorithm::kBoundedLinear: {
-      const BoundedSchedResult r =
-          bounded_schedule(instance, eps, algo == Algorithm::kBoundedLinear);
-      out.schedule = r.schedule;
-      out.lower_bound = r.lower_bound;
-      out.dual_calls = r.dual_calls;
-      out.guarantee = 1.5 + eps;
-      break;
-    }
-    case Algorithm::kLudwigTiwari: {
-      const BaselineResult r = ludwig_tiwari_schedule(instance);
-      out.schedule = r.schedule;
-      out.lower_bound = r.lower_bound;
-      out.guarantee = 2;
-      break;
-    }
-    case Algorithm::kAuto:
-      throw internal_error("schedule_moldable: auto not resolved");
+  if (algo == Algorithm::kLudwigTiwari) {
+    BaselineResult r = ludwig_tiwari_schedule(instance);
+    out.schedule = std::move(r.schedule);
+    out.lower_bound = r.lower_bound;
+    out.guarantee = 2;
+  } else {
+    // Section 3: the estimator brackets OPT in [omega, 2 omega], and the
+    // bisection narrows it to within (1 + eps_search).
+    const DualAlgorithm a = dual_algorithm(instance, eps, algo);
+    DualSearchResult sr = dual_search(a.dual, estimate_makespan(instance).omega, a.eps_search);
+    out.schedule = std::move(sr.schedule);
+    out.lower_bound = sr.lower_bound;
+    out.dual_calls = sr.dual_calls;
+    out.guarantee = a.guarantee;
   }
 
   out.makespan = out.schedule.makespan();
@@ -94,28 +113,27 @@ ScheduleResult schedule_moldable(const jobs::Instance& instance, double eps, Alg
   return out;
 }
 
+std::optional<ScheduleResult> exact_schedule(const jobs::Instance& instance) {
+  auto exact = solve_exact(instance);
+  if (!exact) return std::nullopt;
+  ScheduleResult out;
+  out.schedule = std::move(exact->schedule);
+  out.lower_bound = exact->makespan;
+  out.makespan = exact->makespan;
+  out.ratio_vs_lower = 1;
+  out.guarantee = 1;
+  return out;
+}
+
 ScheduleResult ptas_schedule(const jobs::Instance& instance, double eps) {
   if (!(eps > 0) || eps > 1)
     throw std::invalid_argument("ptas_schedule: eps must be in (0, 1]");
-  const bool fptas_ok = static_cast<double>(instance.machines()) >=
-                        fptas_machine_threshold(instance.size(), eps);
-  if (fptas_ok || instance.size() == 0)
-    return schedule_moldable(instance, eps, Algorithm::kFptas);
+  if (fptas_regime(instance, eps)) return schedule_moldable(instance, eps, Algorithm::kFptas);
 
   // Substituted [14] branch: exact for tiny instances, (3/2+eps) otherwise.
   const ExactLimits limits;
-  if (instance.size() <= limits.max_jobs && instance.machines() <= limits.max_machines) {
-    if (const auto exact = solve_exact(instance, limits)) {
-      ScheduleResult out;
-      out.schedule = exact->schedule;
-      out.used = Algorithm::kAuto;  // the exact branch has no enum of its own
-      out.lower_bound = exact->makespan;
-      out.makespan = exact->makespan;
-      out.ratio_vs_lower = 1;
-      out.guarantee = 1;
-      return out;
-    }
-  }
+  if (instance.size() <= limits.max_jobs && instance.machines() <= limits.max_machines)
+    if (auto exact = exact_schedule(instance)) return std::move(*exact);
   return schedule_moldable(instance, eps, Algorithm::kBoundedLinear);
 }
 

@@ -1,14 +1,19 @@
-// Unified front-end: the paper's composition of its algorithms.
+// The one core front-end: the paper's composition of its algorithms.
 //
 //   * m large (Theorem 2 regime): the FPTAS — ratio 1 + eps;
 //   * otherwise: one of the (3/2 + eps) algorithms; the default is the
 //     linear variant of Algorithm 3 (Table 1, row 3), the paper's headline.
 //
+// Every dual algorithm becomes an approximation here and only here
+// (docs/ARCHITECTURE.md, "The core front-end").
+//
 // (Section 3.2's full PTAS would plug the Jansen-Thöle PTAS [14] into the
 // small-m branch; that external algorithm is out of scope here — see
-// DESIGN.md "Substitutions" — so the small-m branch guarantees 3/2 + eps.)
+// docs/ARCHITECTURE.md, "Deviations from the paper" — so the small-m branch
+// guarantees 3/2 + eps.)
 #pragma once
 
+#include <optional>
 #include <string>
 
 #include "src/jobs/instance.hpp"
@@ -40,18 +45,24 @@ struct ScheduleResult {
 
 /// Schedules the instance with approximation parameter eps in (0, 1].
 /// Guarantee: makespan <= (1 + eps) OPT in the FPTAS regime, else
-/// (3/2 + eps) OPT ((2) for kLudwigTiwari, where eps is ignored).
+/// (3/2 + eps) OPT ((2) for kLudwigTiwari, where eps is ignored). Throws
+/// std::invalid_argument for eps outside (0, 1], and for kFptas when m is
+/// below fptas_machine_threshold.
 ScheduleResult schedule_moldable(const jobs::Instance& instance, double eps,
                                  Algorithm algo = Algorithm::kAuto);
 
-/// The Section 3.2 PTAS composition. The paper splits on m >= 8n/eps:
-/// above, the Theorem 2 FPTAS gives (1+eps); below, it invokes the
+/// solve_exact's optimum as a result (guarantee 1, `used` left at kAuto):
+/// nullopt when the node budget runs out; throws over the hard caps.
+std::optional<ScheduleResult> exact_schedule(const jobs::Instance& instance);
+
+/// The Section 3.2 PTAS composition. The paper splits on Theorem 2's
+/// threshold: above, the FPTAS gives (1+eps); below, it invokes the
 /// Jansen-Thoele PTAS [14] — an external algorithm this library substitutes
-/// (see DESIGN.md): instances within the exact solver's caps are solved
-/// optimally (guarantee 1), everything else falls back to Algorithm 3 with
-/// guarantee 3/2+eps. The returned `guarantee` field reports which branch
-/// ran; callers needing a true PTAS for mid-size low-m instances must
-/// accept the documented substitution.
+/// (docs/ARCHITECTURE.md, "Deviations from the paper"): instances within
+/// the exact solver's caps are solved optimally (guarantee 1), everything
+/// else falls back to Algorithm 3 with guarantee 3/2+eps. The returned
+/// `guarantee` field reports which branch ran; callers needing a true PTAS
+/// for mid-size low-m instances must accept the documented substitution.
 ScheduleResult ptas_schedule(const jobs::Instance& instance, double eps);
 
 }  // namespace moldable::core

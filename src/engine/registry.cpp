@@ -5,44 +5,33 @@
 #include <utility>
 
 #include "src/core/baselines.hpp"
-#include "src/core/exact.hpp"
 
 namespace moldable::engine {
 
 namespace {
 
-SolverFn enum_solver(core::Algorithm algo) {
-  return [algo](const jobs::Instance& instance, const SolverConfig& config) {
-    // The scopes make config.cancel and config.arena visible to every hot
-    // loop below this frame (util::poll_cancellation, util::scratch_arena)
-    // — no core signature changes.
+/// The one adapter every built-in is registered through: the scopes make
+/// config.cancel and config.arena visible to every hot loop below this
+/// frame (util::poll_cancellation, util::scratch_arena) — no core signature
+/// changes.
+template <class Solve>
+SolverFn scoped(Solve solve) {
+  return [solve](const jobs::Instance& instance, const SolverConfig& config) {
     util::CancelScope scope(config.cancel);
     util::ArenaScope arena_scope(config.arena);
-    return core::schedule_moldable(instance, config.eps, algo);
+    return solve(instance, config.eps);
   };
 }
 
-core::ScheduleResult solve_exact_wrapped(const jobs::Instance& instance,
-                                         const SolverConfig& config) {
-  util::CancelScope scope(config.cancel);
-  util::ArenaScope arena_scope(config.arena);
-  const auto exact = core::solve_exact(instance);  // throws over the hard caps
+core::ScheduleResult exact_row(const jobs::Instance& instance, double /*eps*/) {
+  auto exact = core::exact_schedule(instance);  // throws over the hard caps
   if (!exact)
     throw std::runtime_error("exact: node budget exceeded for instance '" +
                              instance.name() + "'");
-  core::ScheduleResult out;
-  out.schedule = exact->schedule;
-  out.lower_bound = exact->makespan;
-  out.makespan = exact->makespan;
-  out.ratio_vs_lower = 1;
-  out.guarantee = 1;
-  return out;
+  return std::move(*exact);
 }
 
-core::ScheduleResult memory_greedy_wrapped(const jobs::Instance& instance,
-                                           const SolverConfig& config) {
-  util::CancelScope scope(config.cancel);
-  util::ArenaScope arena_scope(config.arena);
+core::ScheduleResult memory_greedy_row(const jobs::Instance& instance, double /*eps*/) {
   const core::BaselineResult b = core::memory_greedy_schedule(instance);
   core::ScheduleResult out;
   out.schedule = b.schedule;
@@ -64,17 +53,15 @@ AlgorithmRegistry AlgorithmRegistry::with_builtins() {
        {core::Algorithm::kAuto, core::Algorithm::kFptas, core::Algorithm::kMrt,
         core::Algorithm::kCompressible, core::Algorithm::kBounded,
         core::Algorithm::kBoundedLinear, core::Algorithm::kLudwigTiwari})
-    r.add(core::algorithm_name(a), enum_solver(a));
-  r.add("ptas", [](const jobs::Instance& instance, const SolverConfig& config) {
-    util::CancelScope scope(config.cancel);
-    util::ArenaScope arena_scope(config.arena);
-    return core::ptas_schedule(instance, config.eps);
-  });
+    r.add(core::algorithm_name(a), scoped([a](const jobs::Instance& instance, double eps) {
+            return core::schedule_moldable(instance, eps, a);
+          }));
+  r.add("ptas", scoped(core::ptas_schedule));
   // The memory-aware pair. solve_exact narrows every allotment search to
   // the memory-feasible range [kmin_j, m], so its optimum (and the bound it
   // certifies) already honors the constraint.
-  r.add("exact", solve_exact_wrapped, SolverCaps{/*memory_aware=*/true});
-  r.add("mem-greedy", memory_greedy_wrapped, SolverCaps{/*memory_aware=*/true});
+  r.add("exact", scoped(exact_row), SolverCaps{/*memory_aware=*/true});
+  r.add("mem-greedy", scoped(memory_greedy_row), SolverCaps{/*memory_aware=*/true});
   return r;
 }
 

@@ -1,10 +1,11 @@
 // AlgorithmRegistry: the engine's name -> solver map.
 //
-// The core layer exposes each paper algorithm through its own entry point
-// (schedule_moldable + an Algorithm enum, ptas_schedule, solve_exact). The
-// engine and its drivers instead select solvers by *name* at run time
+// The core layer exposes the paper's algorithms through three entry points
+// (schedule_moldable + an Algorithm enum, ptas_schedule, exact_schedule).
+// The engine and its drivers instead select solvers by *name* at run time
 // (CLI flags, service configs), so this registry wraps every variant behind
-// one uniform `solve(instance, config)` signature:
+// one uniform `solve(instance, config)` signature, through one adapter that
+// installs the config's cancel and arena scopes:
 //
 //   auto, fptas, mrt, algorithm1, algorithm3, algorithm3-linear  (the enum)
 //   lt-2approx                                                   (baseline)

@@ -15,7 +15,8 @@
 //     geom(s/2, s, 1+4rho) (Lemma 17) and the profit is the saved work in
 //     rounded terms: p = t_check(d/2) gamma_check(d/2) - t_check(d) gamma_check(d).
 //
-// Implementation notes vs the paper (documented deviations, see DESIGN.md):
+// Implementation notes vs the paper (docs/ARCHITECTURE.md, "Deviations from
+// the paper"):
 //   * compressibility is keyed on gamma_j(d) > b (not >= 1/rho): every
 //     size-rounded job must be compressible, otherwise its rounded size
 //     under-states its true processor need with nothing to pay it back;

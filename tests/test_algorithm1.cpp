@@ -4,7 +4,7 @@
 #include "src/core/compressible_sched.hpp"
 #include "src/core/estimator.hpp"
 #include "src/core/exact.hpp"
-#include "src/core/mrt.hpp"
+#include "src/core/scheduler.hpp"
 #include "src/jobs/generators.hpp"
 #include "src/sched/validator.hpp"
 
@@ -48,7 +48,7 @@ TEST(Algorithm1, RatioAgainstExactOptimum) {
     const auto exact = solve_exact(inst);
     ASSERT_TRUE(exact.has_value());
     const double eps = 0.2;
-    const CompressibleSchedResult r = compressible_schedule(inst, eps);
+    const ScheduleResult r = schedule_moldable(inst, eps, Algorithm::kCompressible);
     ASSERT_TRUE(sched::validate(r.schedule, inst).ok);
     EXPECT_LE(r.schedule.makespan(), (1.5 + eps) * exact->makespan * (1 + 1e-9))
         << "seed=" << seed;
@@ -61,8 +61,8 @@ TEST(Algorithm1, AgreesWithMrtWithinEps) {
   for (std::uint64_t seed = 0; seed < 5; ++seed) {
     const Instance inst = make_instance(Family::kMixed, 40, 512, seed);
     const double eps = 0.25;
-    const MrtResult a = mrt_schedule(inst, eps);
-    const CompressibleSchedResult b = compressible_schedule(inst, eps);
+    const ScheduleResult a = schedule_moldable(inst, eps, Algorithm::kMrt);
+    const ScheduleResult b = schedule_moldable(inst, eps, Algorithm::kCompressible);
     const double lo = std::max(a.lower_bound, b.lower_bound);
     EXPECT_LE(a.schedule.makespan(), (1.5 + eps) * 2 * lo * (1 + 1e-9));
     EXPECT_LE(b.schedule.makespan(), (1.5 + eps) * 2 * lo * (1 + 1e-9));
@@ -74,7 +74,7 @@ TEST(Algorithm1, WideJobRegimeExercisesCompression) {
   // the compressible path (wide jobs >= 1/rho_c) is actually taken.
   const Instance inst = make_instance(Family::kPowerLaw, 16, 4096, 9);
   const double eps = 0.1;  // rho_c = eps/12 small => wide threshold low
-  const CompressibleSchedResult r = compressible_schedule(inst, eps);
+  const ScheduleResult r = schedule_moldable(inst, eps, Algorithm::kCompressible);
   ASSERT_TRUE(sched::validate(r.schedule, inst).ok);
   EXPECT_LE(r.schedule.makespan(), (1.5 + eps) * 2 * r.lower_bound * (1 + 1e-9));
 }
@@ -82,8 +82,8 @@ TEST(Algorithm1, WideJobRegimeExercisesCompression) {
 TEST(Algorithm1, LargeEpsVersusSmallEps) {
   // Smaller eps cannot yield a worse certified ratio bound.
   const Instance inst = make_instance(Family::kAmdahl, 30, 256, 13);
-  const auto loose = compressible_schedule(inst, 0.8);
-  const auto tight = compressible_schedule(inst, 0.05);
+  const auto loose = schedule_moldable(inst, 0.8, Algorithm::kCompressible);
+  const auto tight = schedule_moldable(inst, 0.05, Algorithm::kCompressible);
   ASSERT_TRUE(sched::validate(loose.schedule, inst).ok);
   ASSERT_TRUE(sched::validate(tight.schedule, inst).ok);
   EXPECT_LE(tight.schedule.makespan(),
@@ -91,7 +91,8 @@ TEST(Algorithm1, LargeEpsVersusSmallEps) {
 }
 
 TEST(Algorithm1, EmptyInstance) {
-  EXPECT_TRUE(compressible_schedule(Instance({}, 8), 0.5).schedule.empty());
+  EXPECT_TRUE(
+      schedule_moldable(Instance({}, 8), 0.5, Algorithm::kCompressible).schedule.empty());
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include "src/core/bounded_sched.hpp"
 #include "src/core/estimator.hpp"
 #include "src/core/exact.hpp"
+#include "src/core/scheduler.hpp"
 #include "src/jobs/generators.hpp"
 #include "src/sched/validator.hpp"
 
@@ -13,6 +14,11 @@ namespace {
 using jobs::Family;
 using jobs::Instance;
 using jobs::make_instance;
+
+/// Algorithm 3 through the core front-end; `linear` picks Table 1's row 3.
+ScheduleResult algorithm3(const Instance& inst, double eps, bool linear) {
+  return schedule_moldable(inst, eps, linear ? Algorithm::kBoundedLinear : Algorithm::kBounded);
+}
 
 struct A3Case {
   Family family;
@@ -56,7 +62,7 @@ TEST(Algorithm3, RatioAgainstExactOptimumBothVariants) {
     ASSERT_TRUE(exact.has_value());
     const double eps = 0.2;
     for (bool linear : {false, true}) {
-      const BoundedSchedResult r = bounded_schedule(inst, eps, linear);
+      const ScheduleResult r = algorithm3(inst, eps, linear);
       ASSERT_TRUE(sched::validate(r.schedule, inst).ok);
       EXPECT_LE(r.schedule.makespan(), (1.5 + eps) * exact->makespan * (1 + 1e-9))
           << "seed=" << seed << " linear=" << linear;
@@ -74,8 +80,8 @@ TEST(Algorithm3, LinearAndHeapVariantsBothWithinGuarantee) {
   for (std::uint64_t seed = 0; seed < 5; ++seed) {
     const Instance inst = make_instance(Family::kHighVariance, 60, 512, seed);
     const double eps = 0.25;
-    const BoundedSchedResult heap = bounded_schedule(inst, eps, false);
-    const BoundedSchedResult lin = bounded_schedule(inst, eps, true);
+    const ScheduleResult heap = algorithm3(inst, eps, false);
+    const ScheduleResult lin = algorithm3(inst, eps, true);
     ASSERT_TRUE(sched::validate(heap.schedule, inst).ok);
     ASSERT_TRUE(sched::validate(lin.schedule, inst).ok);
     const double lb = std::max(heap.lower_bound, lin.lower_bound);
@@ -89,15 +95,15 @@ TEST(Algorithm3, ManyIdenticalJobsCollapseToFewTypes) {
   // handle hundreds of jobs effortlessly and stay in guarantee.
   const Instance inst = make_instance(Family::kIdentical, 400, 2048, 7);
   const double eps = 0.2;
-  const BoundedSchedResult r = bounded_schedule(inst, eps, true);
+  const ScheduleResult r = algorithm3(inst, eps, true);
   ASSERT_TRUE(sched::validate(r.schedule, inst).ok);
   EXPECT_LE(r.schedule.makespan(), (1.5 + eps) * 2 * r.lower_bound * (1 + 1e-9));
 }
 
 TEST(Algorithm3, SmallEpsTightensSchedules) {
   const Instance inst = make_instance(Family::kMixed, 48, 768, 15);
-  const auto loose = bounded_schedule(inst, 1.0, true);
-  const auto tight = bounded_schedule(inst, 0.05, true);
+  const auto loose = algorithm3(inst, 1.0, true);
+  const auto tight = algorithm3(inst, 0.05, true);
   ASSERT_TRUE(sched::validate(loose.schedule, inst).ok);
   ASSERT_TRUE(sched::validate(tight.schedule, inst).ok);
   // Certified bounds shrink with eps; actual makespans usually do too but
@@ -106,11 +112,11 @@ TEST(Algorithm3, SmallEpsTightensSchedules) {
 }
 
 TEST(Algorithm3, EmptyAndDegenerate) {
-  EXPECT_TRUE(bounded_schedule(Instance({}, 8), 0.5).schedule.empty());
+  EXPECT_TRUE(algorithm3(Instance({}, 8), 0.5, false).schedule.empty());
   const Instance one = make_instance(Family::kAmdahl, 1, 16, 1);
-  const BoundedSchedResult r = bounded_schedule(one, 0.5, true);
+  const ScheduleResult r = algorithm3(one, 0.5, true);
   EXPECT_TRUE(sched::validate(r.schedule, one).ok);
-  EXPECT_THROW(bounded_schedule(one, 0.0), std::invalid_argument);
+  EXPECT_THROW(algorithm3(one, 0.0, false), std::invalid_argument);
 }
 
 }  // namespace

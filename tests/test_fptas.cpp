@@ -4,6 +4,7 @@
 
 #include "src/core/estimator.hpp"
 #include "src/core/fptas.hpp"
+#include "src/core/scheduler.hpp"
 #include "src/jobs/generators.hpp"
 #include "src/sched/validator.hpp"
 
@@ -57,7 +58,7 @@ TEST_P(FptasSweep, GuaranteeAgainstLowerBound) {
   // Pick m comfortably above the threshold (closed-form families only).
   const auto m = static_cast<procs_t>(fptas_machine_threshold(n, eps) * 2);
   const Instance inst = make_instance(family, n, m, 17);
-  const FptasResult r = fptas_schedule(inst, eps);
+  const ScheduleResult r = schedule_moldable(inst, eps, Algorithm::kFptas);
   ASSERT_TRUE(sched::validate(r.schedule, inst).ok);
   // makespan <= (1+eps) OPT <= (1+eps) * makespan-of-any-schedule; measured
   // against the certified lower bound the ratio can reach (1+eps)*2 but
@@ -85,7 +86,7 @@ TEST(Fptas, NearOptimalOnKnownInstance) {
   const Instance inst = make_instance(Family::kSequentialOnly, 10, 1 << 12, 23);
   double opt = 0;
   for (const jobs::Job& j : inst.jobs()) opt = std::max(opt, j.t1());
-  const FptasResult r = fptas_schedule(inst, 0.5);
+  const ScheduleResult r = schedule_moldable(inst, 0.5, Algorithm::kFptas);
   EXPECT_NEAR(r.schedule.makespan(), opt, 1e-9 * opt);
 }
 
@@ -101,26 +102,26 @@ TEST(Fptas, OneEpsGuaranteeOnPerfectlyParallelJobs) {
   double opt = 1e18;
   for (procs_t k = 1; k <= m; ++k) opt = std::min(opt, inst.job(0).time(k));
   const double eps = 0.25;
-  const FptasResult r = fptas_schedule(inst, eps);
+  const ScheduleResult r = schedule_moldable(inst, eps, Algorithm::kFptas);
   EXPECT_LE(r.schedule.makespan(), (1 + eps) * opt * (1 + 1e-9));
 }
 
 TEST(Fptas, EnforcesMachineThreshold) {
   const Instance inst = make_instance(Family::kAmdahl, 100, 128, 3);
-  EXPECT_THROW(fptas_schedule(inst, 0.25), std::invalid_argument);
-  EXPECT_THROW(fptas_schedule(inst, 0.0), std::invalid_argument);
-  EXPECT_THROW(fptas_schedule(inst, 1.5), std::invalid_argument);
+  EXPECT_THROW(schedule_moldable(inst, 0.25, Algorithm::kFptas), std::invalid_argument);
+  EXPECT_THROW(schedule_moldable(inst, 0.0, Algorithm::kFptas), std::invalid_argument);
+  EXPECT_THROW(schedule_moldable(inst, 1.5, Algorithm::kFptas), std::invalid_argument);
 }
 
 TEST(Fptas, EmptyInstance) {
   const Instance inst({}, 16);
-  const FptasResult r = fptas_schedule(inst, 0.5);
+  const ScheduleResult r = schedule_moldable(inst, 0.5, Algorithm::kFptas);
   EXPECT_TRUE(r.schedule.empty());
 }
 
 TEST(Fptas, HugeMachineCount) {
   const Instance inst = make_instance(Family::kMixed, 12, procs_t{1} << 40, 31);
-  const FptasResult r = fptas_schedule(inst, 0.5);
+  const ScheduleResult r = schedule_moldable(inst, 0.5, Algorithm::kFptas);
   EXPECT_TRUE(sched::validate(r.schedule, inst).ok);
   EXPECT_GT(r.lower_bound, 0);
 }

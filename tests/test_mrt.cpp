@@ -1,9 +1,11 @@
-// Tests for the Section 4.1 MRT (3/2)-dual algorithm and its full wrapper.
+// Tests for the Section 4.1 MRT (3/2)-dual algorithm, alone and through
+// schedule_moldable.
 #include <gtest/gtest.h>
 
 #include "src/core/estimator.hpp"
 #include "src/core/exact.hpp"
 #include "src/core/mrt.hpp"
+#include "src/core/scheduler.hpp"
 #include "src/jobs/generators.hpp"
 #include "src/jobs/reduction.hpp"
 #include "src/sched/validator.hpp"
@@ -60,7 +62,7 @@ TEST(MrtSchedule, ThreeHalvesPlusEpsAgainstExactOptimum) {
     const auto exact = solve_exact(inst);
     ASSERT_TRUE(exact.has_value());
     const double eps = 0.1;
-    const MrtResult r = mrt_schedule(inst, eps);
+    const ScheduleResult r = schedule_moldable(inst, eps, Algorithm::kMrt);
     ASSERT_TRUE(sched::validate(r.schedule, inst).ok);
     EXPECT_LE(r.schedule.makespan(), (1.5 + eps) * exact->makespan * (1 + 1e-9))
         << "seed=" << seed;
@@ -71,7 +73,7 @@ TEST(MrtSchedule, GuaranteeAgainstLowerBoundAcrossFamilies) {
   for (Family fam : jobs::all_families()) {
     const procs_t m = fam == Family::kTable ? 64 : 256;
     const Instance inst = make_instance(fam, 32, m, 11);
-    const MrtResult r = mrt_schedule(inst, 0.25);
+    const ScheduleResult r = schedule_moldable(inst, 0.25, Algorithm::kMrt);
     ASSERT_TRUE(sched::validate(r.schedule, inst).ok) << jobs::family_name(fam);
     EXPECT_GE(r.schedule.makespan(), r.lower_bound * (1 - 1e-9));
     EXPECT_LE(r.schedule.makespan(), (1.5 + 0.25) * 2 * r.lower_bound * (1 + 1e-9))
@@ -82,7 +84,7 @@ TEST(MrtSchedule, GuaranteeAgainstLowerBoundAcrossFamilies) {
 TEST(MrtSchedule, PerfectTilingNearOptimal) {
   // OPT = t; MRT must stay below (3/2 + eps) t.
   const Instance inst = jobs::perfect_tiling_instance(12, 5.0);
-  const MrtResult r = mrt_schedule(inst, 0.1);
+  const ScheduleResult r = schedule_moldable(inst, 0.1, Algorithm::kMrt);
   ASSERT_TRUE(sched::validate(r.schedule, inst).ok);
   EXPECT_LE(r.schedule.makespan(), 1.6 * 5.0 * (1 + 1e-9));
   EXPECT_GE(r.schedule.makespan(), 5.0 * (1 - 1e-9));
@@ -93,7 +95,7 @@ TEST(MrtSchedule, ReductionInstanceRatio) {
   // stay within 3/2 + eps of it.
   const jobs::FourPartitionInstance fp = jobs::make_yes_instance(4, 77);
   const jobs::ReductionOutput red = jobs::reduce_to_scheduling(fp);
-  const MrtResult r = mrt_schedule(red.instance, 0.2);
+  const ScheduleResult r = schedule_moldable(red.instance, 0.2, Algorithm::kMrt);
   ASSERT_TRUE(sched::validate(r.schedule, red.instance).ok);
   EXPECT_LE(r.schedule.makespan(), (1.5 + 0.2) * red.target_makespan * (1 + 1e-9));
   EXPECT_GE(r.schedule.makespan(), red.target_makespan * (1 - 1e-9));  // = OPT
@@ -101,16 +103,16 @@ TEST(MrtSchedule, ReductionInstanceRatio) {
 
 TEST(MrtSchedule, SingleJob) {
   const Instance inst = make_instance(Family::kAmdahl, 1, 32, 3);
-  const MrtResult r = mrt_schedule(inst, 0.5);
+  const ScheduleResult r = schedule_moldable(inst, 0.5, Algorithm::kMrt);
   ASSERT_TRUE(sched::validate(r.schedule, inst).ok);
 }
 
 TEST(MrtSchedule, EmptyInstanceAndBadEps) {
   const Instance inst({}, 4);
-  EXPECT_TRUE(mrt_schedule(inst, 0.5).schedule.empty());
+  EXPECT_TRUE(schedule_moldable(inst, 0.5, Algorithm::kMrt).schedule.empty());
   const Instance one = make_instance(Family::kAmdahl, 1, 4, 1);
-  EXPECT_THROW(mrt_schedule(one, 0.0), std::invalid_argument);
-  EXPECT_THROW(mrt_schedule(one, 2.0), std::invalid_argument);
+  EXPECT_THROW(schedule_moldable(one, 0.0, Algorithm::kMrt), std::invalid_argument);
+  EXPECT_THROW(schedule_moldable(one, 2.0, Algorithm::kMrt), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Direct tests for the shared dual-algorithm back-end (core/pipeline):
-// small/big splitting, the Lemma 6 work-bound rejection, forced-job
-// contracts, and the assembly statistics.
+// small/big splitting, the forced/candidate shelf-1 split, the Lemma 6
+// work-bound rejection, forced-job contracts, and the assembly statistics.
 #include <gtest/gtest.h>
 
 #include "src/core/estimator.hpp"
@@ -40,6 +40,31 @@ TEST(DeadlineInfeasible, DetectsImpossibleDeadlines) {
   const Instance inst = make_instance(Family::kAmdahl, 5, 16, 7);
   EXPECT_TRUE(deadline_infeasible(inst, inst.min_time_bound() * 0.9));
   EXPECT_FALSE(deadline_infeasible(inst, inst.min_time_bound() * 1.1));
+}
+
+TEST(ShelfOneSplit, ForcedCandidateAndSmallJobs) {
+  // On 4 machines at d = 12: a constant-10 job cannot meet d/2 = 6 and is
+  // forced; a perfectly parallel 10 (t(4) = 2.5) is a candidate; a
+  // constant-4 job is small and in neither list.
+  std::vector<jobs::Job> jv;
+  jv.emplace_back(std::make_shared<jobs::AmdahlTime>(10.0, 0.0), 4);
+  jv.emplace_back(std::make_shared<jobs::AmdahlTime>(10.0, 1.0), 4);
+  jv.emplace_back(std::make_shared<jobs::AmdahlTime>(4.0, 0.0), 4);
+  const Instance inst(std::move(jv), 4);
+  const auto split = shelf_one_split(inst, 12.0);
+  ASSERT_TRUE(split.has_value());
+  EXPECT_EQ(split->forced, std::vector<std::size_t>{0});
+  EXPECT_EQ(split->candidates, std::vector<std::size_t>{1});
+  EXPECT_EQ(split->capacity, 3);  // the forced job takes gamma(12) = 1
+}
+
+TEST(ShelfOneSplit, HopelessDeadlines) {
+  std::vector<jobs::Job> jv;
+  for (int i = 0; i < 5; ++i) jv.emplace_back(std::make_shared<jobs::AmdahlTime>(10.0, 0.0), 4);
+  const Instance inst(std::move(jv), 4);
+  EXPECT_FALSE(shelf_one_split(inst, 0.0).has_value());
+  EXPECT_FALSE(shelf_one_split(inst, 9.0).has_value());   // t = 10 misses d
+  EXPECT_FALSE(shelf_one_split(inst, 12.0).has_value());  // 5 forced jobs, 4 machines
 }
 
 TEST(AssembleSchedule, RejectsWhenForcedJobMissing) {

@@ -2,7 +2,14 @@
 // across algorithms, families, sizes and eps (the big parameterized sweep).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <optional>
+
+#include "src/core/estimator.hpp"
+#include "src/core/exact.hpp"
+#include "src/core/fptas.hpp"
 #include "src/core/scheduler.hpp"
+#include "src/engine/registry.hpp"
 #include "src/jobs/generators.hpp"
 #include "src/sched/validator.hpp"
 
@@ -24,6 +31,76 @@ TEST(Scheduler, AutoDispatchesToBoundedBelowThreshold) {
   const Instance inst = make_instance(Family::kAmdahl, 64, 128, 3);
   const ScheduleResult r = schedule_moldable(inst, 0.25);
   EXPECT_EQ(r.used, Algorithm::kBoundedLinear);
+}
+
+TEST(Scheduler, FptasRegimeBoundaryIsSolved) {
+  // m exactly at Theorem 2's threshold 24 n / eps: the regime test that
+  // sends auto and ptas to the FPTAS is the one the FPTAS applies itself.
+  struct Case {
+    std::size_t n;
+    double eps;
+    procs_t m;
+  };
+  for (const Case c : {Case{3, 0.3, 240}, Case{5, 0.15, 800}, Case{6, 0.6, 240}}) {
+    const Instance inst = make_instance(Family::kAmdahl, c.n, c.m, 3);
+    const std::string where = "n=" + std::to_string(c.n) + " m=" + std::to_string(c.m);
+    for (const ScheduleResult& r :
+         {schedule_moldable(inst, c.eps), ptas_schedule(inst, c.eps),
+          schedule_moldable(inst, c.eps, Algorithm::kFptas)}) {
+      EXPECT_EQ(r.used, Algorithm::kFptas) << where;
+      EXPECT_TRUE(sched::validate(r.schedule, inst).ok) << where;
+    }
+  }
+}
+
+TEST(Scheduler, EveryBuiltinCertifiesItsGuarantee) {
+  // Each registry row against its own certificate: makespan <= guarantee *
+  // lower_bound with omega <= lower_bound <= OPT, and a dual search that
+  // stays within its budget over [omega, 2 omega]. The sweep below only
+  // checks the looser guarantee * 2 * lower_bound.
+  const engine::AlgorithmRegistry& registry = engine::AlgorithmRegistry::global();
+  const ExactLimits limits;
+  int checked = 0;
+  for (Family fam : jobs::all_families()) {
+    for (std::size_t n : {1, 6, 40}) {
+      for (procs_t m : {8, 256, 16384}) {
+        if (fam == Family::kTable && m > 8192) continue;  // tables are Theta(m) per job
+        const Instance inst = make_instance(fam, n, m, 2024);
+        ASSERT_FALSE(inst.memory_constrained());
+        const double omega = estimate_makespan(inst).omega;
+        std::optional<double> opt;
+        if (n <= limits.max_jobs && m <= limits.max_machines) {
+          const auto exact = solve_exact(inst, limits);
+          ASSERT_TRUE(exact.has_value());
+          opt = exact->makespan;
+        }
+        for (double eps : {0.1, 1.0}) {
+          const int max_calls = 2 + static_cast<int>(std::ceil(std::log2(4 / eps)));
+          const bool fptas_ok = static_cast<double>(m) >= fptas_machine_threshold(n, eps);
+          for (const std::string& name : registry.names()) {
+            if ((name == "fptas" && !fptas_ok) || (name == "exact" && !opt)) continue;
+            const std::string where = name + " " + jobs::family_name(fam) +
+                                      " n=" + std::to_string(n) + " m=" + std::to_string(m) +
+                                      " eps=" + std::to_string(eps);
+            engine::SolverConfig config;
+            config.eps = eps;
+            const ScheduleResult r = registry.solve(name, inst, config);
+            const auto v = sched::validate(r.schedule, inst);
+            ASSERT_TRUE(v.ok) << where << ": " << (v.errors.empty() ? "" : v.errors.front());
+            EXPECT_LE(r.makespan, r.guarantee * r.lower_bound * (1 + 1e-9)) << where;
+            EXPECT_GE(r.lower_bound, omega * (1 - 1e-9)) << where;
+            if (opt) {
+              EXPECT_LE(r.lower_bound, *opt * (1 + 1e-9)) << where;
+            }
+            EXPECT_LE(r.dual_calls, max_calls) << where;
+            ++checked;
+          }
+        }
+      }
+    }
+  }
+  // 8 rows apply to all 156 (instance, eps) cases; exact adds 36, fptas 75.
+  EXPECT_EQ(checked, 1359);
 }
 
 TEST(Scheduler, EmptyInstance) {

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Docs drift guard: links and driver names must resolve, flags must be documented.
+"""Docs drift guard: links, driver names and cited docs must resolve, flags must be documented.
 
-Four checks, all cheap enough to run as a ctest case on every build:
+Five checks, all cheap enough to run as a ctest case on every build:
 
 1. Link check — every relative markdown link in README.md and docs/*.md
    must point at a file (or directory) that exists in the repo. External
@@ -27,11 +27,16 @@ Four checks, all cheap enough to run as a ctest case on every build:
    its table. Prose mentions stay exempt: OPERATIONS.md may name flags in
    examples beyond the help text.
 
+5. Cited docs — every `NAME.md` named in a comment under src/, examples/,
+   bench/ or tests/ must exist at the repo root, in docs/, or at the path
+   given (`docs/OPERATIONS.md`). This is what catches a comment pointing
+   readers at a document that was renamed or never written.
+
 Usage:
     tools/docs_lint.py REPO_ROOT [BATCH_SERVICE_BIN TRAFFIC_GEN_BIN]
 
-Without the two binary paths only the link and driver-name checks run
-(handy when the tree is not built). Exit 0 = clean, 1 = findings (each
+Without the two binary paths only the link, driver-name and cited-doc
+checks run (handy when the tree is not built). Exit 0 = clean, 1 = findings (each
 printed one per line), 2 = usage/environment error.
 """
 
@@ -48,6 +53,9 @@ FLAG_RE = re.compile(r"--[A-Za-z][A-Za-z0-9-]*")
 ROW_FLAG_RE = re.compile(r"^\|\s*`(--[A-Za-z][A-Za-z0-9-]*)")
 SECTION_RE = re.compile(r"^## (\d+)\.")
 SKIP_SCHEMES = ("http://", "https://", "mailto:")
+CODE_DIRS = ("src", "examples", "bench", "tests")
+COMMENT_MARKERS = {".cpp": "//", ".hpp": "//", ".sh": "#", ".py": "#"}
+CITED_DOC_RE = re.compile(r"(?<![\w./-])((?:[\w.-]+/)*[\w-]+\.md)\b")
 
 
 def markdown_files(root: Path):
@@ -93,6 +101,31 @@ def check_driver_names(root: Path):
                         f"{rel}:{lineno}: './build/{name}' has no "
                         f"examples/, bench/ or tests/ source"
                     )
+    return problems
+
+
+def check_cited_docs(root: Path):
+    problems = []
+    for top in CODE_DIRS:
+        for path in sorted((root / top).rglob("*")):
+            marker = COMMENT_MARKERS.get(path.suffix)
+            if marker is None or not path.is_file():
+                continue
+            text = path.read_text(encoding="utf-8")
+            for lineno, line in enumerate(text.splitlines(), 1):
+                at = line.find(marker)
+                if at < 0:
+                    continue
+                for name in CITED_DOC_RE.findall(line[at + len(marker):]):
+                    places = [root / name]
+                    if "/" not in name:
+                        places.append(root / "docs" / name)
+                    if not any(p.is_file() for p in places):
+                        rel = path.relative_to(root)
+                        problems.append(
+                            f"{rel}:{lineno}: cites '{name}', which is not at "
+                            f"the repo root, in docs/ or at that path"
+                        )
     return problems
 
 
@@ -156,7 +189,7 @@ def main(argv):
         print(f"docs_lint: no README.md under {root}", file=sys.stderr)
         return 2
 
-    problems = check_links(root) + check_driver_names(root)
+    problems = check_links(root) + check_driver_names(root) + check_cited_docs(root)
     if len(argv) == 4:
         problems += check_flag_coverage(root, argv[2:4])
 
