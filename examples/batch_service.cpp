@@ -25,7 +25,6 @@
 #include <cmath>
 #include <csignal>
 #include <cstdint>
-#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -42,6 +41,7 @@
 #include "src/net/watch_dir.hpp"
 #include "src/traffic/replay.hpp"
 #include "src/util/cli.hpp"
+#include "src/util/common.hpp"
 #include "src/util/table.hpp"
 
 namespace {
@@ -222,12 +222,6 @@ std::vector<moldable::jobs::Instance> load_input_batch(const std::string& dir) {
   return load.instances;
 }
 
-std::string fmt_digest(std::uint64_t digest) {
-  char hex[32];
-  std::snprintf(hex, sizeof(hex), "%016llx", static_cast<unsigned long long>(digest));
-  return hex;
-}
-
 // SIGINT/SIGTERM under --listen means "drain, don't die": the handler may
 // only touch async-signal-safe state, so it shuts down the raw listening fd
 // (a lock-free exchange + one syscall). The accept loop exits, sessions
@@ -302,7 +296,7 @@ int run_batch(const Options& opt, const std::vector<moldable::jobs::Instance>& b
   std::cout << "batch: " << result.solved << " solved, " << result.failed << " failed in "
             << moldable::util::fmt(result.wall_seconds, 3) << " s ("
             << (c.threads == 0 ? std::string("hw") : std::to_string(c.threads))
-            << " threads)\ndigest: " << fmt_digest(result.digest()) << "\n";
+            << " threads)\ndigest: " << moldable::fmt_digest(result.digest()) << "\n";
   for (const auto& o : result.outcomes) {
     if (o.ok) continue;
     std::cerr << "  instance " << o.index << " failed on every variant:\n";
@@ -340,7 +334,8 @@ int run_serve(const Options& opt) {
     if (!config.class_deadlines.empty()) std::cout << ", " << w.deadline_misses << " late";
     if (config.shed && w.downshifted != 0)
       std::cout << ", " << w.downshifted << " down-shifted";
-    std::cout << ", rolling digest " << fmt_digest(w.rolling_digest) << "\n";
+    std::cout << ", rolling digest " << moldable::fmt_digest(w.rolling_digest)
+              << "\n";
   };
   const auto on_error = [](const moldable::engine::StreamError& e) {
     std::cerr << "skipping malformed record " << e.ordinal;
@@ -540,7 +535,7 @@ int run_serve(const Options& opt) {
     else
       table.print(std::cout);
   }
-  std::cout << "rolling digest: " << fmt_digest(result.rolling_digest) << "\n";
+  std::cout << "rolling digest: " << moldable::fmt_digest(result.rolling_digest) << "\n";
   return result.failed == 0 ? 0 : 1;
 }
 
@@ -549,7 +544,8 @@ int run_replay(const Options& opt) {
   const moldable::traffic::ReplayFile file =
       moldable::traffic::load_record_file(opt.replay);
   std::cout << "replaying " << opt.replay << ": " << file.counters.instances
-            << " instance(s), recorded digest " << fmt_digest(file.rolling_digest)
+            << " instance(s), recorded digest "
+            << moldable::fmt_digest(file.rolling_digest)
             << " (" << (threads == 0 ? std::string("hw") : std::to_string(threads))
             << " threads)\n";
   for (const auto& line : file.source_preamble) std::cout << "source: " << line << "\n";
@@ -563,7 +559,7 @@ int run_replay(const Options& opt) {
     return 1;
   }
   const moldable::engine::StreamResult& r = report.result;
-  std::cout << "replay: OK — rolling digest " << fmt_digest(r.rolling_digest)
+  std::cout << "replay: OK — rolling digest " << moldable::fmt_digest(r.rolling_digest)
             << " and all counters match the recording\n"
             << "replay: " << r.instances << " instance(s) (" << r.solved << " solved, "
             << r.failed << " failed), memo " << r.memo_hits << "/" << r.memo_misses

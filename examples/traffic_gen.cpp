@@ -22,7 +22,6 @@
 #include <sys/socket.h>
 
 #include <cstdint>
-#include <cstdio>
 #include <iostream>
 #include <sstream>
 #include <stdexcept>
@@ -34,6 +33,7 @@
 #include "src/net/framing.hpp"
 #include "src/traffic/traffic_gen.hpp"
 #include "src/util/cli.hpp"
+#include "src/util/common.hpp"
 
 namespace {
 
@@ -239,12 +239,10 @@ int main(int argc, char** argv) {
       std::cerr << "traffic_gen: write failed on stdout\n";
       return 1;
     }
-    char digest[32];
-    std::snprintf(digest, sizeof(digest), "%016llx",
-                  static_cast<unsigned long long>(summary.stream_digest));
     std::cerr << "traffic_gen: " << summary.arrivals << " arrival(s), curve "
               << generator.curve().spec() << ", seed " << opt.config.seed
-              << ", stream digest " << digest << "\n";
+              << ", stream digest " << moldable::fmt_digest(summary.stream_digest)
+              << "\n";
     return 0;
   } catch (const std::exception& e) {
     std::cerr << "traffic_gen: " << e.what() << "\n";

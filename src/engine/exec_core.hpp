@@ -4,10 +4,11 @@
 //   * per-index outcome slots, sized up front, each worker writing only its
 //     own slot (what makes every algorithmic output a pure function of
 //     (batch, config) and hence thread-count independent);
-//   * static block sharding via util::parallel_for;
-//   * a single steady-clock anchor that stamps both the per-instance shard
-//     pickup time (the queue half of the latency split) and the whole-batch
-//     wall clock;
+//   * the shard loop on util::parallel_for: threads claim slots in index
+//     order and the calling thread works too;
+//   * a single steady-clock anchor that stamps both the per-instance claim
+//     time (the queue half of the latency split) and the whole-batch wall
+//     clock;
 //   * FNV-1a digest plumbing and nearest-rank percentile aggregation;
 //   * an opt-in digest-keyed memoization plan that serves duplicate
 //     instances from a prior outcome instead of re-solving them.
@@ -18,7 +19,6 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "src/jobs/instance.hpp"
-#include "src/util/cancel.hpp"
 #include "src/util/parallel.hpp"
 #include "src/util/timer.hpp"
 
@@ -191,19 +190,19 @@ MemoPlan plan_memo(const std::vector<jobs::Instance>& batch, std::uint64_t confi
                    const std::vector<std::uint64_t>* salts = nullptr);
 
 /// Timing side-channel of one shard dispatch. queue_seconds[i] is the
-/// steady-clock delta from batch submission to slot i's shard pickup — the
-/// time the instance spent behind earlier instances of its shard. Neither
-/// field is deterministic; neither enters any digest.
+/// steady-clock delta from batch submission to the moment a thread claimed
+/// slot i — the time the instance waited behind earlier slots for a free
+/// thread. Neither field is deterministic; neither enters any digest.
 struct ShardTiming {
   std::vector<double> queue_seconds;
   double wall_seconds = 0;
 };
 
-/// The shard loop: static block partitioning over
-/// [0, n), a pickup stamp for every index (memo-served slots still queue
-/// behind their shard), and solve(i) for exactly the indices the plan marks
-/// kCompute (all of them when plan is null). solve must write only slot i's
-/// state — the usual per-index-slot contract.
+/// The shard loop: util::parallel_for over [0, n) on `threads` threads (0 =
+/// hardware concurrency), a claim stamp for every index (memo-served slots
+/// still queue for a thread), and solve(i) for exactly the indices the plan
+/// marks kCompute (all of them when plan is null). solve must write only
+/// slot i's state — the usual per-index-slot contract.
 template <typename SolveFn>
 ShardTiming run_sharded(std::size_t n, unsigned threads, const MemoPlan* plan,
                         SolveFn&& solve) {
@@ -221,61 +220,5 @@ ShardTiming run_sharded(std::size_t n, unsigned threads, const MemoPlan* plan,
   timing.wall_seconds = batch_timer.seconds();
   return timing;
 }
-
-/// The cross-thread racing substrate for PortfolioSolver's `--race` mode:
-/// one arena per raced instance, owning the lane worker pool, the per-lane
-/// posted-result slots, and the winner protocol's cancellation fan-out.
-///
-/// A *lane* is one portfolio variant's run on the instance. `run(body)`
-/// executes body(lane) for every lane on up to `width` threads (the calling
-/// thread participates; width 1 runs the lanes inline in order, which is
-/// exactly the sequential portfolio loop). Lanes are claimed in lane order
-/// from an atomic cursor, so earlier portfolio variants start no later than
-/// later ones.
-///
-/// Winner protocol: a lane that ran to completion calls post(). A post
-/// flagged `decisive` — the caller certifies its makespan is at or below
-/// the instance's certified lower bound, so no peer can produce a strictly
-/// better schedule — cancels every *later* lane's token (cancellation is
-/// deliberately order-directional: the serial canonicalization in
-/// PortfolioSolver excludes exactly the lanes after the earliest decisive
-/// completer, and the physical cancellations here must be a subset of that
-/// deterministic exclusion — see portfolio.hpp's determinism contract).
-///
-/// Thread-safety: each lane writes only its own post slot; tokens are
-/// atomic latches; run() joins every worker before returning, so the caller
-/// reads posts/attempt slots race-free after run().
-class RaceArena {
- public:
-  struct Post {
-    bool posted = false;
-    bool decisive = false;  ///< makespan at/below the certified lower bound
-    double makespan = 0;
-    double lower_bound = 0;
-  };
-
-  /// `width` = max lanes running concurrently; 0 means one thread per lane.
-  RaceArena(std::size_t lanes, unsigned width);
-
-  std::size_t lanes() const { return tokens_.size(); }
-  util::CancelToken& token(std::size_t lane) { return tokens_[lane]; }
-  const Post& post_of(std::size_t lane) const { return posts_[lane]; }
-
-  /// Records lane's completed result; a decisive post cancels all later
-  /// lanes. Call at most once per lane, from the thread running that lane.
-  void post(std::size_t lane, double makespan, double lower_bound, bool decisive);
-
-  /// Runs body(lane) for every lane in [0, lanes) on min(width, lanes)
-  /// workers. body must write only lane-local state (the per-index-slot
-  /// contract) and must not throw — solver errors are recorded in the
-  /// attempt slots, exactly as in the shard loop.
-  void run(const std::function<void(std::size_t lane)>& body);
-
- private:
-  std::vector<util::CancelToken> tokens_;
-  std::vector<Post> posts_;
-  std::atomic<std::size_t> cursor_{0};
-  unsigned width_;
-};
 
 }  // namespace moldable::engine::exec

@@ -1,10 +1,10 @@
 // The serve loop's control plane: deadline-aware admission and adaptive
-// portfolio priors, layered over the existing CancelToken/RaceArena
-// machinery without weakening its determinism contract.
+// portfolio priors, layered over the portfolio's CancelToken early-cancel
+// race without weakening its determinism contract.
 //
 // The serving stack measures deadline pressure (per-class miss counters)
 // and race economics (win/cancel tallies) but, before this layer, acted on
-// neither: a provably-hopeless instance still burned a full race arena, and
+// neither: a provably-hopeless instance still burned every race lane, and
 // the portfolio seeded lanes in static config order forever. The policy
 // layer closes that loop with three behaviors, every one of them a pure
 // function of (stream, config) so recorded sessions still replay bit-exact:

@@ -10,6 +10,7 @@
 #include "src/sched/validator.hpp"
 #include "src/util/cancel.hpp"
 #include "src/util/common.hpp"
+#include "src/util/parallel.hpp"
 
 namespace moldable::engine {
 
@@ -277,9 +278,6 @@ PortfolioResult PortfolioSolver::solve(const std::vector<jobs::Instance>& batch,
       SolverConfig solver_config;
       solver_config.eps = config.eps;
       solver_config.cancel = token;
-      // Warm per-thread scratch: race lanes and shard workers each get
-      // their own arena, so reuse is safe under any interleaving.
-      solver_config.arena = &util::thread_scratch_arena();
       const core::ScheduleResult r = (*solvers[v])(batch[i], solver_config);
       const sched::ValidationResult check = sched::validate(r.schedule, batch[i]);
       if (!check.ok)
@@ -361,24 +359,29 @@ PortfolioResult PortfolioSolver::solve(const std::vector<jobs::Instance>& batch,
                                  : -std::numeric_limits<double>::infinity();
 
         if (config.race && lanes > 1) {
-          // Concurrent lanes on the arena, nested inside this shard worker.
-          // A decisive completion (makespan <= omega) cancels later lanes;
-          // lanes whose token fired before they started are stubbed without
-          // running at all.
-          exec::RaceArena arena(lanes, config.race_width);
-          arena.run([&](std::size_t lane) {
-            VariantAttempt& a = out.attempts[lane];
-            const util::CancelToken& token = arena.token(lane);
-            if (token.cancelled()) {
-              a.outcome = AttemptOutcome::kCancelled;
-              a.variant = variant_of(lane);
-              a.algorithm = config.variants[a.variant];
-              return;
-            }
-            run_attempt(i, variant_of(lane), a, &token);
-            if (a.outcome == AttemptOutcome::kCompleted)
-              arena.post(lane, a.makespan, a.lower_bound, a.makespan <= omega);
-          });
+          // Concurrent lanes on race_width threads (0 = one per lane), this
+          // shard's thread among them, claimed in plan order. A decisive
+          // completion (makespan <= omega) cancels every later lane: the
+          // canonicalization below excludes exactly those, so a physical
+          // cancel only ever stops work it would discard. A lane whose
+          // token fired before it started is stubbed without running.
+          std::vector<util::CancelToken> tokens(lanes);
+          util::parallel_for(
+              lanes,
+              [&](std::size_t lane) {
+                VariantAttempt& a = out.attempts[lane];
+                if (tokens[lane].cancelled()) {
+                  a.outcome = AttemptOutcome::kCancelled;
+                  a.variant = variant_of(lane);
+                  a.algorithm = config.variants[a.variant];
+                  return;
+                }
+                run_attempt(i, variant_of(lane), a, &tokens[lane]);
+                if (a.ok && a.makespan <= omega)
+                  for (std::size_t later = lane + 1; later < lanes; ++later)
+                    tokens[later].cancel();
+              },
+              config.race_width == 0 ? static_cast<unsigned>(lanes) : config.race_width);
         } else {
           // Sequential lanes in plan order; once the instance is decided
           // the remaining lanes are skipped outright (the canonicalization
@@ -397,7 +400,7 @@ PortfolioResult PortfolioSolver::solve(const std::vector<jobs::Instance>& batch,
         // canonical kCancelled stub — whether its physical cancellation
         // landed, it never started, or it even completed after the
         // decision. A kept lane can only be physically cancelled if a
-        // custom solver threw cancelled_error spuriously (the arena only
+        // custom solver threw cancelled_error spuriously (the race only
         // cancels lanes the rule excludes); repair it with a serial re-run
         // so the canonical set never depends on timing.
         bool decided = false;

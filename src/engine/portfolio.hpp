@@ -39,15 +39,17 @@
 // pure, and the decision threshold omega is deterministic.
 //
 // Execution modes:
-//   * sequential (race = false): variants run one after another inside the
-//     instance's worker shard; once the instance is decided the remaining
-//     variants are skipped outright (tail latency already improves here);
-//   * racing (race = true): the variants run concurrently on an
-//     exec::RaceArena nested inside the worker shard (up to race_width
-//     lanes at once, so total concurrency is threads x race_width). A
-//     decisive completer fires the later lanes' CancelTokens; the built-in
-//     solvers observe them at iteration / DP-row / branch-and-bound-tick
-//     granularity and unwind with util::cancelled_error.
+//   * sequential (race = false): variants run one after another on the
+//     thread solving the instance; once the instance is decided the
+//     remaining variants are skipped outright (tail latency already
+//     improves here);
+//   * racing (race = true): the variants run concurrently as lanes of a
+//     util::parallel_for nested inside the shard loop, the instance's own
+//     thread among them (up to race_width lanes at once, so total
+//     concurrency is threads x race_width). A decisive completer fires the
+//     later lanes' CancelTokens; the built-in solvers observe them at
+//     iteration / DP-row / branch-and-bound-tick granularity and unwind
+//     with util::cancelled_error.
 //
 // Determinism contract: physical cancellation in race mode is a *subset* of
 // the deterministic exclusion rule above (a lane is only ever cancelled by
@@ -105,8 +107,8 @@ struct PortfolioConfig {
   double eps = 0.1;                   ///< approximation parameter, in (0, 1]
   unsigned threads = 0;               ///< worker threads; 0 = hardware concurrency
   TieBreak tie_break = TieBreak::kWallTime;  ///< winner selection under ties
-  /// Overlap the variants of one instance on an exec::RaceArena instead of
-  /// running them sequentially in the shard. Changes wall-clock only: the
+  /// Overlap the variants of one instance on concurrent lanes instead of
+  /// running them one after another. Changes wall-clock only: the
   /// canonical attempt set, every certificate field, and the digest are
   /// bitwise identical to the sequential mode (see the file comment).
   bool race = false;
@@ -171,7 +173,7 @@ struct PortfolioOutcome {
   double lower_bound = 0;   ///< best (max) certified lower bound
   double ratio = 0;         ///< makespan / lower_bound
   double guarantee = 0;     ///< min proven factor among makespan-best variants
-  double queue_seconds = 0;    ///< batch start -> shard pickup (not deterministic)
+  double queue_seconds = 0;    ///< batch start -> thread claim (not deterministic)
   double compute_seconds = 0;  ///< sum of variant walls; 0 when memo-served
   /// One per planned lane, in plan order (= portfolio order without a
   /// variant plan; a down-shifted instance has a single attempt).
@@ -230,9 +232,9 @@ struct PortfolioResult {
   /// (the memo plan is computed serially before dispatch).
   std::size_t memo_hits = 0;
   std::size_t memo_misses = 0;
-  /// Batch-level shard-pickup latency percentiles over all outcomes (queue
-  /// time is a property of the instance's shard slot, shared by every
-  /// variant raced on it). Not deterministic, excluded from the digest.
+  /// Batch-level queue latency percentiles over all outcomes: batch start
+  /// to the moment a thread claimed the instance's slot, shared by every
+  /// variant raced on it. Not deterministic, excluded from the digest.
   double queue_p50 = 0, queue_p99 = 0, queue_max = 0;
 
   /// FNV-1a over the deterministic fields, batch order: per outcome

@@ -10,15 +10,13 @@ namespace moldable::engine {
 
 namespace {
 
-/// The one adapter every built-in is registered through: the scopes make
-/// config.cancel and config.arena visible to every hot loop below this
-/// frame (util::poll_cancellation, util::scratch_arena) — no core signature
-/// changes.
+/// The one adapter every built-in is registered through: the scope makes
+/// config.cancel visible to every hot loop below this frame
+/// (util::poll_cancellation) — no core signature changes.
 template <class Solve>
 SolverFn scoped(Solve solve) {
   return [solve](const jobs::Instance& instance, const SolverConfig& config) {
     util::CancelScope scope(config.cancel);
-    util::ArenaScope arena_scope(config.arena);
     return solve(instance, config.eps);
   };
 }

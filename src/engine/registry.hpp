@@ -5,7 +5,7 @@
 // The engine and its drivers instead select solvers by *name* at run time
 // (CLI flags, service configs), so this registry wraps every variant behind
 // one uniform `solve(instance, config)` signature, through one adapter that
-// installs the config's cancel and arena scopes:
+// installs the config's cancel scope:
 //
 //   auto, fptas, mrt, algorithm1, algorithm3, algorithm3-linear  (the enum)
 //   lt-2approx                                                   (baseline)
@@ -32,7 +32,6 @@
 
 #include "src/core/scheduler.hpp"
 #include "src/jobs/instance.hpp"
-#include "src/util/arena.hpp"
 #include "src/util/cancel.hpp"
 
 namespace moldable::engine {
@@ -52,15 +51,6 @@ struct SolverConfig {
   /// directly or install their own scope. Cancellation never alters a
   /// *returned* result — a solve completes pure or it throws.
   const util::CancelToken* cancel = nullptr;
-  /// Scratch memory for the solver's hot kernels (dense DP rows, Pareto
-  /// merge buffers). When non-null, the built-in wrappers install it as the
-  /// thread's active ScratchArena for the duration of the solve, letting an
-  /// engine reuse one warm arena across thousands of solves on the same
-  /// worker. When null, kernels fall back to the per-thread default arena —
-  /// still allocation-free in steady state, just not shared with the
-  /// engine's other bookkeeping. Arenas recycle memory only; they never
-  /// change results (the determinism digests are the enforced contract).
-  util::ScratchArena* arena = nullptr;
 };
 
 /// A registered solver variant: maps (instance, config) to a ScheduleResult,

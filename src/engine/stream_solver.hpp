@@ -120,8 +120,8 @@ struct StreamConfig {
   /// entry have no deadline: they never jump the buffer or count misses.
   std::map<std::string, double> class_deadlines;
   TieBreak tie_break = TieBreak::kWallTime;  ///< portfolio winner ties
-  /// Portfolio mode only: race each instance's variants concurrently on an
-  /// exec::RaceArena inside the window's shard workers (see
+  /// Portfolio mode only: race each instance's variants concurrently, each
+  /// raced instance's lanes forked from the thread solving it (see
   /// PortfolioConfig::race — wall-clock only, digests unchanged).
   bool race = false;
   unsigned race_width = 0;  ///< lanes per raced instance; 0 = one per variant

@@ -12,7 +12,7 @@
 #endif
 
 // Kernel notes — how this stays bitwise identical to the scalar reference
-// (knapsack/reference.cpp) while vectorizing:
+// (tests/knapsack_reference.cpp) while vectorizing:
 //
 // The row update  best[c] = max(best[c], best[c - sz] + p)  for c descending
 // from capacity to sz has a loop-carried dependence only at distance sz:

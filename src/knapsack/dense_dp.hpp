@@ -14,7 +14,7 @@
 // kernels (SSE2/AVX2/AVX-512, picked once at run time) while producing
 // *bitwise identical* results to the scalar descending loop; decision bits
 // live in one flat row-major bitmap carved from the thread's ScratchArena.
-// The scalar originals are retained in knapsack/reference.hpp and the
+// The scalar originals are retained in tests/knapsack_reference.hpp and the
 // equivalence is property-tested (test_kernel_equivalence) and gated by the
 // pinned benchmarks in bench/bench_knapsack.cpp.
 #pragma once

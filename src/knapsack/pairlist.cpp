@@ -16,7 +16,7 @@ namespace {
 // the pre-optimization allocate-and-return std::vector per item. Results
 // are copied out to heap vectors only at the public API boundary, so no
 // returned object aliases arena memory. Bitwise identity with the retained
-// reference (knapsack/reference.cpp) is property-tested: the merge below
+// reference (tests/knapsack_reference.cpp) is property-tested: the merge below
 // applies the exact same compare/tie rules, only with the running "back of
 // the output" carried in registers and the capacity cut hoisted out of the
 // per-point push.

@@ -21,7 +21,7 @@
 //
 // The merge kernel and its scratch discipline are perf-gated (pinned shapes
 // in bench/bench_knapsack.cpp) and property-tested bitwise-identical to the
-// retained scalar reference in knapsack/reference.hpp.
+// retained scalar reference in tests/knapsack_reference.hpp.
 #pragma once
 
 #include <cstdint>

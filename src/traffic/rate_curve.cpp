@@ -2,22 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <numbers>
 #include <stdexcept>
 
 #include "src/util/cli.hpp"
+#include "src/util/common.hpp"
 
 namespace moldable::traffic {
 
 namespace {
-
-/// %.17g round-trips every double through the spec string.
-std::string fmt_num(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 void require_finite(double v, const char* what) {
   if (!std::isfinite(v))

@@ -1,8 +1,5 @@
 #include "src/traffic/replay.hpp"
 
-#include <cctype>
-#include <cinttypes>
-#include <cstdio>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -10,8 +7,10 @@
 #include <stdexcept>
 
 #include "src/engine/exec_core.hpp"
+#include "src/engine/portfolio.hpp"
 #include "src/jobs/io.hpp"
 #include "src/util/cli.hpp"
+#include "src/util/common.hpp"
 
 namespace moldable::traffic {
 
@@ -23,25 +22,6 @@ constexpr char kHeaderSentinel[] = "# moldable-record v2";
 constexpr char kHeaderV1[] = "# moldable-record v1";
 constexpr char kEndSentinel[] = "# moldable-record-end v1";
 constexpr char kCloseSentinel[] = "# moldable-record-close v1";
-
-std::string fmt_hex(std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
-  return buf;
-}
-
-std::string fmt_num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-std::string trim(const std::string& s) {
-  std::size_t b = s.find_first_not_of(" \t\r\n");
-  if (b == std::string::npos) return {};
-  std::size_t e = s.find_last_not_of(" \t\r\n");
-  return s.substr(b, e - b + 1);
-}
 
 [[noreturn]] void fail(const std::string& what) {
   throw std::runtime_error("record: " + what);
@@ -243,8 +223,8 @@ void StreamRecorder::finalize(const engine::StreamResult& result) {
   c.shed = result.shed;
   c.downshifted = result.downshifted;
   os << counters_line(c) << '\n';
-  os << "# records-digest " << fmt_hex(records_digest_) << '\n';
-  os << "# rolling-digest " << fmt_hex(result.rolling_digest) << '\n';
+  os << "# records-digest " << fmt_digest(records_digest_) << '\n';
+  os << "# rolling-digest " << fmt_digest(result.rolling_digest) << '\n';
   os << kCloseSentinel << '\n';
   os.flush();
   if (!os) throw std::runtime_error("record: write failed on trailer");
@@ -289,17 +269,10 @@ ReplayFile load_record(std::istream& is) {
         apply_serve_kv(file.config, k, v);
       saw_serve = true;
     } else if (t.rfind("# portfolio ", 0) == 0) {
-      file.config.variants.clear();
-      std::string list = t.substr(12);
-      std::size_t pos = 0;
-      while (pos <= list.size()) {
-        const std::size_t comma = list.find(',', pos);
-        const std::string name = trim(
-            comma == std::string::npos ? list.substr(pos) : list.substr(pos, comma - pos));
-        if (name.empty()) fail("empty variant name in portfolio line");
-        file.config.variants.push_back(name);
-        if (comma == std::string::npos) break;
-        pos = comma + 1;
+      try {
+        file.config.variants = engine::parse_portfolio_spec(t.substr(12));
+      } catch (const std::invalid_argument& e) {
+        fail(e.what());
       }
     } else if (t.rfind("# deadline ", 0) == 0) {
       const std::string kv = t.substr(11);
@@ -395,8 +368,8 @@ ReplayFile load_record(std::istream& is) {
 
   if (body_digest != file.records_digest)
     fail("corrupted record file: body digest mismatch (trailer says " +
-         fmt_hex(file.records_digest) + ", body hashes to " + fmt_hex(body_digest) +
-         ") — the record bytes were altered after recording");
+         fmt_digest(file.records_digest) + ", body hashes to " +
+         fmt_digest(body_digest) + ") — the record bytes were altered after recording");
   if (file.latencies.size() != file.counters.instances + file.counters.shed)
     fail("corrupted record file: " + std::to_string(file.latencies.size()) +
          " latency entries for " + std::to_string(file.counters.instances) +
@@ -429,7 +402,7 @@ ReplayReport replay(const ReplayFile& file, unsigned threads,
                                std::uint64_t replayed, bool hex = false) {
     if (recorded == replayed) return;
     const auto fmt = [hex](std::uint64_t v) {
-      return hex ? fmt_hex(v) : std::to_string(v);
+      return hex ? fmt_digest(v) : std::to_string(v);
     };
     report.mismatches.push_back(std::string(what) + ": recorded " +
                                 fmt(recorded) + ", replay produced " +

@@ -1,7 +1,6 @@
 #include "src/traffic/traffic_gen.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <ostream>
 #include <stdexcept>
 
@@ -9,23 +8,12 @@
 #include "src/jobs/io.hpp"
 #include "src/traffic/arrival_process.hpp"
 #include "src/util/cli.hpp"
+#include "src/util/common.hpp"
 #include "src/util/prng.hpp"
 
 namespace moldable::traffic {
 
 namespace {
-
-std::string fmt_digest(std::uint64_t digest) {
-  char hex[32];
-  std::snprintf(hex, sizeof(hex), "%016llx", static_cast<unsigned long long>(digest));
-  return hex;
-}
-
-std::string fmt_num(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 /// Derived-seed sub-stream tags: arrival thinning, assignment draws, the
 /// fixed duplicate record, then one stream per arrival index from kInstance.

@@ -21,9 +21,9 @@
 //
 // Kernels pick their arena through scratch_arena(), which returns the arena
 // installed by the innermost ArenaScope on this thread, falling back to a
-// per-thread default. This mirrors CancelScope/poll_cancellation: the core
-// algorithms stay signature-free, and the engine wrappers install
-// SolverConfig::arena around each solve. The arena is strictly a memory
+// per-thread default. The core algorithms stay signature-free, and every
+// engine thread solves on its own default arena; ArenaScope lets a test pin
+// the kernels to an arena it owns. The arena is strictly a memory
 // recycler — results never alias arena memory after a kernel returns, so
 // the engines' bitwise determinism contract is untouched.
 //
@@ -141,8 +141,8 @@ inline void* ScratchArena::allocate(std::size_t bytes, std::size_t align) {
 /// or the thread's default arena when none is installed. Never null.
 ScratchArena& scratch_arena();
 
-/// This thread's default arena (lives until thread exit). Engine code that
-/// wants one long-lived arena per worker without owning storage uses this.
+/// This thread's default arena (lives until thread exit): what
+/// scratch_arena() returns when no ArenaScope is installed.
 ScratchArena& thread_scratch_arena();
 
 /// RAII installer of the calling thread's active scratch arena (nullable —

@@ -1,6 +1,6 @@
 // Cooperative cancellation for long-running solver calls.
 //
-// The engine's portfolio racing (engine/exec_core.hpp's RaceArena) needs a
+// The engine's portfolio racing (PortfolioConfig::race) needs a
 // way to stop a variant whose result provably cannot matter any more — an
 // exact branch-and-bound grinding on while a peer already posted a schedule
 // at the instance's certified lower bound. Cancellation here is strictly

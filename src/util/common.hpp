@@ -6,7 +6,9 @@
 // baselines may allocate Theta(m) memory.
 #pragma once
 
+#include <cinttypes>
 #include <cstdint>
+#include <cstdio>
 #include <stdexcept>
 #include <string>
 
@@ -55,6 +57,24 @@ inline std::string trim(const std::string& s) {
   if (lo == std::string::npos) return {};
   const auto hi = s.find_last_not_of(" \t\r");
   return s.substr(lo, hi - lo + 1);
+}
+
+/// A 64-bit digest as 16 zero-padded lower-case hex digits: the one spelling
+/// of every digest in record files, stream manifests and driver output,
+/// which pin these bytes.
+inline std::string fmt_digest(std::uint64_t digest) {
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016" PRIx64, digest);
+  return buf;
+}
+
+/// `%.17g`: the text form that round-trips every double exactly, used
+/// wherever a written number must parse back to the same bits (record
+/// files, stream manifests, curve specs).
+inline std::string fmt_num(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
 }
 
 }  // namespace moldable

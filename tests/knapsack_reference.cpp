@@ -1,4 +1,4 @@
-#include "src/knapsack/reference.hpp"
+#include "tests/knapsack_reference.hpp"
 
 #include <algorithm>
 #include <cstdint>

@@ -9,8 +9,9 @@
 //
 // They are compiled without vectorization tricks and allocate with plain
 // std::vector, so they are also the fallback mental model when debugging a
-// kernel discrepancy. Not for production call sites: the optimized kernels
-// in dense_dp.hpp / pairlist.hpp are strictly faster with the same results.
+// kernel discrepancy. They live with the tests and link only into
+// test_kernel_equivalence: the optimized kernels in src/knapsack/dense_dp.hpp
+// and pairlist.hpp are strictly faster with the same results.
 #pragma once
 
 #include <vector>

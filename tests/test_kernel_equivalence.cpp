@@ -1,6 +1,6 @@
 // Bitwise equivalence of the optimized knapsack kernels against the
-// retained scalar reference implementations (knapsack/reference.hpp — the
-// verbatim pre-optimization code).
+// retained scalar reference implementations (tests/knapsack_reference.hpp —
+// the verbatim pre-optimization code).
 //
 // The perf PR's contract is that vectorization, the flat take bitmap, and
 // arena scratch change *speed only*: every profit is the same IEEE bit
@@ -23,9 +23,9 @@
 #include "src/jobs/generators.hpp"
 #include "src/knapsack/dense_dp.hpp"
 #include "src/knapsack/pairlist.hpp"
-#include "src/knapsack/reference.hpp"
 #include "src/util/arena.hpp"
 #include "src/util/prng.hpp"
+#include "tests/knapsack_reference.hpp"
 
 namespace moldable::knapsack {
 namespace {
@@ -160,10 +160,9 @@ TEST(KernelEquivalence, WarmArenaRepeatsAreIdentical) {
   EXPECT_GT(arena.capacity_bytes(), 0u);  // the kernels actually used it
 }
 
-// With SolverConfig::arena now plumbed through every registry wrapper and
-// per-thread arenas installed by the batch/portfolio engines, racing must
-// still produce the sequential digest bit for bit — arenas recycle memory,
-// never results.
+// Every engine thread — shard loop and race lanes alike — solves on its own
+// per-thread arena, so racing must still produce the sequential digest bit
+// for bit — arenas recycle memory, never results.
 TEST(KernelEquivalence, RaceDigestMatchesSequentialWithArenasEnabled) {
   std::vector<jobs::Instance> family;
   for (std::uint64_t s = 0; s < 12; ++s)

@@ -1,9 +1,10 @@
 // Racing test pyramid: the cancellation primitive (CancelToken/CancelScope),
-// the exec::RaceArena winner protocol on mock solvers (slow-winner vs
-// fast-loser, all-cancelled-but-one, the lower-bound early-cancel rule,
-// cancel observation within a time bound), and the top-level determinism
-// contract — `race` mode is bitwise digest-identical to sequential portfolio
-// mode at every thread count and race width, batch and stream alike.
+// the race's winner protocol on mock solvers (slow-winner vs fast-loser,
+// all-cancelled-but-one, a decisive lane cancelling only later lanes, the
+// lower-bound early-cancel rule, cancel observation within a time bound),
+// and the top-level determinism contract — `race` mode is bitwise
+// digest-identical to sequential portfolio mode at every thread count and
+// race width, batch and stream alike.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -156,62 +157,34 @@ TEST(CancelToken, CrossThreadCancelIsObserved) {
   EXPECT_TRUE(observed.load());
 }
 
-// ----------------------------------------------------------- RaceArena unit --
-
-TEST(RaceArena, RunsEveryLaneAndBoundsConcurrency) {
-  constexpr std::size_t kLanes = 9;
-  constexpr unsigned kWidth = 3;
-  exec::RaceArena arena(kLanes, kWidth);
-  std::vector<char> ran(kLanes, 0);
-  std::atomic<int> live{0};
-  std::atomic<int> high_water{0};
-  arena.run([&](std::size_t lane) {
-    const int now = live.fetch_add(1) + 1;
-    int seen = high_water.load();
-    while (now > seen && !high_water.compare_exchange_weak(seen, now)) {
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    ran[lane] = 1;
-    live.fetch_sub(1);
-  });
-  for (std::size_t lane = 0; lane < kLanes; ++lane) EXPECT_TRUE(ran[lane]) << lane;
-  EXPECT_LE(high_water.load(), static_cast<int>(kWidth));
-  EXPECT_GE(high_water.load(), 1);
-}
-
-TEST(RaceArena, WidthOneRunsLanesInOrderInline) {
-  exec::RaceArena arena(5, 1);
-  std::vector<std::size_t> order;  // single worker: no synchronization needed
-  const auto caller = std::this_thread::get_id();
-  arena.run([&](std::size_t lane) {
-    EXPECT_EQ(std::this_thread::get_id(), caller);
-    order.push_back(lane);
-  });
-  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
-}
-
-TEST(RaceArena, DecisivePostCancelsOnlyLaterLanes) {
-  exec::RaceArena arena(4, 1);
-  arena.run([&](std::size_t lane) {
-    if (lane == 1) arena.post(lane, 1.0, 1.0, /*decisive=*/true);
-    if (lane != 1) arena.post(lane, 2.0, 1.0, /*decisive=*/false);
-  });
-  EXPECT_FALSE(arena.token(0).cancelled());
-  EXPECT_FALSE(arena.token(1).cancelled());
-  EXPECT_TRUE(arena.token(2).cancelled());
-  EXPECT_TRUE(arena.token(3).cancelled());
-  for (std::size_t lane = 0; lane < arena.lanes(); ++lane) {
-    EXPECT_TRUE(arena.post_of(lane).posted) << lane;
-    EXPECT_EQ(arena.post_of(lane).decisive, lane == 1) << lane;
-  }
-  EXPECT_DOUBLE_EQ(arena.post_of(1).makespan, 1.0);
-}
+// ------------------------------------------- race lanes on a narrower pool --
 
 TEST(RaceArena, NonDecisivePostsCancelNobody) {
-  exec::RaceArena arena(3, 2);
-  arena.run([&](std::size_t lane) { arena.post(lane, 5.0, 1.0, false); });
-  for (std::size_t lane = 0; lane < arena.lanes(); ++lane)
-    EXPECT_FALSE(arena.token(lane).cancelled()) << lane;
+  // Three lanes claimed by two threads: lane 1 is still running when lane
+  // 0 completes, and lane 2 starts after that. Every lane watches its token
+  // and completes weak, so none decides and no token may fire. A cancelled
+  // lane would be re-run by the repair path, so each lane starting exactly
+  // once shows that nobody was cancelled.
+  MockRegistry mocks;
+  std::atomic<int> runs{0};
+  mocks.add_spinner("weak-a", 2, &runs);
+  mocks.add_spinner("weak-b", 30, &runs);
+  mocks.add_spinner("weak-c", 2, &runs);
+
+  const std::vector<Instance> batch{single_job_instance(8, 37)};
+  PortfolioConfig pc;
+  pc.variants = {"weak-a", "weak-b", "weak-c"};
+  pc.tie_break = TieBreak::kPortfolioOrder;
+  pc.threads = 1;
+  pc.race = true;
+  pc.race_width = 2;
+  const PortfolioResult r = PortfolioSolver(mocks.registry).solve(batch, pc);
+
+  ASSERT_EQ(r.solved, 1u);
+  EXPECT_EQ(runs.load(), 3);
+  EXPECT_EQ(r.cancelled_attempts, 0u);
+  for (std::size_t lane = 0; lane < 3; ++lane)
+    EXPECT_EQ(r.outcomes[0].attempts[lane].outcome, AttemptOutcome::kCompleted) << lane;
 }
 
 // ---------------------------------------------------- winner protocol (mock) --
@@ -273,6 +246,40 @@ TEST(RaceProtocol, AllCancelledButOne) {
   EXPECT_EQ(r.per_variant[1].cancelled, 1u);
   EXPECT_EQ(r.per_variant[2].cancelled, 1u);
   EXPECT_EQ(r.per_variant[1].failed, 0u);  // cancelled != failed in the table
+}
+
+TEST(RaceProtocol, DecisiveLaneCancelsOnlyLaterLanes) {
+  // All three lanes start together. Lane 0 watches its token while it
+  // sleeps 20 ms and then completes weak, lane 1 decides at once, and lane
+  // 2 would spin for 5 s. The decision must stop lane 2 and leave lane 0
+  // alone: had lane 0 been cancelled, the repair path would run it twice.
+  MockRegistry mocks;
+  std::atomic<int> weak_runs{0};
+  mocks.add_spinner("weak-slow", 20, &weak_runs);
+  mocks.add_optimal("decider");
+  mocks.add_spinner("spinner", 5000);
+
+  const std::vector<Instance> batch{single_job_instance(8, 31)};
+  PortfolioConfig pc;
+  pc.variants = {"weak-slow", "decider", "spinner"};
+  pc.tie_break = TieBreak::kPortfolioOrder;
+  pc.threads = 1;
+  pc.race = true;
+  pc.race_width = 3;
+  const auto start = std::chrono::steady_clock::now();
+  const PortfolioResult r = PortfolioSolver(mocks.registry).solve(batch, pc);
+  const double elapsed =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+
+  ASSERT_EQ(r.solved, 1u);
+  const PortfolioOutcome& o = r.outcomes[0];
+  EXPECT_EQ(o.attempts[0].outcome, AttemptOutcome::kCompleted);
+  EXPECT_EQ(weak_runs.load(), 1);
+  EXPECT_EQ(o.attempts[1].outcome, AttemptOutcome::kCompleted);
+  EXPECT_EQ(o.winner, "decider");
+  EXPECT_EQ(o.attempts[2].outcome, AttemptOutcome::kCancelled);
+  EXPECT_EQ(r.cancelled_attempts, 1u);
+  EXPECT_LT(elapsed, 2.5) << "the later lane was not cancelled";
 }
 
 TEST(RaceProtocol, CancelTokenIsObservedWellWithinItsBound) {

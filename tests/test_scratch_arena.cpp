@@ -1,7 +1,8 @@
 // Unit tests for util::ScratchArena, the bump-pointer scratch allocator
 // behind the hot knapsack kernels: alignment, Frame/rewind semantics, chunk
-// growth with pointer stability, warm reuse, and the ArenaScope thread
-// installation protocol that SolverConfig::arena rides on.
+// growth with pointer stability, warm reuse, the ArenaScope thread
+// installation protocol tests use to pin the kernels to an arena they own,
+// and the per-thread defaults every engine thread solves on.
 #include <gtest/gtest.h>
 
 #include <cstdint>

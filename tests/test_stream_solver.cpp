@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -780,6 +782,30 @@ TEST(StreamRecordReplay, OutOfRangeServeValuesAreRefusedNamingTheKey) {
           << e.what();
     }
   }
+}
+
+TEST(StreamRecordReplay, DuplicatePortfolioVariantIsRefusedAtLoad) {
+  // The portfolio line goes through the --portfolio parser, so a duplicated
+  // variant is refused at load with the file named, not by the serve loop
+  // once replay has started.
+  std::string record_text =
+      record_session(recordable_stream(), recordable_config(1)).first;
+  const std::string line = "# portfolio exact,fptas,mrt\n";
+  const std::size_t at = record_text.find(line);
+  ASSERT_NE(at, std::string::npos);
+  record_text.replace(at, line.size(), "# portfolio exact,fptas,exact\n");
+  const std::string path = ::testing::TempDir() + "duplicate_variant_record.txt";
+  std::ofstream(path) << record_text;
+  try {
+    traffic::load_record_file(path);
+    FAIL() << "a record with a duplicated portfolio variant must not load";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind("record: ", 0), 0u) << what;
+    EXPECT_NE(what.find("duplicate variant 'exact'"), std::string::npos) << what;
+    EXPECT_NE(what.find(path), std::string::npos) << what;
+  }
+  std::remove(path.c_str());
 }
 
 TEST(StreamRecordReplay, CorruptedBodyIsRejectedWithADiagnostic) {

@@ -1,9 +1,14 @@
-// Unit tests for src/util: PRNG determinism/distribution and table printing.
+// Unit tests for src/util: PRNG determinism/distribution, table printing,
+// and the parallel_for executor.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <set>
 #include <sstream>
+#include <thread>
+#include <vector>
 
 #include "src/util/common.hpp"
 #include "src/util/prng.hpp"
@@ -162,6 +167,53 @@ TEST(ParallelFor, SerialFallbackAndEmpty) {
   EXPECT_EQ(count, 0);
   util::parallel_for(5, [&](std::size_t) { ++count; }, 1);
   EXPECT_EQ(count, 5);
+}
+
+TEST(ParallelFor, BoundsConcurrencyAndCallerParticipates) {
+  constexpr std::size_t kItems = 9;
+  constexpr unsigned kThreads = 3;
+  const auto caller = std::this_thread::get_id();
+  std::vector<int> runs(kItems, 0);
+  std::atomic<int> live{0};
+  std::atomic<int> high_water{0};
+  std::atomic<bool> caller_ran{false};
+  util::parallel_for(
+      kItems,
+      [&](std::size_t i) {
+        const int now = live.fetch_add(1) + 1;
+        int seen = high_water.load();
+        while (now > seen && !high_water.compare_exchange_weak(seen, now)) {
+        }
+        if (std::this_thread::get_id() == caller) caller_ran = true;
+        // Hold every started thread until the caller has claimed an index,
+        // so a fast pair of threads cannot drain the cursor first. Bounded:
+        // an executor whose caller never works fails here instead of hanging.
+        const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(1);
+        while (!caller_ran && std::chrono::steady_clock::now() < deadline)
+          std::this_thread::sleep_for(std::chrono::microseconds(200));
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        runs[i]++;
+        live.fetch_sub(1);
+      },
+      kThreads);
+  for (std::size_t i = 0; i < kItems; ++i) EXPECT_EQ(runs[i], 1) << i;
+  EXPECT_LE(high_water.load(), static_cast<int>(kThreads));
+  EXPECT_TRUE(caller_ran.load()) << "the calling thread ran no index";
+}
+
+TEST(ParallelFor, OneThreadRunsInOrderOnTheCaller) {
+  const auto caller = std::this_thread::get_id();
+  for (const unsigned threads : {0u, 1u}) {
+    std::vector<std::size_t> order;  // one thread: no synchronization needed
+    util::parallel_for(
+        5,
+        [&](std::size_t i) {
+          EXPECT_EQ(std::this_thread::get_id(), caller);
+          order.push_back(i);
+        },
+        threads);
+    EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4})) << threads;
+  }
 }
 
 TEST(ParallelFor, PropagatesWorkerExceptions) {
