@@ -86,8 +86,8 @@ Percentiles percentiles_of(std::vector<double>& samples);
 /// affects no algorithmic output — seeded with `config_key` (which must
 /// encode everything that changes the outcome — solver names, eps). Returns
 /// nullopt for instances that cannot be serialized (custom oracle types
-/// outside the io catalogue, names with line breaks); those are never
-/// memoized.
+/// outside the io catalogue, instance names with line breaks, job names
+/// with whitespace); those are never memoized.
 std::optional<std::uint64_t> memo_key(const jobs::Instance& instance,
                                       std::uint64_t config_key);
 

@@ -4,9 +4,11 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
+
+#include "src/util/cli.hpp"
 
 namespace moldable::jobs {
 
@@ -19,99 +21,112 @@ struct ParseError : std::invalid_argument {
   using std::invalid_argument::invalid_argument;
 };
 
-void fail(std::size_t line, const std::string& msg) {
+[[noreturn]] void fail(std::size_t line, const std::string& msg) {
   throw ParseError("instance parse error, line " + std::to_string(line) + ": " + msg);
 }
 
 }  // namespace
 
-void write_instance(std::ostream& os, const Instance& instance) {
+std::string to_text(const Instance& instance) {
   // The name directive is one line and the reader trims it, so the writer
-  // canonicalizes: line breaks are unrepresentable (throw, before anything
-  // is written so a failed save leaves no partial output), surrounding
-  // whitespace is dropped, and a whitespace-only name means unnamed. The
+  // canonicalizes: line breaks are unrepresentable (throw), surrounding
+  // whitespace is dropped, and a whitespace-only name means unnamed. A job
+  // name is one token, so whitespace in it is unrepresentable too. The
   // written form always round-trips to itself.
   if (instance.name().find('\n') != std::string::npos)
-    throw std::invalid_argument("write_instance: instance name contains a line break");
+    throw std::invalid_argument("to_text: instance name contains a line break");
   const std::string name = trim(instance.name());
-  os << "moldable-instance v1\n";
-  os.precision(17);
-  if (!name.empty()) os << "name " << name << "\n";
+  std::string out = "moldable-instance v1\n";
+  const auto num = [](double v) { return ' ' + fmt_num(v); };
+  const auto count = [](std::int64_t v) { return ' ' + std::to_string(v); };
+  if (!name.empty()) out += "name " + name + '\n';
   // Metadata directives are omitted at their defaults, so files predating
   // them keep byte-identical output. (Instance validates both setters:
   // arrival is finite and >= 0, the class is a single token.)
-  if (instance.arrival() != 0) os << "arrival " << instance.arrival() << "\n";
-  if (!instance.sla_class().empty()) os << "class " << instance.sla_class() << "\n";
+  if (instance.arrival() != 0) out += "arrival" + num(instance.arrival()) + '\n';
+  if (!instance.sla_class().empty()) out += "class " + instance.sla_class() + '\n';
   // The memory axis is additive metadata like the directives above: both
   // lines are omitted at their defaults, so memory-free instances keep
   // byte-identical output. (Instance validates the setters: capacity and
   // footprints are finite and >= 0, one footprint per job.)
   if (instance.memory_capacity() > 0)
-    os << "memcap " << instance.memory_capacity() << "\n";
+    out += "memcap" + num(instance.memory_capacity()) + '\n';
   if (instance.has_job_memory()) {
-    os << "mem " << instance.size();
-    for (std::size_t j = 0; j < instance.size(); ++j)
-      os << " " << instance.job_memory(j);
-    os << "\n";
+    out += "mem" + count(static_cast<std::int64_t>(instance.size()));
+    for (std::size_t j = 0; j < instance.size(); ++j) out += num(instance.job_memory(j));
+    out += '\n';
   }
-  os << "machines " << instance.machines() << "\n";
+  out += "machines" + count(instance.machines()) + '\n';
   for (const Job& job : instance.jobs()) {
     const ProcessingTimeFunction& f = job.oracle();
-    os << "job ";
+    if (job.name().find_first_of(" \t\r\n") != std::string::npos)
+      throw std::invalid_argument("to_text: job name '" + job.name() + "' contains whitespace");
+    out += "job ";
     if (const auto* a = dynamic_cast<const AmdahlTime*>(&f)) {
-      os << "amdahl " << a->t1() << " " << a->parallel_fraction();
+      out += "amdahl" + num(a->t1()) + num(a->parallel_fraction());
     } else if (const auto* p = dynamic_cast<const PowerLawTime*>(&f)) {
-      os << "powerlaw " << p->t1() << " " << p->alpha();
+      out += "powerlaw" + num(p->t1()) + num(p->alpha());
     } else if (const auto* c = dynamic_cast<const CommOverheadTime*>(&f)) {
-      os << "comm " << c->t1() << " " << c->comm_cost();
+      out += "comm" + num(c->t1()) + num(c->comm_cost());
     } else if (const auto* t = dynamic_cast<const TableTime*>(&f)) {
-      os << "table " << t->values().size();
-      for (double v : t->values()) os << " " << v;
+      out += "table" + count(t->max_procs());
+      for (double v : t->values()) out += num(v);
     } else if (const auto* l = dynamic_cast<const LinearReductionTime*>(&f)) {
-      os << "linred " << l->machines() << " " << l->a();
+      out += "linred" + count(l->machines()) + count(l->a());
     } else if (const auto* r = dynamic_cast<const RigidStepTime*>(&f)) {
-      os << "rigid " << r->time() << " " << r->size() << " " << r->penalty();
+      out += "rigid" + num(r->time()) + count(r->size()) + num(r->penalty());
     } else if (const auto* g = dynamic_cast<const LogSpeedupTime*>(&f)) {
-      os << "logspeed " << g->t1();
+      out += "logspeed" + num(g->t1());
     } else {
-      throw std::invalid_argument("write_instance: unknown oracle type for job '" +
-                                  job.name() + "'");
+      throw std::invalid_argument("to_text: unknown oracle type for job '" + job.name() + "'");
     }
-    if (!job.name().empty()) os << " " << job.name();
-    os << "\n";
+    if (!job.name().empty()) out += ' ' + job.name();
+    out += '\n';
   }
+  return out;
 }
 
-std::string to_text(const Instance& instance) {
-  std::ostringstream ss;
-  write_instance(ss, instance);
-  return ss.str();
-}
-
-Instance read_instance(std::istream& is, std::string default_name) {
-  std::string line;
+Instance from_text(std::string_view text, std::string default_name) {
+  // Every line is split once into its tokens, and each field is exactly one
+  // token: counts and reals go through util::cli's strict parsers, reals
+  // must also be finite, and a line holds exactly its fields (a job line
+  // may add one name token). Anything else fails with the line's number.
   std::size_t lineno = 0;
-  auto next_meaningful = [&](std::string& out) {
-    while (std::getline(is, line)) {
+  std::vector<std::string_view> w;  // the tokens of the current line
+  const auto next_line = [&] {  // skips blank and comment lines
+    while (!text.empty()) {
+      const std::size_t nl = std::min(text.find('\n'), text.size());
+      w = util::cli::words(text.substr(0, nl));
+      text.remove_prefix(std::min(nl + 1, text.size()));
       ++lineno;
-      const auto pos = line.find_first_not_of(" \t\r");
-      if (pos == std::string::npos || line[pos] == '#') continue;
-      out = line;
-      return true;
+      if (!w.empty() && w[0][0] != '#') return true;
     }
     return false;
   };
+  // Field i of the current line; a missing field fails with `missing`.
+  const auto real = [&](std::size_t i, const char* missing) {
+    if (i >= w.size()) fail(lineno, missing);
+    try {
+      if (const double v = util::cli::parse_real(w[i]); std::isfinite(v)) return v;
+    } catch (const util::cli::BadValue&) {
+    }
+    fail(lineno, "expected a finite number, got '" + std::string(w[i]) + "'");
+  };
+  const auto count = [&](std::size_t i, const char* missing) {
+    if (i >= w.size()) fail(lineno, missing);
+    try {
+      return util::cli::parse_count<procs_t>(w[i]);
+    } catch (const util::cli::BadValue&) {
+      fail(lineno, "expected a non-negative integer, got '" + std::string(w[i]) + "'");
+    }
+  };
 
-  std::string header;
-  if (!next_meaningful(header) || header.rfind("moldable-instance", 0) != 0)
+  if (!next_line() || w.size() != 2 || w[0] != "moldable-instance" || w[1] != "v1")
     fail(lineno, "expected 'moldable-instance v1' header");
-
-  std::string mline;
-  if (!next_meaningful(mline)) fail(lineno, "expected 'machines <m>'");
+  if (!next_line()) fail(lineno, "expected 'machines <m>'");
 
   // Optional metadata directives between the header and the machines line,
-  // in any order, at most once each: 'name <rest of line>', 'arrival <t>',
-  // 'class <token>'.
+  // in any order, at most once each.
   std::string instance_name = std::move(default_name);
   double arrival = 0;
   std::string sla_class;
@@ -120,121 +135,96 @@ Instance read_instance(std::istream& is, std::string default_name) {
   std::size_t mem_lineno = 0;  ///< where 'mem' appeared, for the count check
   bool saw_name = false, saw_arrival = false, saw_class = false;
   bool saw_memcap = false, saw_mem = false;
+  const auto once = [&](bool& seen) {
+    if (seen) fail(lineno, "duplicate '" + std::string(w[0]) + "' directive");
+    seen = true;
+  };
   for (;;) {
-    std::istringstream ds(mline);
-    std::string kw;
-    ds >> kw;
-    if (kw == "name") {
-      if (saw_name) fail(lineno, "duplicate 'name' directive");
-      saw_name = true;
-      std::getline(ds, instance_name);
-      instance_name = trim(instance_name);
-      if (instance_name.empty()) fail(lineno, "'name' directive with no name");
-    } else if (kw == "arrival") {
-      if (saw_arrival) fail(lineno, "duplicate 'arrival' directive");
-      saw_arrival = true;
-      std::string junk;
-      if (!(ds >> arrival) || !std::isfinite(arrival) || arrival < 0 || (ds >> junk))
-        fail(lineno, "'arrival' needs one finite value >= 0");
-    } else if (kw == "class") {
-      if (saw_class) fail(lineno, "duplicate 'class' directive");
-      saw_class = true;
-      std::string junk;
-      if (!(ds >> sla_class) || (ds >> junk))
-        fail(lineno, "'class' needs exactly one token");
-    } else if (kw == "memcap") {
-      if (saw_memcap) fail(lineno, "duplicate 'memcap' directive");
-      saw_memcap = true;
-      std::string junk;
-      if (!(ds >> memory_capacity) || !std::isfinite(memory_capacity) ||
-          memory_capacity <= 0 || (ds >> junk))
+    if (w[0] == "name") {
+      once(saw_name);
+      if (w.size() < 2) fail(lineno, "'name' directive with no name");
+      instance_name.assign(w[1].data(), w.back().data() + w.back().size());  // rest of line
+    } else if (w[0] == "arrival") {
+      once(saw_arrival);
+      arrival = real(1, "'arrival' needs one finite value >= 0");
+      if (arrival < 0 || w.size() != 2) fail(lineno, "'arrival' needs one finite value >= 0");
+    } else if (w[0] == "class") {
+      once(saw_class);
+      if (w.size() != 2) fail(lineno, "'class' needs exactly one token");
+      sla_class = w[1];
+    } else if (w[0] == "memcap") {
+      once(saw_memcap);
+      memory_capacity = real(1, "'memcap' needs one finite value > 0");
+      if (memory_capacity <= 0 || w.size() != 2)
         fail(lineno, "'memcap' needs one finite value > 0");
-    } else if (kw == "mem") {
-      if (saw_mem) fail(lineno, "duplicate 'mem' directive");
-      saw_mem = true;
+    } else if (w[0] == "mem") {
+      once(saw_mem);
       mem_lineno = lineno;
-      std::size_t count = 0;
-      if (!(ds >> count) || count == 0)
-        fail(lineno, "'mem' needs <count> then <count> values");
+      const auto n = static_cast<std::size_t>(count(1, "'mem' needs <count> then <count> values"));
+      if (n == 0) fail(lineno, "'mem' needs <count> then <count> values");
       // Appended as read, never sized from the declared count: memory
       // follows the record's bytes, not a number it claims.
-      while (job_memory.size() < count) {
-        double v = 0;
-        if (!(ds >> v) || !std::isfinite(v) || v < 0)
-          fail(lineno, "'mem' values must be finite and >= 0");
-        job_memory.push_back(v);
+      while (job_memory.size() < n) {
+        job_memory.push_back(real(job_memory.size() + 2, "'mem' values must be finite and >= 0"));
+        if (job_memory.back() < 0) fail(lineno, "'mem' values must be finite and >= 0");
       }
-      std::string junk;
-      if (ds >> junk) fail(lineno, "'mem' has trailing junk after its values");
+      if (w.size() != n + 2) fail(lineno, "'mem' has trailing junk after its values");
     } else {
       break;  // not a metadata directive; must be the machines line
     }
-    if (!next_meaningful(mline)) fail(lineno, "expected 'machines <m>'");
+    if (!next_line()) fail(lineno, "expected 'machines <m>'");
   }
 
-  std::istringstream ms(mline);
-  std::string kw;
-  procs_t m = 0;
-  if (!(ms >> kw >> m) || kw != "machines" || m < 1)
-    fail(lineno, "expected 'machines <m>' with m >= 1");
+  const procs_t m = w[0] == "machines" && w.size() == 2 ? count(1, "") : 0;
+  if (m < 1) fail(lineno, "expected 'machines <m>' with m >= 1");
 
   std::vector<Job> jv;
-  std::string jline;
-  while (next_meaningful(jline)) {
-    std::istringstream js(jline);
-    std::string job_kw, kind;
-    if (!(js >> job_kw >> kind) || job_kw != "job") fail(lineno, "expected 'job <kind> ...'");
-    PtfPtr f;
+  while (next_line()) {
+    if (w[0] != "job" || w.size() < 2) fail(lineno, "expected 'job <kind> ...'");
+    const std::string_view kind = w[1];
+    std::size_t fields = 4;  // tokens before the optional job name
     try {
+      PtfPtr f;
       if (kind == "amdahl") {
-        double t1, frac;
-        if (!(js >> t1 >> frac)) fail(lineno, "amdahl needs <t1> <fraction>");
-        f = std::make_shared<AmdahlTime>(t1, frac);
+        f = std::make_shared<AmdahlTime>(real(2, "amdahl needs <t1> <fraction>"),
+                                         real(3, "amdahl needs <t1> <fraction>"));
       } else if (kind == "powerlaw") {
-        double t1, alpha;
-        if (!(js >> t1 >> alpha)) fail(lineno, "powerlaw needs <t1> <alpha>");
-        f = std::make_shared<PowerLawTime>(t1, alpha);
+        f = std::make_shared<PowerLawTime>(real(2, "powerlaw needs <t1> <alpha>"),
+                                           real(3, "powerlaw needs <t1> <alpha>"));
       } else if (kind == "comm") {
-        double t1, c;
-        if (!(js >> t1 >> c)) fail(lineno, "comm needs <t1> <comm_cost>");
-        f = std::make_shared<CommOverheadTime>(t1, c);
+        f = std::make_shared<CommOverheadTime>(real(2, "comm needs <t1> <comm_cost>"),
+                                               real(3, "comm needs <t1> <comm_cost>"));
       } else if (kind == "table") {
-        std::size_t k = 0;
-        if (!(js >> k) || k == 0) fail(lineno, "table needs <k> values");
-        if (static_cast<procs_t>(k) != m)
-          fail(lineno, "table length must equal the machine count");
+        const procs_t k = count(2, "table needs <k> values");
+        if (k == 0) fail(lineno, "table needs <k> values");
+        if (k != m) fail(lineno, "table length must equal the machine count");
         std::vector<double> values;  // appended as read, like 'mem'
-        while (values.size() < k) {
-          double v = 0;
-          if (!(js >> v)) fail(lineno, "table: too few values");
-          values.push_back(v);
-        }
+        while (static_cast<procs_t>(values.size()) < k)
+          values.push_back(real(values.size() + 3, "table: too few values"));
         f = std::make_shared<TableTime>(std::move(values));
+        fields = 3 + static_cast<std::size_t>(k);
       } else if (kind == "linred") {
-        std::int64_t mm, a;
-        if (!(js >> mm >> a)) fail(lineno, "linred needs <machines> <a>");
+        const procs_t mm = count(2, "linred needs <machines> <a>");
         if (mm != m) fail(lineno, "linred machine count must equal the instance's");
-        f = std::make_shared<LinearReductionTime>(mm, a);
+        f = std::make_shared<LinearReductionTime>(mm, count(3, "linred needs <machines> <a>"));
       } else if (kind == "logspeed") {
-        double t1;
-        if (!(js >> t1)) fail(lineno, "logspeed needs <t1>");
-        f = std::make_shared<LogSpeedupTime>(t1);
+        f = std::make_shared<LogSpeedupTime>(real(2, "logspeed needs <t1>"));
+        fields = 3;
       } else if (kind == "rigid") {
-        double t, penalty;
-        procs_t size;
-        if (!(js >> t >> size >> penalty)) fail(lineno, "rigid needs <time> <size> <penalty>");
-        f = std::make_shared<RigidStepTime>(t, size, penalty);
+        const char* usage = "rigid needs <time> <size> <penalty>";
+        f = std::make_shared<RigidStepTime>(real(2, usage), count(3, usage), real(4, usage));
+        fields = 5;
       } else {
-        fail(lineno, "unknown job kind '" + kind + "'");
+        fail(lineno, "unknown job kind '" + std::string(kind) + "'");
       }
+      if (w.size() > fields + 1)
+        fail(lineno, "expected at most one job name, got '" + std::string(w[fields + 1]) + "'");
+      jv.emplace_back(std::move(f), m, w.size() > fields ? std::string(w[fields]) : "");
     } catch (const ParseError&) {
       throw;
     } catch (const std::invalid_argument& e) {
       fail(lineno, e.what());
     }
-    std::string name;
-    js >> name;  // optional trailing name
-    jv.emplace_back(std::move(f), m, name);
   }
   if (!job_memory.empty() && job_memory.size() != jv.size())
     fail(mem_lineno, "'mem' count " + std::to_string(job_memory.size()) +
@@ -245,11 +235,6 @@ Instance read_instance(std::istream& is, std::string default_name) {
   out.set_memory_capacity(memory_capacity);
   out.set_job_memory(std::move(job_memory));
   return out;
-}
-
-Instance from_text(const std::string& text) {
-  std::istringstream ss(text);
-  return read_instance(ss);
 }
 
 void save_instance(const std::string& path, const Instance& instance) {
@@ -266,7 +251,8 @@ void save_instance(const std::string& path, const Instance& instance) {
 Instance load_instance(const std::string& path, std::string default_name) {
   std::ifstream is(path);
   if (!is) throw std::runtime_error("load_instance: cannot open " + path);
-  return read_instance(is, std::move(default_name));
+  const std::string text(std::istreambuf_iterator<char>(is), {});
+  return from_text(text, std::move(default_name));
 }
 
 DirectoryLoad load_instances_from_dir(const std::string& dir) {
@@ -411,8 +397,7 @@ bool InstanceStreamReader::next(StreamRecord& record) {
   record.line = start_line;
   record.ordinal = ordinal_++;
   try {
-    std::istringstream ss(text);
-    record.instance = read_instance(ss, "stream-" + std::to_string(record.ordinal));
+    record.instance = from_text(text, "stream-" + std::to_string(record.ordinal));
     record.ok = true;
   } catch (const std::exception& e) {
     record.ok = false;

@@ -15,6 +15,14 @@
 //   job table    <k> <t_1> ... <t_k>        [name]
 //   job linred   <machines> <a>             [name]
 //   job rigid    <time> <size> <penalty>    [name]
+//   job logspeed <t1>                       [name]
+//
+// Tokens are separated by spaces, tabs or CRs, and each field is exactly
+// one token, read by util::cli's strict parsers: a count (m, n, k, size,
+// machines, a) is decimal digits only; a real is a whole C-syntax number
+// and must be finite. A line holds exactly its fields, except that a job
+// line may end with one name token; `name` takes the rest of its line.
+// Anything else is refused with the line's number.
 //
 // Closed-form jobs serialize in O(1) space regardless of m — exactly the
 // encoding regime the paper's algorithms target. Table jobs are Theta(m)
@@ -36,23 +44,23 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "src/jobs/instance.hpp"
 
 namespace moldable::jobs {
 
-/// Serializes the instance. Throws std::invalid_argument for oracle types
-/// outside the catalogue above (no lossy fallback).
+/// Serializes the instance. Throws std::invalid_argument for what the
+/// reader could not read back: oracle types outside the catalogue above (no
+/// lossy fallback), an instance name with a line break, or a job name with
+/// whitespace.
 std::string to_text(const Instance& instance);
-void write_instance(std::ostream& os, const Instance& instance);
 
 /// Parses the format; throws std::invalid_argument with a line-numbered
-/// message on any syntax or validation error.
-Instance from_text(const std::string& text);
-/// Like from_text, but streaming; `default_name` (also on load_instance
-/// below) is used as the instance name when the text carries no `name`
-/// directive.
-Instance read_instance(std::istream& is, std::string default_name = {});
+/// message on any syntax or validation error. `default_name` (also on
+/// load_instance below) is used as the instance name when the text carries
+/// no `name` directive.
+Instance from_text(std::string_view text, std::string default_name = {});
 
 /// File convenience wrappers (throw std::runtime_error on I/O failure).
 void save_instance(const std::string& path, const Instance& instance);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "src/util/prng.hpp"
@@ -42,8 +43,11 @@ CommOverheadTime::CommOverheadTime(double t1, double comm_cost)
   if (!(comm_cost > 0)) throw std::invalid_argument("CommOverheadTime: comm_cost must be positive");
   // raw(k) = t1/k + c(k-1) is minimized over the reals at k = sqrt(t1/c);
   // pick the better of the two neighbouring integers so the plateau starts
-  // exactly at the discrete minimizer.
-  const double kreal = std::sqrt(t1 / comm_cost);
+  // exactly at the discrete minimizer. The minimizer is clamped to 2^62
+  // before the cast, which is undefined past procs_t's range: a plateau
+  // beyond m never binds, so only m > 2^62 sees the clamp, and t stays
+  // monotone there too.
+  const double kreal = std::fmin(std::sqrt(t1 / comm_cost), 0x1p62);
   procs_t lo = std::max<procs_t>(1, static_cast<procs_t>(std::floor(kreal)));
   auto raw = [&](procs_t k) {
     return t1_ / static_cast<double>(k) + c_ * static_cast<double>(k - 1);
@@ -66,6 +70,8 @@ LinearReductionTime::LinearReductionTime(std::int64_t machines, std::int64_t a)
     throw std::invalid_argument(
         "LinearReductionTime: a must be >= 2 (the reduction scales numbers so "
         "that strict work monotony, Eq. (1), holds)");
+  if (a > std::numeric_limits<std::int64_t>::max() / machines)
+    throw std::invalid_argument("LinearReductionTime: machines * a overflows a 64-bit integer");
 }
 
 double LinearReductionTime::at(procs_t k) const {

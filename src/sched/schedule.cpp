@@ -1,9 +1,7 @@
 #include "src/sched/schedule.hpp"
 
 #include <algorithm>
-#include <map>
 #include <numeric>
-#include <sstream>
 
 namespace moldable::sched {
 
@@ -59,10 +57,9 @@ std::vector<std::vector<procs_t>> assign_processors(const Schedule& s, procs_t m
   });
 
   std::vector<std::vector<procs_t>> result(s.size());
-  // This helper materializes one index per processor and is meant for
-  // rendering / paranoid validation at moderate scale; the core algorithms
-  // never call it. Refuse machine counts where Theta(m) memory is clearly
-  // unintended.
+  // This helper materializes one index per processor, so it is meant for
+  // moderate scale; the core algorithms never call it. Refuse machine counts
+  // where Theta(m) memory is clearly unintended.
   if (m > (procs_t{1} << 22))
     throw std::invalid_argument("assign_processors: m too large for explicit numbering");
   // Free processors as a sorted set implemented with a vector used as a
@@ -95,32 +92,6 @@ std::vector<std::vector<procs_t>> assign_processors(const Schedule& s, procs_t m
     std::push_heap(heap.begin(), heap.end(), cmp);
   }
   return result;
-}
-
-std::string render_gantt(const Schedule& s, const jobs::Instance& instance, int width) {
-  const procs_t m = instance.machines();
-  std::ostringstream out;
-  if (s.empty()) {
-    out << "(empty schedule)\n";
-    return out.str();
-  }
-  const double span = s.makespan();
-  const auto procs = assign_processors(s, m);
-  std::vector<std::string> rows(static_cast<std::size_t>(m),
-                                std::string(static_cast<std::size_t>(width), '.'));
-  const auto& as = s.assignments();
-  for (std::size_t i = 0; i < as.size(); ++i) {
-    const int c0 = static_cast<int>(as[i].start / span * width);
-    int c1 = static_cast<int>((as[i].start + as[i].duration) / span * width);
-    c1 = std::min(c1, width - 1);
-    const char glyph = static_cast<char>('A' + static_cast<int>(as[i].job % 26));
-    for (procs_t p : procs[i])
-      for (int c = c0; c <= c1; ++c)
-        rows[static_cast<std::size_t>(p)][static_cast<std::size_t>(c)] = glyph;
-  }
-  out << "makespan = " << span << ", m = " << m << "\n";
-  for (procs_t p = 0; p < m; ++p) out << "P" << p << " | " << rows[static_cast<std::size_t>(p)] << "\n";
-  return out.str();
 }
 
 }  // namespace moldable::sched

@@ -6,15 +6,13 @@
 // machines iff at every instant the counts of running jobs sum to at most m
 // (free processors are fungible, so whenever a job starts and the capacity
 // profile is respected, enough concrete processors are available). The
-// validator checks exactly that; `assign_processors` additionally produces a
-// concrete processor numbering for rendering and extra-paranoid checking.
+// validator checks exactly that; `assign_processors` is the constructive
+// side of the argument: it produces such a concrete processor numbering.
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
-#include "src/jobs/instance.hpp"
 #include "src/util/common.hpp"
 
 namespace moldable::sched {
@@ -58,9 +56,5 @@ class Schedule {
 /// which is what this returns (a list of processor indices per assignment).
 /// Throws internal_error if the schedule is capacity-infeasible for m.
 std::vector<std::vector<procs_t>> assign_processors(const Schedule& s, procs_t m);
-
-/// ASCII Gantt chart (rows = processors, columns = time buckets); intended
-/// for small m in examples. `width` is the number of character columns.
-std::string render_gantt(const Schedule& s, const jobs::Instance& instance, int width = 72);
 
 }  // namespace moldable::sched

@@ -1,5 +1,6 @@
 #include "src/traffic/replay.hpp"
 
+#include <charconv>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -31,12 +32,10 @@ constexpr char kCloseSentinel[] = "# moldable-record-close v1";
 std::vector<std::pair<std::string, std::string>> split_kv(const std::string& body,
                                                           const char* line_kind) {
   std::vector<std::pair<std::string, std::string>> out;
-  std::istringstream is(body);
-  std::string tok;
-  while (is >> tok) {
+  for (const std::string_view tok : util::cli::words(body)) {
     const std::size_t eq = tok.find('=');
-    if (eq == std::string::npos || eq == 0)
-      fail(std::string("malformed ") + line_kind + " token '" + tok +
+    if (eq == std::string_view::npos || eq == 0)
+      fail(std::string("malformed ") + line_kind + " token '" + std::string(tok) +
            "' (expected key=value)");
     out.emplace_back(tok.substr(0, eq), tok.substr(eq + 1));
   }
@@ -46,30 +45,28 @@ std::vector<std::pair<std::string, std::string>> split_kv(const std::string& bod
 /// Runs a strict util::cli value parser over a record value, naming the
 /// key when the value is refused.
 template <class Parse>
-auto parse_value(Parse parse, const std::string& v, const std::string& what) {
+auto parse_value(Parse parse, std::string_view v, const std::string& what) {
   try {
     return parse(v);
   } catch (const util::cli::BadValue&) {
-    fail("invalid " + what + " value '" + v + "'");
+    fail("invalid " + what + " value '" + std::string(v) + "'");
   }
 }
 
-std::size_t parse_size(const std::string& v, const std::string& what) {
+std::size_t parse_size(std::string_view v, const std::string& what) {
   return parse_value(util::cli::parse_count<std::size_t>, v, what);
 }
 
-std::uint64_t parse_hex(const std::string& v, const std::string& what) {
-  try {
-    std::size_t pos = 0;
-    const unsigned long long r = std::stoull(v, &pos, 16);
-    if (pos != v.size() || v.empty()) throw std::invalid_argument(v);
-    return r;
-  } catch (const std::exception&) {
-    fail("invalid " + what + " value '" + v + "'");
-  }
+/// A digest as fmt_digest writes it: hex digits only, no sign or prefix.
+std::uint64_t parse_hex(std::string_view v, const std::string& what) {
+  std::uint64_t r = 0;
+  const auto [ptr, ec] = std::from_chars(v.data(), v.data() + v.size(), r, 16);
+  if (ec != std::errc() || ptr != v.data() + v.size())
+    fail("invalid " + what + " value '" + std::string(v) + "'");
+  return r;
 }
 
-double parse_num(const std::string& v, const std::string& what) {
+double parse_num(std::string_view v, const std::string& what) {
   return parse_value(util::cli::parse_real, v, what);
 }
 
@@ -331,19 +328,15 @@ ReplayFile load_record(std::istream& is) {
     if (t.rfind("# source ", 0) == 0) {
       file.source_preamble.push_back(t.substr(9));
     } else if (t.rfind("# latency ", 0) == 0) {
-      std::istringstream ls(t.substr(10));
-      std::uint64_t index = 0;
-      std::string qs, cs;
-      if (!(ls >> index >> qs >> cs))
-        fail("malformed latency line '" + t + "'");
-      std::string extra;
-      if (ls >> extra) fail("malformed latency line '" + t + "'");
+      const std::vector<std::string_view> w = util::cli::words(t);  // # latency i q c
+      if (w.size() != 5) fail("malformed latency line '" + t + "'");
+      const std::size_t index = parse_size(w[2], "latency index");
       if (index != file.latencies.size())
         fail("latency table gap: expected index " +
              std::to_string(file.latencies.size()) + ", got " +
              std::to_string(index));
-      file.latencies.emplace_back(parse_num(qs, "latency queue"),
-                                  parse_num(cs, "latency compute"));
+      file.latencies.emplace_back(parse_num(w[3], "latency queue"),
+                                  parse_num(w[4], "latency compute"));
     } else if (t.rfind("# served ", 0) == 0) {
       for (const auto& [k, v] : split_kv(t.substr(9), "served"))
         apply_counter_kv(file.counters, k, v);

@@ -26,6 +26,16 @@ std::string parse_text(std::string_view text) {
   return std::string(text);
 }
 
+std::vector<std::string_view> words(std::string_view line) {
+  std::vector<std::string_view> out;
+  for (std::size_t lo = line.find_first_not_of(" \t\r"); lo != std::string_view::npos;) {
+    const std::size_t hi = std::min(line.find_first_of(" \t\r", lo), line.size());
+    out.push_back(line.substr(lo, hi - lo));
+    lo = line.find_first_not_of(" \t\r", hi);
+  }
+  return out;
+}
+
 Setter real(double& dst) {
   return [&dst](const std::string& v) { dst = parse_real(v); };
 }

@@ -1,7 +1,8 @@
-// Command-line plumbing: one strict value parser, which the two drivers,
-// the record loader and the curve, class-mix and address specs share, and a
-// flag table whose rows drive argv parsing, the generated --help text and
-// the "only affects <mode> mode" warnings.
+// Command-line plumbing: one strict value parser and tokenizer, which the
+// two drivers, the instance format, the record loader and the curve,
+// class-mix and address specs share, and a flag table whose rows drive argv
+// parsing, the generated --help text and the "only affects <mode> mode"
+// warnings.
 #pragma once
 
 #include <charconv>
@@ -44,6 +45,10 @@ double parse_real(std::string_view text);
 
 /// A non-empty string, returned as is. Throws BadValue.
 std::string parse_text(std::string_view text);
+
+/// The tokens of one line: the runs between spaces, tabs and CRs, as views
+/// into `line`, which must outlive them.
+std::vector<std::string_view> words(std::string_view line);
 
 using Setter = std::function<void(const std::string& value)>;
 

@@ -1,5 +1,6 @@
-// Tests for instance serialization: round trips, error handling, and the
-// compact-encoding property (closed-form jobs serialize in O(1) space).
+// Tests for instance serialization: round trips, error handling, the token
+// grammar (with a mutation fuzzer over it), and the compact-encoding
+// property (closed-form jobs serialize in O(1) space).
 #include <gtest/gtest.h>
 
 #include <sys/resource.h>
@@ -9,11 +10,15 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <sstream>
 
 #include "src/jobs/generators.hpp"
 #include "src/jobs/io.hpp"
 #include "src/jobs/reduction.hpp"
+#include "src/traffic/traffic_gen.hpp"
+#include "src/util/cli.hpp"
+#include "src/util/prng.hpp"
 
 namespace moldable::jobs {
 namespace {
@@ -98,6 +103,100 @@ TEST(Io, WriterRejectsOrOmitsUnparseableNames) {
   const Instance once = from_text(to_text(padded_name));
   EXPECT_EQ(once.name(), "web pool");
   EXPECT_EQ(from_text(to_text(once)).name(), "web pool");
+  // A job name is one token: with whitespace in it the line would not read
+  // back, so the writer refuses it, naming the job.
+  for (const std::string name : {"two words", "tab\tname", "cr\r"}) {
+    const Instance spaced({Job(std::make_shared<AmdahlTime>(1.0, 0.5), 4, name)}, 4);
+    try {
+      to_text(spaced);
+      ADD_FAILURE() << "wrote job name '" << name << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + name + "'"), std::string::npos) << e.what();
+    }
+  }
+}
+
+/// A record with every directive and every job kind, in the writer's bytes.
+constexpr char kPinnedText[] = R"(moldable-instance v1
+name pinned bytes
+arrival 0.10000000000000001
+class gold
+memcap 1e+21
+mem 7 0 0.5 1 2 3 9.9999999999999995e-08 4
+machines 4
+job amdahl 10 0.5 a
+job powerlaw 5 0.69999999999999996 p
+job comm 8 0.20000000000000001 c
+job table 4 4 3 2.5 2.5 t
+job linred 4 2 l
+job rigid 3 2 1000000 r
+job logspeed 0.33333333333333331
+)";
+
+TEST(Io, WriterBytesArePinned) {
+  std::vector<Job> jv;
+  jv.emplace_back(std::make_shared<AmdahlTime>(10.0, 0.5), 4, "a");
+  jv.emplace_back(std::make_shared<PowerLawTime>(5.0, 0.7), 4, "p");
+  jv.emplace_back(std::make_shared<CommOverheadTime>(8.0, 0.2), 4, "c");
+  jv.emplace_back(std::make_shared<TableTime>(std::vector<double>{4, 3, 2.5, 2.5}), 4, "t");
+  jv.emplace_back(std::make_shared<LinearReductionTime>(4, 2), 4, "l");
+  jv.emplace_back(std::make_shared<RigidStepTime>(3.0, 2, 1e6), 4, "r");
+  jv.emplace_back(std::make_shared<LogSpeedupTime>(1.0 / 3), 4);
+  Instance inst(std::move(jv), 4, "pinned bytes");
+  inst.set_arrival(0.1);
+  inst.set_sla_class("gold");
+  inst.set_memory_capacity(1e21);
+  inst.set_job_memory({0, 0.5, 1, 2, 3, 1e-7, 4});
+  EXPECT_EQ(to_text(inst), kPinnedText);
+  EXPECT_EQ(to_text(from_text(kPinnedText)), kPinnedText);
+}
+
+TEST(Io, EveryFieldIsOneStrictToken) {
+  // Each edit replaces one line of a valid record. A field is one whole
+  // token of util::cli's grammar, reals are finite, and a line holds
+  // exactly its fields plus at most one job name — so each is refused,
+  // naming the edited line.
+  const std::vector<std::string> base = {"moldable-instance v1", "arrival 1.5", "machines 4",
+                                         "job amdahl 10 0.5 a"};
+  const auto join = [](const std::vector<std::string>& lines) {
+    std::string text;
+    for (const std::string& line : lines) text += line + "\n";
+    return text;
+  };
+  ASSERT_NO_THROW(from_text(join(base)));
+  const std::vector<std::pair<std::size_t, std::string>> edits = {
+      {3, "machines 1e3"},           {3, "machines 8 junk"},
+      {4, "job amdahl 10 0.5x"},     {4, "job linred 4 2.9"},
+      {4, "job logspeed 5 7 8"},     {4, "job amdahl +10 0.5"},
+      {4, "job powerlaw 5 0.7 a b"}, {4, "job amdahl 1 0.5 # note"},
+      {1, "moldable-instance v2"},   {2, "arrival +1"},
+      {4, "job amdahl inf 0.5"},     {4, "job rigid 1 2 inf"},
+      {4, "job comm 1 nan"}};
+  for (const auto& [line, edit] : edits) {
+    std::vector<std::string> lines = base;
+    lines[line - 1] = edit;
+    try {
+      from_text(join(lines));
+      ADD_FAILURE() << "accepted '" << edit << "'";
+    } catch (const std::invalid_argument& e) {
+      const std::string prefix = "instance parse error, line " + std::to_string(line) + ":";
+      EXPECT_EQ(std::string(e.what()).rfind(prefix, 0), 0u) << e.what();
+    }
+  }
+}
+
+TEST(Io, IndentedHeaderParses) {
+  // The stream reader cuts records at an indented header, so the parser
+  // takes one too: the header is its two tokens, wherever they start.
+  const std::string indented = " \tmoldable-instance v1\nmachines 4\njob amdahl 1 0.5\n";
+  EXPECT_EQ(from_text(indented).machines(), 4);
+  std::istringstream stream("moldable-instance v1\nmachines 2\n" + indented);
+  InstanceStreamReader reader(stream);
+  StreamRecord rec;
+  ASSERT_TRUE(reader.next(rec));
+  ASSERT_TRUE(reader.next(rec));
+  EXPECT_TRUE(rec.ok) << rec.error;
+  EXPECT_EQ(rec.line, 3u);
 }
 
 TEST(Io, ArrivalAndClassRoundTrip) {
@@ -478,6 +577,133 @@ TEST(Io, MemorySettersValidate) {
   // Capacity 0 un-caps: footprints alone do not bind.
   inst.set_memory_capacity(0.0);
   EXPECT_FALSE(inst.memory_constrained());
+}
+
+/// The lines of `text`, without their newlines.
+std::vector<std::string> split_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  for (std::size_t lo = 0; lo < text.size();) {
+    const std::size_t nl = std::min(text.find('\n', lo), text.size());
+    lines.push_back(text.substr(lo, nl - lo));
+    lo = nl + 1;
+  }
+  return lines;
+}
+
+/// The fuzzer's seed records: two storms over every generator family with
+/// arrivals and classes, one of them with memory footprints, the records of
+/// both fixture files, and the pinned record.
+std::vector<std::string> fuzz_seeds() {
+  traffic::TrafficConfig config;
+  config.curve = "const:rate=20";
+  config.horizon = 3;
+  config.jobs_cap = 4;
+  config.machines = 8;
+  config.families = all_families();
+  config.mem_min = 0.25;
+  config.mem_max = 8;
+  std::vector<std::string> seeds;
+  for (const double memory_capacity : {0.0, 2.0}) {
+    config.memory_capacity = memory_capacity;
+    ++config.seed;
+    for (const Instance& inst : traffic::TrafficGenerator(config).generate())
+      seeds.push_back(to_text(inst));
+  }
+  const std::filesystem::path fixtures = std::filesystem::path(__FILE__).parent_path() / "fixtures";
+  for (const char* file : {"stream_smoke.txt", "memo_twins.txt"}) {
+    std::ifstream in(fixtures / file);
+    EXPECT_TRUE(in) << "missing fixture " << file;
+    bool in_record = false;  // the file's leading comments belong to no record
+    for (std::string line; std::getline(in, line);) {
+      if (line.rfind("moldable-instance", 0) == 0) {
+        seeds.emplace_back();
+        in_record = true;
+      }
+      if (in_record) seeds.back() += line + "\n";
+    }
+  }
+  seeds.push_back(kPinnedText);
+  return seeds;
+}
+
+/// One or two edits of `text` drawn from `rng`: a token inserted, deleted,
+/// replaced or suffixed, a line duplicated, dropped or swapped, or the text
+/// truncated at a byte.
+std::string mutate(const std::string& text, util::Prng& rng) {
+  static const std::vector<std::string> kTokens = {
+      "1e3", "+1", "-1", "inf", "nan", "-0", "0x10", "1.5x", "#", "4294967296",
+      "99999999999999999999", "1e400"};
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+  std::vector<std::string> lines = split_lines(text);
+  for (std::int64_t edits = rng.uniform_int(1, 2); edits > 0 && !lines.empty(); --edits) {
+    const std::size_t at = pick(lines.size());
+    std::vector<std::string> w;
+    for (const std::string_view tok : util::cli::words(lines[at])) w.emplace_back(tok);
+    const std::size_t op = pick(8);
+    const std::string& token = kTokens[pick(kTokens.size())];
+    if (op == 0) {
+      w.insert(w.begin() + static_cast<std::ptrdiff_t>(pick(w.size() + 1)), token);
+    } else if (op <= 3 && !w.empty()) {
+      const std::size_t i = pick(w.size());
+      if (op == 1) w.erase(w.begin() + static_cast<std::ptrdiff_t>(i));
+      if (op == 2) w[i] = token;
+      if (op == 3) w[i] += token;
+    } else if (op == 4) {
+      lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(at), lines[at]);
+      continue;
+    } else if (op == 5) {
+      lines.erase(lines.begin() + static_cast<std::ptrdiff_t>(at));
+      continue;
+    } else if (op == 6) {
+      std::swap(lines[at], lines[pick(lines.size())]);
+      continue;
+    } else if (op == 7) {
+      std::string joined;
+      for (const std::string& line : lines) joined += line + "\n";
+      lines = split_lines(joined.substr(0, pick(joined.size() + 1)));
+      continue;
+    }
+    lines[at].clear();
+    for (const std::string& tok : w) lines[at] += (lines[at].empty() ? "" : " ") + tok;
+  }
+  std::string out;
+  for (const std::string& line : lines) out += line + "\n";
+  return out;
+}
+
+TEST(Io, MutatedRecordsAreRefusedOrRoundTrip) {
+  // Every mutant of a valid record is either refused with a diagnostic
+  // naming one of its lines, or parses to an instance whose written form is
+  // the round trip's fixed point.
+  const std::vector<std::string> seeds = fuzz_seeds();
+  ASSERT_GT(seeds.size(), 50u);
+  util::Prng rng(20);
+  std::size_t refused = 0;
+  constexpr std::size_t kMutants = 100000;
+  for (std::size_t n = 0; n < kMutants; ++n) {
+    const std::string mutant = mutate(seeds[n % seeds.size()], rng);
+    std::optional<Instance> parsed;
+    try {
+      parsed = from_text(mutant);
+    } catch (const std::invalid_argument& e) {
+      ++refused;
+      const std::string what = e.what();
+      const std::string prefix = "instance parse error, line ";
+      ASSERT_EQ(what.rfind(prefix, 0), 0u) << what << "\n" << mutant;
+      const std::size_t colon = what.find(':', prefix.size());
+      const auto line = util::cli::parse_count<std::size_t>(
+          std::string_view(what).substr(prefix.size(), colon - prefix.size()));
+      ASSERT_LE(line, split_lines(mutant).size()) << what << "\n" << mutant;
+      continue;
+    }
+    const std::string once = to_text(*parsed);
+    ASSERT_EQ(to_text(from_text(once)), once) << mutant;
+  }
+  // Both outcomes are exercised.
+  EXPECT_GT(refused, kMutants / 10);
+  EXPECT_GT(kMutants - refused, kMutants / 20);
 }
 
 TEST(Io, RigidJobsRoundTrip) {

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 
+#include "src/jobs/io.hpp"
 #include "src/jobs/job.hpp"
 #include "src/jobs/processing_time.hpp"
 
@@ -87,6 +89,32 @@ TEST(LinearReductionTime, StrictWorkMonotony) {
     const double w1 = static_cast<double>(k + 1) * f.at(k + 1);
     EXPECT_GT(w1, w0) << "k=" << k;
   }
+}
+
+TEST(ProcessingTime, LinredRefusesOverflowingWork) {
+  // t(k) = m*a - k + 1 is formed in int64_t, so m*a past INT64_MAX would
+  // overflow; the constructor refuses it, and a record naming such a job is
+  // refused on its line.
+  const std::int64_t big = std::int64_t{1} << 32;
+  EXPECT_THROW(LinearReductionTime(big, big), std::invalid_argument);
+  const std::int64_t max = std::numeric_limits<std::int64_t>::max();
+  EXPECT_THROW(LinearReductionTime(2, max / 2 + 1), std::invalid_argument);
+  const LinearReductionTime edge(2, max / 2);  // m*a = INT64_MAX - 1 fits
+  EXPECT_DOUBLE_EQ(edge.at(1), static_cast<double>(max - 1));
+  try {
+    from_text("moldable-instance v1\nmachines 4294967296\njob linred 4294967296 4294967296\n");
+    FAIL() << "an overflowing linred job must not parse";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos) << e.what();
+  }
+}
+
+TEST(ProcessingTime, CommPlateauSurvivesHugeRatio) {
+  // sqrt(t1/c) = 1e20 is past procs_t's range: the plateau is clamped, not
+  // cast out of range, so t keeps falling towards t1/k.
+  const CommOverheadTime f(1e30, 1e-10);
+  EXPECT_LT(f.at(1000000), f.at(2));
+  EXPECT_NEAR(f.at(1000000), 1e24, 1e12);
 }
 
 TEST(TableTime, AcceptsValidAndRejectsInvalid) {

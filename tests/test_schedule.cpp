@@ -1,18 +1,13 @@
-// Tests for the Schedule representation: makespan/work/peak computations,
-// processor assignment realizability, and the Gantt renderer.
+// Tests for the Schedule representation: makespan/work/peak computations
+// and processor assignment realizability.
 #include <gtest/gtest.h>
 
 #include <set>
 
-#include "src/jobs/generators.hpp"
 #include "src/sched/schedule.hpp"
 
 namespace moldable::sched {
 namespace {
-
-using jobs::Family;
-using jobs::Instance;
-using jobs::make_instance;
 
 TEST(Schedule, EmptySchedule) {
   Schedule s;
@@ -64,16 +59,6 @@ TEST(AssignProcessors, RefusesHugeM) {
   Schedule s;
   s.add({0, 0.0, 1, 1.0});
   EXPECT_THROW(assign_processors(s, procs_t{1} << 40), std::invalid_argument);
-}
-
-TEST(RenderGantt, ContainsProcessorRows) {
-  const Instance inst = make_instance(Family::kAmdahl, 3, 4, 5);
-  Schedule s;
-  for (std::size_t j = 0; j < 3; ++j) s.add({j, 0.0, 1, inst.job(j).t1()});
-  const std::string g = render_gantt(s, inst, 40);
-  EXPECT_NE(g.find("P0"), std::string::npos);
-  EXPECT_NE(g.find("P3"), std::string::npos);
-  EXPECT_NE(g.find("makespan"), std::string::npos);
 }
 
 }  // namespace

@@ -784,6 +784,28 @@ TEST(StreamRecordReplay, OutOfRangeServeValuesAreRefusedNamingTheKey) {
   }
 }
 
+TEST(StreamRecordReplay, TrailerValuesAreRefusedNamingTheKey) {
+  // The latency index and the digests are one strict token each: a sign or
+  // a radix prefix used to slip through operator>> and stoull, which also
+  // read a rolling digest of -1 as ffffffffffffffff.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"# latency +0 0 0", "latency index"},
+      {"# rolling-digest 0x0123456789abcdef", "rolling-digest"},
+      {"# rolling-digest -1", "rolling-digest"},
+      {"# records-digest +1", "records-digest"}};
+  for (const auto& [line, key] : cases) {
+    std::istringstream file("# moldable-record v2\n# serve window=16\n"
+                            "# moldable-record-end v1\n" + line + "\n");
+    try {
+      traffic::load_record(file);
+      FAIL() << line << " must not load";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("invalid " + key + " value"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(StreamRecordReplay, DuplicatePortfolioVariantIsRefusedAtLoad) {
   // The portfolio line goes through the --portfolio parser, so a duplicated
   // variant is refused at load with the file named, not by the serve loop
