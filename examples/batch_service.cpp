@@ -123,21 +123,9 @@ cli::FlagTable make_flags(Options& opt) {
        cli::count(c.max_inflight)},
       {"--algorithm", "A", "registry solver name (default auto); known:" + known,
        kSingleSolver, cli::text(c.algorithm)},
-      {"--portfolio", "A,B", "race the named variants, keep the best valid schedule", "",
+      {"--portfolio", "A,B", "run the named variants, keep the best valid schedule", "",
        [&c](const std::string& v) {
          c.variants = moldable::engine::parse_portfolio_spec(cli::parse_text(v));
-       }},
-      {"--race", "",
-       "run each instance's variants concurrently with\n"
-       "early-cancel (wall-clock only: digests unchanged)",
-       kPortfolio, cli::on(c.race)},
-      {"--race-width", "W",
-       "lanes per raced instance (implies --race;\n"
-       "0 = one per variant, the default)",
-       kPortfolio,
-       [&c](const std::string& v) {
-         c.race_width = cli::parse_count<unsigned>(v);
-         c.race = true;  // a width without racing would be inert
        }},
       {"--tie-break", "M",
        "winner under exact ties: wall (fastest, default)\n"
@@ -181,8 +169,9 @@ cli::FlagTable make_flags(Options& opt) {
        "misses their class deadline (needs --deadline)",
        kServe, cli::on(c.shed)},
       {"--adapt", "",
-       "reorder portfolio races from learned per-class\n"
-       "priors (needs --portfolio; digests unchanged)",
+       "reorder portfolio variants from learned per-class\n"
+       "priors (needs --portfolio; changes the digest,\n"
+       "deterministically)",
        kServe, cli::on(c.adapt)},
       {"--eps", "E", "approximation parameter in (0,1] (default 0.1)", "", cli::real(c.eps)},
       {"--threads", "T", "worker threads, 0 = hardware (default 0)", "", cli::count(c.threads)},
@@ -242,6 +231,14 @@ void print_memo_line(std::size_t hits, std::size_t misses, std::size_t evictions
   std::cout << "\n";
 }
 
+// Only a portfolio of two or more variants has peers the early-cancel rule
+// can skip.
+void print_cancelled_line(const StreamConfig& c, std::size_t cancelled) {
+  if (c.variants.size() < 2) return;
+  std::cout << "cancelled: " << cancelled
+            << " attempt(s) (early-cancel; deterministic)\n";
+}
+
 int run_batch(const Options& opt, const std::vector<moldable::jobs::Instance>& batch) {
   const StreamConfig& c = opt.config;
   const PortfolioConfig config = c.portfolio();
@@ -250,10 +247,10 @@ int run_batch(const Options& opt, const std::vector<moldable::jobs::Instance>& b
       c.memo_capacity);
   const PortfolioResult result = solver.solve(batch, config, c.memo ? &memo : nullptr);
 
-  // `cancelled` keeps race-mode reports honest: attempts killed by the
-  // early-cancel rule are neither losses nor failures and must not be
-  // silently folded into either. Ratios are each variant's own
-  // (makespan / its certified bound); gaps measure it against the winner.
+  // `cancelled` keeps reports honest: attempts skipped by the early-cancel
+  // rule are neither losses nor failures and must not be silently folded
+  // into either. Ratios are each variant's own (makespan / its certified
+  // bound); gaps measure it against the winner.
   moldable::util::Table table({"variant", "wins", "solved", "failed", "cancelled",
                                "ratio-mean", "ratio-p50", "ratio-p90", "ratio-p99",
                                "ratio-max", "gap-mean", "gap-max", "compute-p50-ms",
@@ -287,9 +284,7 @@ int run_batch(const Options& opt, const std::vector<moldable::jobs::Instance>& b
             << " ms, p99 " << moldable::util::fmt(result.queue_p99 * 1e3)
             << " ms, max " << moldable::util::fmt(result.queue_max * 1e3)
             << " ms (shard pickup, shared by all variants of an instance)\n";
-  if (c.race)
-    std::cout << "race: " << result.cancelled_attempts
-              << " cancelled attempt(s) (early-cancel; deterministic)\n";
+  print_cancelled_line(c, result.cancelled_attempts);
   if (c.memo)
     print_memo_line(result.memo_hits, result.memo_misses, memo.evictions(),
                     c.memo_capacity);
@@ -485,9 +480,7 @@ int run_serve(const Options& opt) {
             << moldable::util::fmt(result.wall_seconds, 3) << " s ("
             << (config.threads == 0 ? std::string("hw") : std::to_string(config.threads))
             << " threads)\n";
-  if (config.race)
-    std::cout << "race: " << result.cancelled_attempts
-              << " cancelled attempt(s) (early-cancel; deterministic)\n";
+  print_cancelled_line(config, result.cancelled_attempts);
   if (config.memo)
     print_memo_line(result.memo_hits, result.memo_misses, result.memo_evictions,
                     config.memo_capacity);
@@ -581,11 +574,6 @@ int main(int argc, char** argv) {
     const bool listen = !opt.listen.address.empty();
     const bool watch = !opt.watch.dir.empty();
     const bool portfolio = !opt.config.variants.empty();
-    if (opt.config.race && !portfolio) {
-      std::cerr << "--race needs a --portfolio to race (a single solver has "
-                   "no peers to cancel)\n";
-      return 2;
-    }
     if (listen && watch) {
       std::cerr << "--listen and --watch are both ingestion sources; pick one\n";
       return 2;

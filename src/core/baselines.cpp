@@ -28,8 +28,8 @@ BaselineResult memory_greedy_schedule(const jobs::Instance& instance) {
     if (kmin > m)
       throw std::invalid_argument(
           "memory_greedy_schedule: job " + std::to_string(j) +
-          " is memory-infeasible: needs " + std::to_string(kmin) +
-          " machines, only " + std::to_string(m) + " exist");
+          " is memory-infeasible: needs more than the " + std::to_string(m) +
+          " machines that exist");
     if (est.allotment[j] < kmin) est.allotment[j] = kmin;
   }
   out.lower_bound = std::max(est.omega, instance.memory_lower_bound());

@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "src/util/cancel.hpp"
 #include "src/util/common.hpp"
 
 namespace moldable::core {
@@ -21,7 +20,6 @@ DualSearchResult dual_search(const DualFn& dual, double omega, double eps_search
   DualOutcome top;
   int attempts = 0;
   for (;;) {
-    util::poll_cancellation();  // racing: stop between dual calls
     top = dual(hi);
     ++res.dual_calls;
     if (top.accepted) break;
@@ -34,7 +32,6 @@ DualSearchResult dual_search(const DualFn& dual, double omega, double eps_search
 
   double lo = omega;  // OPT >= omega always; raised on every rejection
   while (hi > lo * (1 + eps_search)) {
-    util::poll_cancellation();  // racing: stop between bisection iterations
     const double mid = 0.5 * (lo + hi);
     DualOutcome out = dual(mid);
     ++res.dual_calls;

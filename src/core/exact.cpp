@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "src/sched/list_scheduler.hpp"
-#include "src/util/cancel.hpp"
 
 namespace moldable::core {
 
@@ -17,14 +16,7 @@ struct BudgetExceeded {};
 
 struct Budget {
   std::uint64_t left;
-  void tick() {
-    if (left-- == 0) throw BudgetExceeded{};
-    // The search can burn millions of nodes between any other natural
-    // checkpoint, so the racing cancel poll rides the budget tick (every
-    // 8192 nodes: cheap against the per-node work, prompt against the
-    // multi-second worst case).
-    if ((left & 8191u) == 0) util::poll_cancellation();
-  }
+  void tick() { if (left-- == 0) throw BudgetExceeded{}; }
 };
 
 /// Branch-and-bound for rigid jobs (fixed allotment). Returns the optimal
@@ -143,8 +135,9 @@ std::optional<ExactResult> solve_exact(const jobs::Instance& instance,
     kmin[j] = instance.min_feasible_allotment(j);
     if (kmin[j] > m)
       throw std::invalid_argument(
-          "solve_exact: job " + std::to_string(j) + " is memory-infeasible: needs " +
-          std::to_string(kmin[j]) + " machines, only " + std::to_string(m) + " exist");
+          "solve_exact: job " + std::to_string(j) +
+          " is memory-infeasible: needs more than the " + std::to_string(m) +
+          " machines that exist");
   }
 
   // Incumbent from the cheapest feasible allotment (all-ones when the

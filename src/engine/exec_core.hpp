@@ -1,11 +1,14 @@
 // The execution core under PortfolioSolver (and the stream layer on top of
-// it): the mechanics of solving a batch, kept apart from the racing policy.
+// it): the mechanics of solving a batch, kept apart from the portfolio
+// policy.
 //
 //   * per-index outcome slots, sized up front, each worker writing only its
 //     own slot (what makes every algorithmic output a pure function of
 //     (batch, config) and hence thread-count independent);
 //   * the shard loop on util::parallel_for: threads claim slots in index
-//     order and the calling thread works too;
+//     order and the calling thread works too. It is the only parallelism in
+//     a solve: each instance's variants run one after another on the
+//     thread that claimed it, so parallel_for never nests;
 //   * a single steady-clock anchor that stamps both the per-instance claim
 //     time (the queue half of the latency split) and the whole-batch wall
 //     clock;

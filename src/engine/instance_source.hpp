@@ -2,7 +2,7 @@
 //
 // StreamSolver used to be hard-wired to one stdin pipe. This interface
 // factors the ingestion side out so the same serve loop — windowing, memo,
-// racing, record/replay — runs unchanged over any producer of records:
+// early-cancel, record/replay — runs unchanged over any producer of records:
 //
 //   * IstreamSource (here)      — the original stdin/file stream, a thin
 //     wrapper over jobs::InstanceStreamReader;

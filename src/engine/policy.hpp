@@ -1,11 +1,11 @@
 // The serve loop's control plane: deadline-aware admission and adaptive
-// portfolio priors, layered over the portfolio's CancelToken early-cancel
-// race without weakening its determinism contract.
+// portfolio priors, layered over the portfolio's early-cancel rule without
+// weakening its determinism contract.
 //
 // The serving stack measures deadline pressure (per-class miss counters)
-// and race economics (win/cancel tallies) but, before this layer, acted on
-// neither: a provably-hopeless instance still burned every race lane, and
-// the portfolio seeded lanes in static config order forever. The policy
+// and portfolio economics (win/cancel tallies) but, before this layer, acted
+// on neither: a provably-hopeless instance still ran every variant, and the
+// portfolio ordered lanes in static config order forever. The policy
 // layer closes that loop with three behaviors, every one of them a pure
 // function of (stream, config) so recorded sessions still replay bit-exact:
 //
@@ -18,16 +18,18 @@
 //     REJECT frame over the socket path;
 //   * down-shift — an admitted instance whose deadline slack has been eaten
 //     by queueing (measured on the stream's own virtual clock, never the
-//     wall clock) races only the historically-winning variant instead of
-//     the full portfolio: serve it cheaply rather than burn lanes on a
-//     race it has already lost;
+//     wall clock) runs only the historically-winning variant instead of
+//     the full portfolio: serve it cheaply rather than run variants for a
+//     deadline it has already lost;
 //   * learned priors — a VariantPriorTable keyed by SLA class, updated from
 //     canonical win/cancel tallies in the serial per-window finalize pass,
-//     reorders race lane seeding so the historically-winning variant
-//     launches first, decaying by window so the table tracks drift.
+//     reorders each instance's lanes so the historically-winning variant
+//     runs first, decaying by window so the table tracks drift. The order
+//     is the canonical attempt order, so it changes which attempts the
+//     early-cancel rule skips and hence the digest — deterministically.
 //
 // Determinism contract (stated once, for the whole layer): every decision
-// here is re-derivable serially, exactly like the race exclusion rule.
+// here is re-derivable serially, exactly like the early-cancel rule.
 // Shedding depends only on instance content and config; the virtual clock
 // is the max arrival stamp over admitted records (a pure function of the
 // stream prefix); prior updates use the canonical winner (min makespan,
@@ -55,8 +57,8 @@ namespace moldable::engine {
 /// shed probe fires with a proof). Deterministic — a pure function of the
 /// instance. Returns 0 for an empty instance (the empty schedule is
 /// optimal) and -infinity when the estimator is unavailable (a malformed
-/// oracle) and no memory bound applies: a -inf bound never decides a race
-/// and never sheds.
+/// oracle) and no memory bound applies: a -inf bound never decides an
+/// instance and never sheds.
 double certified_lower_bound(const jobs::Instance& instance);
 
 /// One admission probe's verdict. When `shed` is set, `omega > budget` is
@@ -86,11 +88,11 @@ struct ShedOutcome {
 /// deterministic fields (omega, budget) are covered.
 void mix_shed_digest(std::uint64_t& h, std::size_t index, const ShedOutcome& shed);
 
-/// Per-SLA-class variant priors, learned from the races themselves.
+/// Per-SLA-class variant priors, learned from the portfolio's own outcomes.
 ///
 /// Scores are per (class, variant): a canonical win credits the variant, a
-/// cancelled attempt (it lost a decided race) debits it mildly, and every
-/// window end decays all scores toward zero so stale history fades. The
+/// cancelled attempt (skipped on a decided instance) debits it mildly, and
+/// every window end decays all scores toward zero so stale history fades. The
 /// seeding order for a class ranks variants by descending score with ties
 /// broken by portfolio (config) order — a class with no history keeps the
 /// config order exactly.
@@ -109,7 +111,7 @@ class VariantPriorTable {
   /// Credits `variant` (a portfolio/config index) with a canonical win for
   /// `sla_class`. Call only from a serial pass.
   void observe_win(const std::string& sla_class, std::size_t variant);
-  /// Debits `variant` for a cancelled (race-losing) attempt. Serial only.
+  /// Debits `variant` for a cancelled attempt. Serial only.
   void observe_cancel(const std::string& sla_class, std::size_t variant);
   /// Decays every score — call once per completed window, serially.
   void end_window();

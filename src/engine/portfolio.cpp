@@ -8,9 +8,7 @@
 #include "src/engine/exec_core.hpp"
 #include "src/engine/policy.hpp"
 #include "src/sched/validator.hpp"
-#include "src/util/cancel.hpp"
 #include "src/util/common.hpp"
-#include "src/util/parallel.hpp"
 
 namespace moldable::engine {
 
@@ -37,8 +35,8 @@ std::vector<VariantStats> aggregate(const std::vector<PortfolioOutcome>& outcome
       VariantStats& s = out[a.variant];
       Samples& x = samples[a.variant];
       // Wall stats cover every attempt: a variant that burns time before
-      // failing or being cancelled still costs the race, and hiding that
-      // would make expensive never-winning variants look free in the table.
+      // failing still costs the portfolio, and hiding that would make
+      // expensive never-winning variants look free in the table.
       x.walls.push_back(a.wall_seconds);
       if (a.outcome == AttemptOutcome::kCancelled) {
         ++s.cancelled;
@@ -98,9 +96,7 @@ std::vector<VariantStats> aggregate(const std::vector<PortfolioOutcome>& outcome
 /// Config part of the memo key: everything that changes an outcome — the
 /// variant list, eps, and the tie-break mode (the winner label is stored in
 /// the cached outcome, so outcomes produced under different tie-break rules
-/// must not alias). `race`/`race_width` are deliberately NOT mixed in:
-/// racing is contractually outcome-invariant, so raced and sequential
-/// entries are interchangeable.
+/// must not alias).
 std::uint64_t config_memo_key(const PortfolioConfig& config) {
   std::uint64_t h = detail::kFnvOffsetBasis;
   const char tag[] = "portfolio";
@@ -114,19 +110,6 @@ std::uint64_t config_memo_key(const PortfolioConfig& config) {
   const unsigned char tie = config.tie_break == TieBreak::kPortfolioOrder ? 1 : 0;
   fnv1a_mix(h, &tie, sizeof(tie));
   return h;
-}
-
-/// Collapses an attempt to the canonical excluded stub: name + kCancelled,
-/// every certificate field zero. wall_seconds is preserved (measured-only,
-/// excluded from the digest — the partial burn is real racing cost).
-void stub_cancelled(VariantAttempt& a, std::uint16_t variant, const std::string& algorithm) {
-  const double wall = a.wall_seconds;
-  a = VariantAttempt{};
-  a.algorithm = algorithm;
-  a.variant = variant;
-  a.outcome = AttemptOutcome::kCancelled;
-  a.error = "cancelled: an earlier variant completed at the certified lower bound";
-  a.wall_seconds = wall;
 }
 
 }  // namespace
@@ -143,7 +126,7 @@ std::vector<std::string> parse_portfolio_spec(const std::string& spec) {
       throw std::invalid_argument(
           "portfolio: duplicate variant '" + name +
           "' (each variant may appear once — duplicates would skew the win "
-          "table and waste a race lane)");
+          "table and run a variant twice)");
     names.push_back(std::move(name));
     pos = comma + 1;
   }
@@ -266,38 +249,29 @@ PortfolioResult PortfolioSolver::solve(const std::vector<jobs::Instance>& batch,
     result.memo_misses = plan.misses;
   }
 
-  // One variant's attempt, run to completion / failure / cancellation.
-  // Pure except for the wall stamp; `token` is only ever the lane's own
-  // race token (null in the sequential path and in the repair path).
-  const auto run_attempt = [&](std::size_t i, std::uint16_t v, VariantAttempt& a,
-                               const util::CancelToken* token) {
+  // One variant's attempt, run to completion or failure. Pure except for
+  // the wall stamp.
+  const auto run_attempt = [&](std::size_t i, std::uint16_t v, VariantAttempt& a) {
     a.algorithm = config.variants[v];
     a.variant = v;
     util::Timer attempt_timer;
     try {
       SolverConfig solver_config;
       solver_config.eps = config.eps;
-      solver_config.cancel = token;
       const core::ScheduleResult r = (*solvers[v])(batch[i], solver_config);
       const sched::ValidationResult check = sched::validate(r.schedule, batch[i]);
       if (!check.ok)
         throw std::runtime_error("invalid schedule: " + check.errors.front());
       a.outcome = AttemptOutcome::kCompleted;
       a.ok = true;
-      a.error.clear();
       a.makespan = r.makespan;
       a.lower_bound = r.lower_bound;
       a.ratio = r.ratio_vs_lower;
       a.guarantee = r.guarantee;
       a.dual_calls = r.dual_calls;
       a.used = r.used;
-    } catch (const util::cancelled_error& e) {
-      a.outcome = AttemptOutcome::kCancelled;
-      a.ok = false;
-      a.error = e.what();
     } catch (const std::exception& e) {
       a.outcome = AttemptOutcome::kFailed;
-      a.ok = false;
       a.error = e.what();
     }
     a.wall_seconds = attempt_timer.seconds();
@@ -309,8 +283,8 @@ PortfolioResult PortfolioSolver::solve(const std::vector<jobs::Instance>& batch,
         // The instance's execution plan maps lanes (attempt slots) to
         // config-variant indices; a null map is the identity (lane l IS
         // variant l) — the plan-free common case, which allocates nothing.
-        // The plan order is the canonical order for everything below — race
-        // seeding, the early-cancel walk, the digest.
+        // The plan order is the canonical order for everything below — the
+        // early-cancel walk and the digest.
         const std::uint16_t* lane_map = nullptr;
         std::size_t lanes = n_variants;
         if (const std::vector<std::uint16_t>* vp = plan_of(i)) {
@@ -321,7 +295,7 @@ PortfolioResult PortfolioSolver::solve(const std::vector<jobs::Instance>& batch,
           return lane_map ? lane_map[lane] : static_cast<std::uint16_t>(lane);
         };
         // Capability filter (memory axis): a memory-constrained instance
-        // races only the memory-aware subset of its planned lanes — blind
+        // runs only the memory-aware subset of its planned lanes — blind
         // variants are dropped, not failed, so a mixed portfolio degrades
         // gracefully. Deterministic: a pure function of instance content and
         // the registry's declared capabilities, both memo-key-covered. When
@@ -358,68 +332,22 @@ PortfolioResult PortfolioSolver::solve(const std::vector<jobs::Instance>& batch,
                                  ? certified_lower_bound(batch[i])
                                  : -std::numeric_limits<double>::infinity();
 
-        if (config.race && lanes > 1) {
-          // Concurrent lanes on race_width threads (0 = one per lane), this
-          // shard's thread among them, claimed in plan order. A decisive
-          // completion (makespan <= omega) cancels every later lane: the
-          // canonicalization below excludes exactly those, so a physical
-          // cancel only ever stops work it would discard. A lane whose
-          // token fired before it started is stubbed without running.
-          std::vector<util::CancelToken> tokens(lanes);
-          util::parallel_for(
-              lanes,
-              [&](std::size_t lane) {
-                VariantAttempt& a = out.attempts[lane];
-                if (tokens[lane].cancelled()) {
-                  a.outcome = AttemptOutcome::kCancelled;
-                  a.variant = variant_of(lane);
-                  a.algorithm = config.variants[a.variant];
-                  return;
-                }
-                run_attempt(i, variant_of(lane), a, &tokens[lane]);
-                if (a.ok && a.makespan <= omega)
-                  for (std::size_t later = lane + 1; later < lanes; ++later)
-                    tokens[later].cancel();
-              },
-              config.race_width == 0 ? static_cast<unsigned>(lanes) : config.race_width);
-        } else {
-          // Sequential lanes in plan order; once the instance is decided
-          // the remaining lanes are skipped outright (the canonicalization
-          // below stubs them).
-          bool decided = false;
-          for (std::size_t lane = 0; lane < lanes && !decided; ++lane) {
-            VariantAttempt& a = out.attempts[lane];
-            run_attempt(i, variant_of(lane), a, nullptr);
-            decided = a.ok && a.makespan <= omega;
-          }
-        }
-
-        // Canonicalization: re-derive the deterministic attempt set from
-        // completed results. Walk in plan order; once a completed attempt
-        // decides (makespan <= omega) every later attempt becomes the
-        // canonical kCancelled stub — whether its physical cancellation
-        // landed, it never started, or it even completed after the
-        // decision. A kept lane can only be physically cancelled if a
-        // custom solver threw cancelled_error spuriously (the race only
-        // cancels lanes the rule excludes); repair it with a serial re-run
-        // so the canonical set never depends on timing.
+        // Lanes run in plan order. Once a completed attempt decides the
+        // instance (makespan <= omega), every later lane is skipped and
+        // becomes the canonical kCancelled stub: name + outcome, every
+        // certificate field zero.
         bool decided = false;
         for (std::size_t lane = 0; lane < lanes; ++lane) {
           VariantAttempt& a = out.attempts[lane];
-          if (decided) {
-            stub_cancelled(a, variant_of(lane), config.variants[variant_of(lane)]);
+          if (!decided) {
+            run_attempt(i, variant_of(lane), a);
+            decided = a.ok && a.makespan <= omega;
             continue;
           }
-          if (a.outcome == AttemptOutcome::kCancelled) {
-            run_attempt(i, variant_of(lane), a, nullptr);
-            if (a.outcome == AttemptOutcome::kCancelled) {
-              // A solver that throws cancelled_error with no token: treat
-              // as a plain failure so canonicalization terminates.
-              a.outcome = AttemptOutcome::kFailed;
-              a.ok = false;
-            }
-          }
-          decided = a.ok && a.makespan <= omega;
+          a.variant = variant_of(lane);
+          a.algorithm = config.variants[a.variant];
+          a.outcome = AttemptOutcome::kCancelled;
+          a.error = "cancelled: an earlier variant completed at the certified lower bound";
         }
 
         // Combine the canonical attempts: best makespan, max certified
@@ -474,7 +402,7 @@ PortfolioResult PortfolioSolver::solve(const std::vector<jobs::Instance>& batch,
   // probed the store before the shard loop ran — so all store reads must
   // precede the first write. Pass 2 serves in-batch duplicates (slot j < i
   // is already final), stamps index/queue, and stores fresh outcomes.
-  // Served slots zero the racing cost — nothing was raced.
+  // Served slots zero the compute cost — nothing was solved.
   if (memo) {
     for (std::size_t i = 0; i < batch.size(); ++i) {
       if (plan.source[i] != exec::MemoPlan::kFromStore) continue;

@@ -1,8 +1,8 @@
-// PortfolioSolver: the engine's one solver front-end. It races a list of
+// PortfolioSolver: the engine's one solver front-end. It runs a list of
 // registry variants per instance and keeps the best valid schedule; a single
 // solver (`--algorithm X`) is simply the one-variant portfolio {X}.
 //
-// Capability filtering (memory axis): a memory-constrained instance races
+// Capability filtering (memory axis): a memory-constrained instance runs
 // only the memory-aware subset of its planned lanes — memory-blind variants
 // are auto-dropped per instance (deterministically: instance content,
 // memory axis included, and registry capabilities are both memo-key-covered).
@@ -10,7 +10,7 @@
 // named capability error on every lane, never a memory-overcommitted
 // schedule.
 //
-// For every instance of a batch the configured variants are raced and the
+// For every instance of a batch the configured variants are run and the
 // portfolio keeps the best *valid* schedule per instance — validity is
 // re-checked with sched::validate, not just assumed from solver success —
 // combining the variants' certificates:
@@ -27,42 +27,16 @@
 //   * guarantee    = min proven factor among the variants that achieved the
 //                    best makespan.
 //
-// Early-cancel rule (both execution modes): each instance first gets the
-// Ludwig-Tiwari estimator's certified lower bound omega (<= OPT). The
-// variants are considered in portfolio order; the first completed variant
-// whose valid makespan is <= omega *decides* the instance — no peer can
-// produce a strictly better schedule, because every certified lower bound
-// sandwiches OPT under that makespan — and every LATER variant is excluded
-// with a kCancelled attempt (a deterministic stub: name + outcome only).
-// The excluded set is therefore a pure function of (batch, variants, eps):
-// earlier variants are never excluded by later ones, completed results are
-// pure, and the decision threshold omega is deterministic.
-//
-// Execution modes:
-//   * sequential (race = false): variants run one after another on the
-//     thread solving the instance; once the instance is decided the
-//     remaining variants are skipped outright (tail latency already
-//     improves here);
-//   * racing (race = true): the variants run concurrently as lanes of a
-//     util::parallel_for nested inside the shard loop, the instance's own
-//     thread among them (up to race_width lanes at once, so total
-//     concurrency is threads x race_width). A decisive completer fires the
-//     later lanes' CancelTokens; the built-in solvers observe them at
-//     iteration / DP-row / branch-and-bound-tick granularity and unwind
-//     with util::cancelled_error.
-//
-// Determinism contract: physical cancellation in race mode is a *subset* of
-// the deterministic exclusion rule above (a lane is only ever cancelled by
-// an earlier decisive lane, and a decisive completion excludes all later
-// lanes canonically). The serial canonicalization pass re-derives the
-// canonical attempt set from completed results — stubbing excluded attempts
-// whether or not their cancellation physically landed — so every
-// digest-covered field is identical between sequential and race mode, at
-// any threads / race_width combination. `--race` changes wall-clock, never
-// bytes. (In the unexpected case of a lane that was physically cancelled
-// but is canonically kept — possible only for a custom solver throwing
-// cancelled_error spuriously — the canonicalization re-runs it serially;
-// solvers are pure, so the repair is deterministic too.)
+// Early-cancel rule: each instance first gets the Ludwig-Tiwari
+// estimator's certified lower bound omega (<= OPT). The variants run one
+// after another, in portfolio order, on the thread solving the instance;
+// the first completed variant whose valid makespan is <= omega *decides*
+// the instance — no peer can produce a strictly better schedule, because
+// every certified lower bound sandwiches OPT under that makespan — and
+// every LATER variant is skipped without running, recorded as a kCancelled
+// attempt (a deterministic stub: name + outcome only). The excluded set is
+// therefore a pure function of (batch, variants, eps): completed results
+// are pure and the decision threshold omega is deterministic.
 //
 // All combined certificate fields are pure functions of (batch, variants,
 // eps) and enter the digest. The *winner name* is tie-broken by makespan,
@@ -90,7 +64,7 @@ namespace moldable::engine {
 /// Parses a comma-separated variant list ("fptas,mrt,lt-2approx") into
 /// names, trimming surrounding whitespace. Throws std::invalid_argument for
 /// an empty spec, an empty element, or a duplicate name (duplicates would
-/// skew the win table and waste a race lane). Names are NOT checked against
+/// skew the win table and run a variant twice). Names are NOT checked against
 /// a registry here — PortfolioSolver::solve does that up front so the error
 /// carries the known-name list.
 std::vector<std::string> parse_portfolio_spec(const std::string& spec);
@@ -103,24 +77,16 @@ enum class TieBreak {
 };
 
 struct PortfolioConfig {
-  std::vector<std::string> variants;  ///< registry names to race, in order
+  std::vector<std::string> variants;  ///< registry names to run, in order
   double eps = 0.1;                   ///< approximation parameter, in (0, 1]
   unsigned threads = 0;               ///< worker threads; 0 = hardware concurrency
   TieBreak tie_break = TieBreak::kWallTime;  ///< winner selection under ties
-  /// Overlap the variants of one instance on concurrent lanes instead of
-  /// running them one after another. Changes wall-clock only: the
-  /// canonical attempt set, every certificate field, and the digest are
-  /// bitwise identical to the sequential mode (see the file comment).
-  bool race = false;
-  /// Concurrent variant lanes per raced instance; 0 = one lane per variant.
-  /// Total worker concurrency in race mode is threads x race_width.
-  unsigned race_width = 0;
   /// Optional per-instance execution plans (the policy layer's down-shift /
   /// prior-seeding hook), index-aligned with the batch; null = every
   /// instance runs the full portfolio in config order. Each inner vector
   /// lists `variants` indices in seeding order: that order IS the canonical
-  /// attempt order for the instance — race lanes, the early-cancel walk,
-  /// and the digest all follow it — so a plan deterministically changes the
+  /// attempt order for the instance — the early-cancel walk and the digest
+  /// both follow it — so a plan deterministically changes the
   /// outcome (and must be reproduced to reproduce the digest). An empty
   /// inner vector (or a missing entry past the vector's end) is the
   /// identity plan: full portfolio, config order, bitwise identical to a
@@ -140,9 +106,8 @@ enum class AttemptOutcome : unsigned char {
 /// One variant's run on one instance. Every field except wall_seconds is
 /// deterministic; the digest covers the deterministic fields minus `error`
 /// (exception text is not part of the stability contract). A kCancelled
-/// attempt is a canonical stub — name + outcome, all certificate fields
-/// zero — regardless of whether the variant never started, was cancelled
-/// mid-run, or even completed after the instance was already decided.
+/// attempt is a stub for a variant skipped after the instance was decided:
+/// name + outcome, all certificate fields zero.
 struct VariantAttempt {
   std::string algorithm;
   std::uint16_t variant = 0;  ///< index of `algorithm` in PortfolioConfig::variants
@@ -158,9 +123,8 @@ struct VariantAttempt {
   /// — what `auto` picked for this instance). Deterministic but outside the
   /// digest: the variant name already identifies the configuration.
   core::Algorithm used = core::Algorithm::kAuto;
-  /// This variant's measured compute time (not deterministic). For a
-  /// cancelled attempt: the partial burn before the cancel landed in race
-  /// mode, 0 when the lane was skipped before starting.
+  /// This variant's measured compute time (not deterministic); 0 for a
+  /// cancelled attempt, which never ran.
   double wall_seconds = 0;
 };
 
@@ -193,9 +157,7 @@ struct VariantStats {
   std::size_t wins = 0;    ///< instances where this variant was the winner
   std::size_t solved = 0;  ///< completed (valid-schedule) attempts
   std::size_t failed = 0;  ///< failed attempts (cancelled NOT included)
-  /// Attempts excluded by the early-cancel rule. Deterministic (the rule
-  /// is), and identical between sequential and race mode.
-  std::size_t cancelled = 0;
+  std::size_t cancelled = 0;  ///< skipped by the early-cancel rule (deterministic)
   /// The variant's own ratio (makespan / its certified lower bound) over
   /// its completed attempts: mean and nearest-rank p50/p90/p99/max.
   double ratio_mean = 0;
@@ -206,8 +168,8 @@ struct VariantStats {
   double gap_mean = 0;
   double gap_max = 0;
   /// Wall stats cover ALL attempts — failed ones burn compute before
-  /// throwing, and cancelled ones report their partial burn (0 when skipped
-  /// before starting). Same p50/p90/p99/max ladder as the ratios.
+  /// throwing, and cancelled ones report 0. Same p50/p90/p99/max ladder as
+  /// the ratios.
   double wall_total = 0;
   double wall_p50 = 0, wall_p90 = 0, wall_p99 = 0, wall_max = 0;
   /// For a dispatching variant (`auto`, `ptas`): its completed attempts
@@ -234,7 +196,7 @@ struct PortfolioResult {
   std::size_t memo_misses = 0;
   /// Batch-level queue latency percentiles over all outcomes: batch start
   /// to the moment a thread claimed the instance's slot, shared by every
-  /// variant raced on it. Not deterministic, excluded from the digest.
+  /// variant run on it. Not deterministic, excluded from the digest.
   double queue_p50 = 0, queue_p99 = 0, queue_max = 0;
 
   /// FNV-1a over the deterministic fields, batch order: per outcome
@@ -243,8 +205,8 @@ struct PortfolioResult {
   /// dual_calls). Winner names, win counts, resolved solvers, error texts,
   /// and all wall/queue fields are excluded — they may legitimately differ
   /// between runs (see file comment) or are not part of the stability
-  /// contract. Equal across thread counts, and between sequential and race
-  /// mode, for the same batch + config; not promised across compilers or
+  /// contract. Equal across thread counts for the same batch + config; not
+  /// promised across compilers or
   /// libm versions (solvers do real floating-point work).
   std::uint64_t digest() const;
 };
@@ -254,7 +216,7 @@ class PortfolioSolver {
   /// The registry must outlive the solver (the global registry always does).
   explicit PortfolioSolver(const AlgorithmRegistry& registry = AlgorithmRegistry::global());
 
-  /// Races config.variants on every instance. Throws std::invalid_argument
+  /// Runs config.variants on every instance. Throws std::invalid_argument
   /// up front when the variant list is empty, contains an unknown or
   /// duplicate name, or eps is out of range; per-instance solver errors are
   /// recorded in the outcomes instead of thrown. A single-variant portfolio
@@ -268,9 +230,7 @@ class PortfolioSolver {
   /// (winner label included) instead of re-solving. Solvers are pure, so the
   /// digest is unchanged; served outcomes report zero compute. The store is
   /// read and extended serially around the shard loop and must not be
-  /// shared concurrently. Race mode does not enter the memo key — raced and
-  /// sequential runs produce identical outcomes by contract, so their cache
-  /// entries are interchangeable.
+  /// shared concurrently.
   PortfolioResult solve(const std::vector<jobs::Instance>& batch,
                         const PortfolioConfig& config,
                         exec::MemoStore<PortfolioOutcome>* memo = nullptr) const;

@@ -10,13 +10,11 @@ namespace moldable::engine {
 
 namespace {
 
-/// The one adapter every built-in is registered through: the scope makes
-/// config.cancel visible to every hot loop below this frame
-/// (util::poll_cancellation) — no core signature changes.
+/// The one adapter every built-in is registered through: core solvers take
+/// eps positionally.
 template <class Solve>
-SolverFn scoped(Solve solve) {
+SolverFn builtin(Solve solve) {
   return [solve](const jobs::Instance& instance, const SolverConfig& config) {
-    util::CancelScope scope(config.cancel);
     return solve(instance, config.eps);
   };
 }
@@ -51,15 +49,15 @@ AlgorithmRegistry AlgorithmRegistry::with_builtins() {
        {core::Algorithm::kAuto, core::Algorithm::kFptas, core::Algorithm::kMrt,
         core::Algorithm::kCompressible, core::Algorithm::kBounded,
         core::Algorithm::kBoundedLinear, core::Algorithm::kLudwigTiwari})
-    r.add(core::algorithm_name(a), scoped([a](const jobs::Instance& instance, double eps) {
+    r.add(core::algorithm_name(a), builtin([a](const jobs::Instance& instance, double eps) {
             return core::schedule_moldable(instance, eps, a);
           }));
-  r.add("ptas", scoped(core::ptas_schedule));
+  r.add("ptas", builtin(core::ptas_schedule));
   // The memory-aware pair. solve_exact narrows every allotment search to
   // the memory-feasible range [kmin_j, m], so its optimum (and the bound it
   // certifies) already honors the constraint.
-  r.add("exact", scoped(exact_row), SolverCaps{/*memory_aware=*/true});
-  r.add("mem-greedy", scoped(memory_greedy_row), SolverCaps{/*memory_aware=*/true});
+  r.add("exact", builtin(exact_row), SolverCaps{/*memory_aware=*/true});
+  r.add("mem-greedy", builtin(memory_greedy_row), SolverCaps{/*memory_aware=*/true});
   return r;
 }
 

@@ -4,8 +4,7 @@
 // (schedule_moldable + an Algorithm enum, ptas_schedule, exact_schedule).
 // The engine and its drivers instead select solvers by *name* at run time
 // (CLI flags, service configs), so this registry wraps every variant behind
-// one uniform `solve(instance, config)` signature, through one adapter that
-// installs the config's cancel scope:
+// one uniform `solve(instance, config)` signature:
 //
 //   auto, fptas, mrt, algorithm1, algorithm3, algorithm3-linear  (the enum)
 //   lt-2approx                                                   (baseline)
@@ -32,7 +31,6 @@
 
 #include "src/core/scheduler.hpp"
 #include "src/jobs/instance.hpp"
-#include "src/util/cancel.hpp"
 
 namespace moldable::engine {
 
@@ -41,16 +39,6 @@ namespace moldable::engine {
 /// every solver signature.
 struct SolverConfig {
   double eps = 0.1;  ///< approximation parameter, in (0, 1]
-  /// Cooperative cancellation (portfolio racing): when non-null, the caller
-  /// may fire this token mid-solve and the solver should unwind with
-  /// util::cancelled_error as soon as it notices. The built-in wrappers
-  /// install the token as the thread's active CancelScope, so the core
-  /// layer's long loops (dual-search iterations, knapsack DP rows, exact
-  /// branch-and-bound ticks) observe it through util::poll_cancellation()
-  /// without any signature plumbing; custom variants should either check it
-  /// directly or install their own scope. Cancellation never alters a
-  /// *returned* result — a solve completes pure or it throws.
-  const util::CancelToken* cancel = nullptr;
 };
 
 /// A registered solver variant: maps (instance, config) to a ScheduleResult,

@@ -35,8 +35,6 @@ PortfolioConfig StreamConfig::portfolio() const {
   config.eps = eps;
   config.threads = threads;
   config.tie_break = tie_break;
-  config.race = race;
-  config.race_width = race_width;
   return config;
 }
 
@@ -66,10 +64,6 @@ StreamResult StreamSolver::run(InstanceSource& source, const StreamConfig& confi
     throw std::invalid_argument("stream: eps must be in (0, 1]");
   // Single-solver mode is the one-variant portfolio {algorithm}.
   const bool portfolio_mode = !config.variants.empty();
-  if (!portfolio_mode && config.race)
-    throw std::invalid_argument(
-        "stream: race mode requires a portfolio (a single solver has no "
-        "peers to race)");
   PortfolioConfig portfolio_config = config.portfolio();
   const std::vector<std::string>& variants = portfolio_config.variants;
   for (std::size_t v = 0; v < variants.size(); ++v) {
@@ -324,10 +318,10 @@ StreamResult StreamSolver::run(InstanceSource& source, const StreamConfig& confi
     // win credit goes to the CANONICAL winner — the earliest attempt in
     // plan order that completed at the outcome makespan — not the
     // tie-break label, which under kWallTime may differ between runs.
-    // Cancelled attempts (race losers) are debited. Memo-served outcomes
-    // count too: their attempt sets are canonical by construction. Runs
-    // whenever the policy is active so a shed-only serve still learns the
-    // leaders its down-shifts will target.
+    // Cancelled attempts (skipped on a decided instance) are debited.
+    // Memo-served outcomes count too: their attempt sets are canonical by
+    // construction. Runs whenever the policy is active so a shed-only serve
+    // still learns the leaders its down-shifts will target.
     if (learn) {
       for (std::size_t i = 0; i < r.outcomes.size(); ++i) {
         const PortfolioOutcome& o = r.outcomes[i];

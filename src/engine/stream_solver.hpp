@@ -72,8 +72,8 @@
 // included) into the rolling digest, fires on_shed instead of on_served,
 // and never reaches a solver; an admitted deadline-class instance whose
 // slack is gone by its window cut (stream virtual time, never wall clock)
-// races only the prior-leading variant (down-shift). With `adapt`, learned
-// per-class priors reorder each instance's race lanes. Both knobs change
+// runs only the prior-leading variant (down-shift). With `adapt`, learned
+// per-class priors reorder each instance's portfolio lanes. Both knobs change
 // the digest deterministically: every decision is a pure function of
 // (stream, config), so digests remain thread-count independent and
 // replay-exact — the shed set itself is digest-enforced.
@@ -120,18 +120,13 @@ struct StreamConfig {
   /// entry have no deadline: they never jump the buffer or count misses.
   std::map<std::string, double> class_deadlines;
   TieBreak tie_break = TieBreak::kWallTime;  ///< portfolio winner ties
-  /// Portfolio mode only: race each instance's variants concurrently, each
-  /// raced instance's lanes forked from the thread solving it (see
-  /// PortfolioConfig::race — wall-clock only, digests unchanged).
-  bool race = false;
-  unsigned race_width = 0;  ///< lanes per raced instance; 0 = one per variant
   /// Certificate-backed load shedding + lateness down-shift (requires at
   /// least one class deadline — with nothing to certify against there is
   /// nothing to shed). Deterministic: changes the digest, but identically
   /// at every thread count and on every replay. See the file comment.
   bool shed = false;
-  /// Learned per-class variant priors reorder race lane seeding (portfolio
-  /// mode only). Deterministic like `shed`.
+  /// Learned per-class variant priors reorder each instance's portfolio
+  /// lanes (portfolio mode only). Deterministic like `shed`.
   bool adapt = false;
   /// Record/replay hooks (traffic/replay.hpp is the canonical consumer).
   /// on_admit fires for every parse-ok record in read (pre-reorder) order —
@@ -189,7 +184,7 @@ struct WindowStats {
   std::size_t memo_hits = 0, memo_misses = 0;
   std::size_t memo_evictions = 0;   ///< LRU evictions while this window finalized
   /// Portfolio attempts excluded by the early-cancel rule in this window
-  /// (deterministic — identical across thread counts and race widths).
+  /// (deterministic — identical across thread counts).
   std::size_t cancelled_attempts = 0;
   /// Instances of a deadline class whose queue+compute latency exceeded
   /// their class deadline in this window (measured; not in any digest).
@@ -204,8 +199,8 @@ struct WindowStats {
 
 /// Whole-stream latency split for one SLA class (the `class` directive;
 /// unlabelled instances report under "default"). Queue is shard pickup
-/// within the instance's window, compute is solve time (the summed racing
-/// cost in portfolio mode) — the same split PortfolioSolver reports,
+/// within the instance's window, compute is solve time (the summed variant
+/// walls in portfolio mode) — the same split PortfolioSolver reports,
 /// aggregated per class instead of per algorithm.
 struct ClassStats {
   std::string sla_class;

@@ -56,10 +56,11 @@ procs_t Instance::min_feasible_allotment(std::size_t j) const {
   if (mem <= memory_capacity_) return 1;
   // ceil(mem / capacity) without floating-point ceil edge cases at exact
   // multiples: k is feasible iff k * capacity >= mem (within tolerance).
-  const double ratio = mem / memory_capacity_;
-  auto k = static_cast<procs_t>(std::ceil(ratio - kRelTol));
-  if (k < 1) k = 1;
-  return k;
+  const double k = std::ceil(mem / memory_capacity_ - kRelTol);
+  // Saturate before the cast, which is undefined past 2^63 (inf included):
+  // any count past m is infeasible, reported as m + 1.
+  if (k >= 0x1p63 || static_cast<procs_t>(k) > m_) return m_ + 1;
+  return std::max<procs_t>(1, static_cast<procs_t>(k));
 }
 
 double Instance::memory_lower_bound() const {

@@ -63,9 +63,10 @@ class Instance {
     return memory_capacity_ > 0 && !job_memory_.empty();
   }
   /// Smallest memory-feasible allotment of job j: ceil(mem_j / capacity),
-  /// at least 1. May exceed machines() — then NO allotment is feasible
-  /// and the instance is provably unschedulable (memory_lower_bound()
-  /// returns +inf). Returns 1 when the constraint does not bind.
+  /// at least 1. Past machines() it saturates at machines() + 1 — then NO
+  /// allotment is feasible and the instance is provably unschedulable
+  /// (memory_lower_bound() returns +inf). Returns 1 when the constraint
+  /// does not bind.
   procs_t min_feasible_allotment(std::size_t j) const;
 
   /// max_j t_j(m): every job needs at least this long even fully parallel.

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "src/util/arena.hpp"
-#include "src/util/cancel.hpp"
 
 #if defined(__x86_64__)
 #include <immintrin.h>
@@ -50,12 +49,6 @@ void validate_input(const std::vector<Item>& items, procs_t capacity) {
 }
 
 procs_t isize(const Item& it) { return static_cast<procs_t>(it.size); }
-
-// Polling every row was measurable at small capacities; every 8th row keeps
-// cancellation latency in the microseconds while making the check free in
-// the amortized sense. Cancellation timing never feeds a digest (a solve
-// completes pure or unwinds), so the cadence is observable only as speed.
-constexpr std::size_t kPollStride = 8;
 
 // ---------------------------------------------------------- profit row ---
 
@@ -207,7 +200,6 @@ std::vector<double> dense_profit_row(const std::vector<Item>& items, procs_t cap
   std::vector<double> best(static_cast<std::size_t>(capacity) + 1, 0.0);
   const auto ucap = static_cast<std::size_t>(capacity);
   for (std::size_t i = 0; i < items.size(); ++i) {
-    if (i % kPollStride == 0) util::poll_cancellation();
     const Item& it = items[i];
     const procs_t sz = isize(it);
     if (sz > capacity) continue;
@@ -242,7 +234,6 @@ Solution solve_dense(const std::vector<Item>& items, procs_t capacity) {
   std::uint64_t* take = arena.alloc_zeroed<std::uint64_t>(n * words);
 
   for (std::size_t i = 0; i < n; ++i) {
-    if (i % kPollStride == 0) util::poll_cancellation();
     const Item& it = items[i];
     const procs_t sz = isize(it);
     if (sz > capacity) continue;

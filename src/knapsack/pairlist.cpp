@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "src/util/arena.hpp"
-#include "src/util/cancel.hpp"
 
 namespace moldable::knapsack {
 
@@ -127,7 +126,6 @@ void pareto_range(const std::vector<Item>& items, std::size_t lo, std::size_t hi
   cur.data[0] = {0.0, 0.0};
   cur.len = 1;
   for (std::size_t i = lo; i < hi; ++i) {
-    util::poll_cancellation();  // racing: stop between Pareto merge rows
     next.ensure(arena, 2 * cur.len + 1);
     next.len = merge_step(cur.data, cur.len, items[i], cap_tol, next.data);
     std::swap(cur, next);

@@ -5,8 +5,6 @@
 #include <queue>
 #include <stdexcept>
 
-#include "src/util/cancel.hpp"
-
 namespace moldable::sched {
 
 Schedule list_schedule(const jobs::Instance& instance, const std::vector<procs_t>& allotment,
@@ -40,7 +38,6 @@ Schedule list_schedule(const jobs::Instance& instance, const std::vector<procs_t
   double now = 0;
 
   while (waiting > 0) {
-    util::poll_cancellation();  // racing: stop between event-sweep wake-ups
     // Start every waiting job (in list order) that fits right now. A single
     // pass suffices per wake-up because `free` only shrinks within the pass.
     bool any = true;

@@ -80,7 +80,6 @@ std::string serve_line(const engine::StreamConfig& c) {
      << " window-history=" << c.window_history
      << " raw-samples=" << (c.raw_samples ? 1 : 0)
      << " tie-break=" << (c.tie_break == engine::TieBreak::kWallTime ? "wall" : "order")
-     << " race=" << (c.race ? 1 : 0) << " race-width=" << c.race_width
      << " shed=" << (c.shed ? 1 : 0) << " adapt=" << (c.adapt ? 1 : 0);
   return os.str();
 }
@@ -99,10 +98,13 @@ void apply_serve_kv(engine::StreamConfig& c, const std::string& key,
     if (value == "wall") c.tie_break = engine::TieBreak::kWallTime;
     else if (value == "order") c.tie_break = engine::TieBreak::kPortfolioOrder;
     else fail("unknown tie-break '" + value + "' (expected wall|order)");
-  } else if (key == "race") c.race = parse_size(value, key) != 0;
-  else if (key == "race-width")
-    c.race_width = parse_value(util::cli::parse_count<unsigned>, value, key);
-  else if (key == "shed") c.shed = parse_size(value, key) != 0;
+  } else if (key == "race") {
+    // `race` and `race-width` come from builds that had a concurrent race
+    // mode, which never changed an outcome: still checked, then discarded.
+    parse_size(value, key);
+  } else if (key == "race-width") {
+    parse_value(util::cli::parse_count<unsigned>, value, key);
+  } else if (key == "shed") c.shed = parse_size(value, key) != 0;
   else if (key == "adapt") c.adapt = parse_size(value, key) != 0;
   else fail("unknown serve-config key '" + key + "'");
 }

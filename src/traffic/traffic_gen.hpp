@@ -11,7 +11,7 @@
 //     families, its job count drawn Pareto(alpha, jobs_min) and clamped to
 //     jobs_cap: many tiny instances, a heavy tail of big ones — the size
 //     law measured on real HPC/serving traces, and exactly the shape that
-//     stresses racing and deadline windows.
+//     stresses the portfolio and deadline windows.
 //
 // Determinism contract: the emitted stream is a pure function of the
 // config — byte for byte. All randomness flows through seeds derived from

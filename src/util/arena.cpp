@@ -56,8 +56,8 @@ std::size_t ScratchArena::used_bytes() const {
 
 namespace {
 
-// Per-thread slot, mirroring cancel.cpp: each thread sees only its own
-// installed arena, so scope install/lookup is race-free by construction.
+// Per-thread slot: each thread sees only its own installed arena, so scope
+// install/lookup is race-free by construction.
 thread_local ScratchArena* tl_active_arena = nullptr;
 
 }  // namespace

@@ -28,7 +28,7 @@
 // the engines' bitwise determinism contract is untouched.
 //
 // Thread-compatibility: a ScratchArena is single-threaded by design (one
-// race lane / worker thread each). The per-thread default keeps parallel
+// per worker thread). The per-thread default keeps parallel
 // batch workers isolated without any locking.
 #pragma once
 
@@ -146,7 +146,8 @@ ScratchArena& scratch_arena();
 ScratchArena& thread_scratch_arena();
 
 /// RAII installer of the calling thread's active scratch arena (nullable —
-/// null re-selects the thread default). Nests like CancelScope.
+/// null re-selects the thread default). Nests: the destructor restores
+/// whatever was active before.
 class ArenaScope {
  public:
   explicit ArenaScope(ScratchArena* arena);

@@ -1,8 +1,8 @@
 // The engine's one fork-join executor: the execution core
-// (src/engine/exec_core.hpp) runs every batch and serve window on it, and
-// PortfolioSolver runs a raced instance's variant lanes on it. Everything
-// below src/engine is single-threaded and deterministic; parallelism lives
-// only in the engine.
+// (src/engine/exec_core.hpp) runs every batch and serve window on it, one
+// instance per index. No body calls parallel_for again, so calls never
+// nest. Everything below src/engine is single-threaded and deterministic;
+// parallelism lives only in the engine.
 #pragma once
 
 #include <algorithm>

@@ -1,11 +1,11 @@
 #!/bin/sh
 # Serve-mode determinism smokes (the `stream_smoke`, `stream_soak`,
-# `race_soak`, and `storm` ctest cases): pipe a stream through
+# `cancel_soak`, and `storm` ctest cases): pipe a stream through
 # `batch_service --serve --verify` on 1 and 4 worker threads and assert
 # both runs print the same rolling digest — and the same memo
 # hit/miss/eviction counts. Each run also self-checks in-process (--verify
 # re-serves the buffered stream on 1 thread), so a mismatch fails twice
-# over. The soak/race/storm streams come from traffic_gen — inhomogeneous-
+# over. The soak/cancel/storm streams come from traffic_gen — inhomogeneous-
 # Poisson arrivals over a rate curve, a weighted SLA class mix, Pareto-
 # sized instances — so the determinism contract is certified on storm-
 # shaped traffic, not a hand-rolled fixture loop.
@@ -23,19 +23,16 @@
 #            --deadline. The distinct records overflow the capacity, so
 #            LRU eviction runs ~1800 times and its determinism is what the
 #            digest/memo-count comparison certifies.
-#   race_soak — a diurnal storm of mostly single-job instances on few
+#   cancel_soak — a diurnal storm of mostly single-job instances on few
 #            machines — where `exact` completes at the estimator's
-#            certified lower bound and the racing early-cancel rule
-#            provably fires — served through --race --portfolio
-#            exact,fptas,mrt --memo-capacity 64 --verify. Asserts that
-#            the rolling digest, the memo counts, AND the cancelled-
-#            attempt count are identical at 1 vs 4 threads — and that the
-#            digest also matches a sequential (non---race) serve, the
-#            cross-mode half of the racing determinism contract. Runs
-#            under the TSan CI leg so the cancellation protocol executes
-#            under the race detector.
+#            certified lower bound and the early-cancel rule provably
+#            fires — served through --portfolio exact,fptas,mrt
+#            --memo-capacity 64 --verify. Asserts that the rolling digest,
+#            the memo counts, AND the cancelled-attempt count are
+#            identical at 1 vs 4 threads, and that the count is nonzero.
+#            Runs under the TSan CI leg.
 #   shed_soak — the control-loop gate: a 3000-arrival flash-crowd storm
-#            served over capacity under --shed --adapt (racing portfolio,
+#            served over capacity under --shed --adapt (portfolio,
 #            interactive deadline 8 — calibrated so the certified-lower-
 #            bound distribution straddles it: ~40% of the arrivals shed,
 #            the rest serve, a few down-shift). Asserts that the rolling
@@ -54,8 +51,8 @@
 #            session must replay bit-exact on 1 thread. Runs under both
 #            sanitizer CI legs.
 #   storm  — the full acceptance pipeline: a >=10000-arrival flash-crowd
-#            storm recorded while served live at --threads 4 --race under
-#            the production configuration (racing portfolio, LRU memo,
+#            storm recorded while served live at --threads 4 under the
+#            production configuration (portfolio, LRU memo,
 #            interactive deadline), then replayed from the record file at
 #            --threads 1 — batch_service --replay asserts the rolling
 #            digest and every deterministic counter (memo, cancelled,
@@ -152,26 +149,21 @@ soak)
                --threads "$1" < "$stream"
     }
     ;;
-race_soak)
+cancel_soak)
     need_traffic_gen
-    stream=${TMPDIR:-/tmp}/stream_race_soak_$$.txt
+    stream=${TMPDIR:-/tmp}/stream_cancel_soak_$$.txt
     trap 'rm -f "$stream"' EXIT
     # Pareto(1.5) from jobs-min 1 makes ~2/3 of the arrivals single-job
     # instances on 4 machines — the deciders where `exact` completes at the
-    # certified lower bound and early-cancels the fptas/mrt lanes.
+    # certified lower bound and early-cancels the fptas/mrt attempts.
     "$traffic_gen" --curve diurnal --seed 11 --horizon 40 --dup-every 11 \
                    --jobs-min 1 --jobs-cap 8 --machines 4 > "$stream"
     # exact first so its certified-optimal completions early-cancel the
-    # later lanes; where it can't win the race degenerates gracefully.
+    # later variants; where it can't decide, every variant runs.
     run() {
         "$bin" --serve --verify --memo --memo-capacity 64 --window-history 8 \
-               --race --portfolio exact,fptas,mrt --window 16 --max-inflight 4 \
-               --threads "$1" < "$stream"
-    }
-    run_sequential() {
-        "$bin" --serve --memo --memo-capacity 64 --window-history 8 \
                --portfolio exact,fptas,mrt --window 16 --max-inflight 4 \
-               --threads 4 < "$stream"
+               --threads "$1" < "$stream"
     }
     ;;
 shed_soak)
@@ -192,7 +184,7 @@ shed_soak)
     "$traffic_gen" --curve flash --seed 7 --horizon 40 --max-arrivals 3000 \
                    --dup-every 11 --jobs-min 1 --jobs-cap 6 --machines 4 > "$stream"
     run() {
-        "$bin" --serve --verify --race --portfolio exact,fptas,mrt \
+        "$bin" --serve --verify --portfolio exact,fptas,mrt \
                --shed --adapt --deadline interactive=8 \
                --memo --memo-capacity 64 --window 16 --max-inflight 4 \
                --threads "$1" < "$stream"
@@ -216,14 +208,14 @@ storm)
         exit 1
     fi
 
-    live=$("$bin" --serve --threads 4 --race --portfolio exact,fptas,mrt \
+    live=$("$bin" --serve --threads 4 --portfolio exact,fptas,mrt \
            --memo --memo-capacity 64 --deadline interactive=0.5 \
            --window 16 --max-inflight 4 --record "$record" < "$stream")
     dlive=$(printf '%s\n' "$live" | grep '^rolling digest:' || true)
     mlive=$(printf '%s\n' "$live" | grep '^memo:' || true)
-    clive=$(printf '%s\n' "$live" | grep '^race:' || true)
+    clive=$(printf '%s\n' "$live" | grep '^cancelled:' || true)
     if [ -z "$dlive" ] || [ -z "$mlive" ] || [ -z "$clive" ]; then
-        echo "stream_smoke (storm): live serve output missing digest/memo/race lines" >&2
+        echo "stream_smoke (storm): live serve output missing digest/memo/cancelled lines" >&2
         exit 1
     fi
     case $mlive in
@@ -233,7 +225,7 @@ storm)
         ;;
     esac
     case $clive in
-    "race: 0 "*)
+    "cancelled: 0 "*)
         echo "stream_smoke (storm): expected cancelled attempts, got: $clive" >&2
         exit 1
         ;;
@@ -264,7 +256,7 @@ listen_soak)
     # --listen-sessions 4 makes the server drain and exit after the four
     # expected clients; port 0 + --port-file is the ctest -j-safe handshake.
     "$bin" --listen 127.0.0.1:0 --port-file "$portfile" --listen-sessions 4 \
-           --threads 4 --race --portfolio exact,fptas,mrt \
+           --threads 4 --portfolio exact,fptas,mrt \
            --memo --memo-capacity 64 --deadline interactive=0.5 \
            --window 16 --max-inflight 4 --record "$record" > "$serverlog" 2>&1 &
     server=$!
@@ -407,6 +399,9 @@ cli)
 
     # Every other exit-2 rule of batch_service: the parser's ...
     expect_cli_error "$bin" "unknown option --bogus" --bogus
+    # The removed race mode's flags are unknown options now.
+    expect_cli_error "$bin" "unknown option --race" --portfolio mrt,fptas --race
+    expect_cli_error "$bin" "unknown option --race-width" --portfolio mrt,fptas --race-width 2
     expect_cli_error "$bin" "missing value for --window" --window
     expect_cli_error "$bin" "--tie-break must be 'wall' or 'order'" --tie-break fast
     for flag in --portfolio --input --listen --port-file --watch --record --replay; do
@@ -416,7 +411,6 @@ cli)
     expect_cli_error "$traffic_gen" "--families" --families ,
     # ... and the mode conflicts main checks by hand.
     nodir=${TMPDIR:-/tmp}/cli_guard_missing_$$
-    expect_cli_error "$bin" "--race needs a --portfolio" --race
     expect_cli_error "$bin" "--listen and --watch are both ingestion sources" \
         --listen 127.0.0.1:0 --watch "$nodir"
     expect_cli_error "$bin" "--verify buffers stdin" --listen 127.0.0.1:0 --verify
@@ -454,7 +448,7 @@ cli)
     exit 0
     ;;
 *)
-    echo "stream_smoke.sh: unknown mode '$mode' (want smoke, soak, race_soak, shed_soak, storm, listen_soak, or cli)" >&2
+    echo "stream_smoke.sh: unknown mode '$mode' (want smoke, soak, cancel_soak, shed_soak, storm, listen_soak, or cli)" >&2
     exit 2
     ;;
 esac
@@ -494,35 +488,26 @@ if [ "$mode" = soak ]; then
         ;;
     esac
 fi
-if [ "$mode" = race_soak ]; then
+if [ "$mode" = cancel_soak ]; then
     # `|| true`: under set -e a no-match grep would kill the script before
     # the diagnostics below could name what went missing.
-    c1=$(printf '%s\n' "$out1" | grep '^race:' || true)
-    c4=$(printf '%s\n' "$out4" | grep '^race:' || true)
+    c1=$(printf '%s\n' "$out1" | grep '^cancelled:' || true)
+    c4=$(printf '%s\n' "$out4" | grep '^cancelled:' || true)
     if [ -z "$c1" ] || [ "$c1" != "$c4" ]; then
-        echo "stream_smoke (race_soak): cancelled-attempt counts differ (or are missing) across thread counts:" >&2
+        echo "stream_smoke (cancel_soak): cancelled-attempt counts differ (or are missing) across thread counts:" >&2
         echo "  threads=1: $c1" >&2
         echo "  threads=4: $c4" >&2
         exit 1
     fi
     case $c1 in
-    "race: 0 "*)
-        # A race in which early-cancel never fires certifies nothing about
-        # the cancellation protocol.
-        echo "stream_smoke (race_soak): expected cancelled attempts, got: $c1" >&2
+    "cancelled: 0 "*)
+        # A soak in which early-cancel never fires certifies nothing about
+        # the rule.
+        echo "stream_smoke (cancel_soak): expected cancelled attempts, got: $c1" >&2
         exit 1
         ;;
     esac
-    # Cross-mode half of the determinism contract: the raced digest must be
-    # bitwise identical to a sequential (non---race) serve of the stream.
-    dseq=$(run_sequential | grep '^rolling digest:' || true)
-    if [ -z "$dseq" ] || [ "$dseq" != "$d1" ]; then
-        echo "stream_smoke (race_soak): raced digest differs from sequential portfolio mode:" >&2
-        echo "  race:       $d1" >&2
-        echo "  sequential: $dseq" >&2
-        exit 1
-    fi
-    echo "stream_smoke (race_soak) OK: $c1 (threads 1 == threads 4; race == sequential)"
+    echo "stream_smoke (cancel_soak) OK: $c1 (threads 1 == threads 4)"
 fi
 if [ "$mode" = shed_soak ]; then
     # `|| true`: under set -e a no-match grep would kill the script before
@@ -561,7 +546,7 @@ if [ "$mode" = shed_soak ]; then
     # The record/replay half of the gate: a live 4-thread shed session must
     # replay bit-exact on 1 thread — batch_service --replay asserts the
     # digest, the shed/down-shift counters, and everything else recorded.
-    "$bin" --serve --threads 4 --race --portfolio exact,fptas,mrt \
+    "$bin" --serve --threads 4 --portfolio exact,fptas,mrt \
            --shed --adapt --deadline interactive=8 \
            --memo --memo-capacity 64 --window 16 --max-inflight 4 \
            --record "$record" < "$stream" > /dev/null

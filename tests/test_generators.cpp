@@ -2,6 +2,8 @@
 // family, and the known-optimum constructions used by quality tests.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "src/jobs/generators.hpp"
 
 namespace moldable::jobs {
@@ -112,6 +114,23 @@ TEST(Instance, BoundsAndValidation) {
   const Instance other = make_instance(Family::kAmdahl, 1, 32, 5);
   std::vector<Job> mixed = {inst.job(0), other.job(0)};
   EXPECT_THROW(Instance(std::move(mixed), 64), std::invalid_argument);
+}
+
+TEST(Instance, HugeFootprintIsInfeasible) {
+  // ceil(mem / capacity) past 2^63 (1e300, and inf after an overflowing
+  // division) must not reach the integer cast: any count past m is
+  // infeasible and reads m + 1.
+  for (const double mem : {1e18, 1e19, 1e300}) {
+    Instance inst = make_instance(Family::kAmdahl, 1, 4, 5);
+    inst.set_memory_capacity(1);
+    inst.set_job_memory({mem});
+    EXPECT_EQ(inst.min_feasible_allotment(0), inst.machines() + 1) << mem;
+    EXPECT_EQ(inst.memory_lower_bound(), std::numeric_limits<double>::infinity()) << mem;
+  }
+  Instance tiny_capacity = make_instance(Family::kAmdahl, 1, 4, 5);
+  tiny_capacity.set_memory_capacity(1e-300);
+  tiny_capacity.set_job_memory({1e300});  // the ratio overflows to inf
+  EXPECT_EQ(tiny_capacity.min_feasible_allotment(0), tiny_capacity.machines() + 1);
 }
 
 TEST(Generators, HighVarianceContainsGiantsAndDwarfs) {

@@ -5,11 +5,13 @@
 // solve must never alias a plan-free one), and the stream-level contract —
 // the shed set, down-shift count, and prior-table state are thread-count
 // independent, digest-covered, gap-free across the served/shed index split,
-// and reproduced bit-exact by record/replay.
+// and reproduced bit-exact by record/replay; and `adapt` changes the digest,
+// deterministically.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <set>
@@ -23,6 +25,7 @@
 #include "src/jobs/generators.hpp"
 #include "src/jobs/io.hpp"
 #include "src/traffic/replay.hpp"
+#include "src/traffic/traffic_gen.hpp"
 
 namespace moldable::engine {
 namespace {
@@ -139,9 +142,9 @@ TEST(AdmissionPolicy, DownshiftFiresOnlyWhenSlackIsGone) {
     EXPECT_FALSE(plan.downshift);
     EXPECT_TRUE(plan.order.empty());
   }
-  // Queueing ate the slack: virtual_now + omega > arrival + budget. The
-  // race it was going to run is already lost, so it gets one lane — the
-  // class's prior leader (no history yet: config variant 0).
+  // Queueing ate the slack: virtual_now + omega > arrival + budget. Its
+  // deadline is already lost, so it gets one lane — the class's prior
+  // leader (no history yet: config variant 0).
   policy.observe_arrival(budget + omega);
   {
     const VariantPlan plan = policy.plan_for(inst, omega);
@@ -179,7 +182,7 @@ TEST(VariantPrior, WinsPromoteAndTiesKeepConfigOrder) {
 
 TEST(VariantPrior, CancelPenaltyDemotesBelowUntouchedVariants) {
   VariantPriorTable priors(2);
-  priors.observe_cancel("rt", 0);  // lost a decided race: mild debit
+  priors.observe_cancel("rt", 0);  // skipped on a decided instance: mild debit
   EXPECT_EQ(priors.order("rt"), (std::vector<std::uint16_t>{1, 0}));
   EXPECT_EQ(priors.leader("rt"), 1);
   // Four cancels are outweighed by one win (the debit is 1/4 of a credit).
@@ -428,6 +431,58 @@ TEST(StreamPolicy, RecordedShedSessionReplaysBitExact) {
   EXPECT_EQ(report.result.rolling_digest, live.rolling_digest);
   EXPECT_EQ(report.result.shed, live.shed);
   EXPECT_EQ(report.result.downshifted, live.downshifted);
+}
+
+TEST(StreamPolicy, HugeFootprintRecordIsShedWithACertificate) {
+  // A footprint 1e19 times the per-machine capacity needs more machines
+  // than exist, so memory_lower_bound() is +inf and the record is refused
+  // with that certificate instead of reaching the solver.
+  const std::string text =
+      "moldable-instance v1\nmemcap 1\nmem 1 1e19\nmachines 4\njob amdahl 10 0.5\n";
+  StreamConfig config;
+  config.algorithm = "mem-greedy";
+  config.shed = true;
+  config.class_deadlines["default"] = 100;
+  std::vector<ShedOutcome> sheds;
+  config.on_shed = [&](std::size_t, std::uint64_t, const ShedOutcome& outcome) {
+    sheds.push_back(outcome);
+  };
+  const StreamResult result = run_stream(text, config);
+  EXPECT_EQ(result.shed, 1u);
+  EXPECT_EQ(result.instances, 0u);
+  ASSERT_EQ(sheds.size(), 1u);
+  EXPECT_EQ(sheds[0].omega, std::numeric_limits<double>::infinity());
+  EXPECT_DOUBLE_EQ(sheds[0].budget, 100);
+}
+
+TEST(StreamPolicy, AdaptReorderChangesTheDigestDeterministically) {
+  // The learned order is each instance's canonical attempt order, so it
+  // changes which attempts early-cancel skips: `adapt` moves the digest,
+  // but to the same value at every thread count.
+  traffic::TrafficConfig storm;
+  storm.curve = "flash:base=30,peak=300,t0=2,ramp=1,hold=2,decay=2";
+  storm.seed = 7;
+  storm.horizon = 8;
+  storm.jobs_cap = 6;
+  storm.machines = 4;
+  storm.duplicate_every = 11;
+  std::ostringstream text;
+  traffic::TrafficGenerator(storm).write(text);
+
+  StreamConfig config;
+  config.variants = {"mrt", "fptas", "exact"};
+  config.class_deadlines["interactive"] = 8;
+  config.threads = 1;
+  const StreamResult fixed = run_stream(text.str(), config);
+  config.adapt = true;
+  const StreamResult one = run_stream(text.str(), config);
+  config.threads = 4;
+  const StreamResult four = run_stream(text.str(), config);
+
+  ASSERT_GT(one.instances, 100u);
+  EXPECT_NE(one.rolling_digest, fixed.rolling_digest);
+  EXPECT_EQ(four.rolling_digest, one.rolling_digest);
+  EXPECT_EQ(four.cancelled_attempts, one.cancelled_attempts);
 }
 
 TEST(StreamPolicy, ShedRequiresADeadlineAndAdaptRequiresAPortfolio) {

@@ -1,14 +1,18 @@
 // Portfolio-engine tests: spec parsing, the combined-certificate semantics
 // (min makespan / max lower bound), winner selection determinism across
 // thread counts, all-variants-fail isolation, the per-variant stats table,
-// memoization, and single-solver mode (suite SingleSolver) — a one-variant
-// portfolio is exactly a direct registry call.
+// memoization, the early-cancel rule on mock solvers (suite EarlyCancel),
+// and single-solver mode (suite SingleSolver) — a one-variant portfolio is
+// exactly a direct registry call.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "src/core/scheduler.hpp"
@@ -45,6 +49,62 @@ Instance memory_capped(std::uint64_t seed) {
   return inst;
 }
 
+/// A valid schedule running every job back to back on `procs` processors:
+/// trivially capacity-feasible, deterministic, and its makespan shrinks as
+/// `procs` grows (per-job times are non-increasing). The mocks below use it
+/// to emit better/worse results without real solving.
+core::ScheduleResult stacked_result(const Instance& inst, procs_t procs) {
+  core::ScheduleResult out;
+  double now = 0;
+  for (std::size_t j = 0; j < inst.size(); ++j) {
+    const double t = inst.job(j).time(procs);
+    out.schedule.add({j, now, procs, t});
+    now += t;
+  }
+  out.makespan = now;
+  out.lower_bound = inst.size() == 0 ? 0 : inst.trivial_lower_bound();
+  out.ratio_vs_lower = out.lower_bound > 0 ? out.makespan / out.lower_bound : 1;
+  out.guarantee = 2;
+  return out;
+}
+
+/// One moldable job with strictly-decreasing times, so a single-job
+/// instance's estimator bound omega equals t(m) exactly — the regime where
+/// a full-width completion is provably optimal and *decides* the instance.
+Instance single_job_instance(procs_t m, std::uint64_t seed) {
+  return make_instance(Family::kAmdahl, 1, m, seed);
+}
+
+void sleep_ms(double ms) {
+  std::this_thread::sleep_for(std::chrono::microseconds(static_cast<long>(ms * 1000)));
+}
+
+/// A registry of hand-built variants for the early-cancel tests. All mocks
+/// return deterministic results; only their timing differs.
+struct MockRegistry {
+  AlgorithmRegistry registry;
+
+  /// Completes with the full-machine stacked schedule after `delay_ms` — on
+  /// a single-job instance its makespan equals omega, so it decides.
+  void add_optimal(const std::string& name, double delay_ms = 0) {
+    registry.add(name, [delay_ms](const Instance& i, const SolverConfig&) {
+      sleep_ms(delay_ms);
+      return stacked_result(i, i.machines());
+    });
+  }
+
+  /// Completes with the worst (1-processor) stacked schedule after
+  /// `delay_ms`, counting its runs in `runs` when given.
+  void add_weak(const std::string& name, double delay_ms = 0,
+                std::atomic<int>* runs = nullptr) {
+    registry.add(name, [delay_ms, runs](const Instance& i, const SolverConfig&) {
+      if (runs) runs->fetch_add(1, std::memory_order_relaxed);
+      sleep_ms(delay_ms);
+      return stacked_result(i, 1);
+    });
+  }
+};
+
 TEST(PortfolioSpec, ParsesAndTrims) {
   EXPECT_EQ(parse_portfolio_spec("fptas,mrt"),
             (std::vector<std::string>{"fptas", "mrt"}));
@@ -59,7 +119,7 @@ TEST(PortfolioSpec, RejectsEmptyAndDuplicates) {
   EXPECT_THROW(parse_portfolio_spec("fptas,"), std::invalid_argument);
   EXPECT_THROW(parse_portfolio_spec("mrt,mrt"), std::invalid_argument);
   // Duplicates must be caught after trimming (the canonical name is what
-  // would race twice), and the diagnostic must name the offender clearly.
+  // would run twice), and the diagnostic must name the offender clearly.
   EXPECT_THROW(parse_portfolio_spec("fptas, fptas"), std::invalid_argument);
   EXPECT_THROW(parse_portfolio_spec("fptas,mrt,exact,mrt"), std::invalid_argument);
   try {
@@ -99,8 +159,8 @@ TEST(PortfolioSolver, InvalidConfigThrowsUpFront) {
 TEST(PortfolioSolver, SingleVariantEqualsDirectRegistryCall) {
   // Single-solver mode is the one-variant portfolio: for every builtin, each
   // outcome must carry exactly what a direct registry call returns — or
-  // fail with exactly its error — with no estimator or race bookkeeping on
-  // top.
+  // fail with exactly its error — with no estimator or early-cancel
+  // bookkeeping on top.
   const std::vector<Instance> batch = {
       make_instance(Family::kMixed, 4, 8, 7),     // exact-solvable
       make_instance(Family::kAmdahl, 4, 512, 7),  // FPTAS regime, over exact's caps
@@ -251,7 +311,7 @@ TEST(PortfolioSolver, AllVariantsFailIsIsolatedToTheOffendingInstance) {
 
 TEST(PortfolioSolver, MemoryBlindVariantsAreDroppedFromCappedInstances) {
   // A mixed portfolio degrades gracefully: the memory-constrained middle
-  // instance races only the memory-aware lane, its neighbours race both.
+  // instance runs only the memory-aware lane, its neighbours run both.
   std::vector<Instance> batch;
   batch.push_back(make_instance(Family::kAmdahl, 4, 8, 31));
   batch.push_back(memory_capped(32));
@@ -385,7 +445,7 @@ TEST(PortfolioSolver, MemoServesDuplicatesWithUnchangedDigest) {
   EXPECT_EQ(memo.memo_hits, 1u);
   EXPECT_EQ(memo.memo_misses, 6u);
   EXPECT_EQ(memo.digest(), plain.digest());
-  // The served slot reports zero racing cost but the full outcome.
+  // The served slot reports zero compute cost but the full outcome.
   const PortfolioOutcome& served = memo.outcomes.back();
   EXPECT_TRUE(served.ok);
   EXPECT_EQ(served.winner, memo.outcomes[2].winner);
@@ -425,6 +485,173 @@ TEST(PortfolioSolver, EmptyBatch) {
 
 // ---------------------------------------------------------------------------
 // Single-solver mode (`--algorithm X` is the one-variant portfolio {X}).
+
+// ------------------------------------------------- early-cancel (mocks) --
+
+TEST(EarlyCancel, SequentialModeSkipsDecidedWorkEntirely) {
+  // After the decider completes at the certified bound, the later variant
+  // must never even start: early-cancel skips the rest of the portfolio.
+  MockRegistry mocks;
+  std::atomic<int> later_runs{0};
+  mocks.add_optimal("decider");
+  mocks.add_weak("later", 0, &later_runs);
+
+  const std::vector<Instance> batch{single_job_instance(8, 17),
+                                    single_job_instance(8, 19)};
+  PortfolioConfig pc;
+  pc.variants = {"decider", "later"};
+  const PortfolioResult r = PortfolioSolver(mocks.registry).solve(batch, pc);
+
+  EXPECT_EQ(later_runs.load(), 0);
+  for (const PortfolioOutcome& o : r.outcomes) {
+    EXPECT_EQ(o.attempts[1].outcome, AttemptOutcome::kCancelled);
+    EXPECT_DOUBLE_EQ(o.attempts[1].wall_seconds, 0.0);  // never ran
+  }
+  EXPECT_EQ(r.cancelled_attempts, 2u);
+}
+
+TEST(EarlyCancel, AllCancelledButOne) {
+  MockRegistry mocks;
+  std::atomic<int> later_runs{0};
+  mocks.add_optimal("decider");  // lane 0 completes at the certified bound
+  mocks.add_weak("later-a", 0, &later_runs);
+  mocks.add_weak("later-b", 0, &later_runs);
+
+  const std::vector<Instance> batch{single_job_instance(8, 11)};
+  PortfolioConfig pc;
+  pc.variants = {"decider", "later-a", "later-b"};
+  const PortfolioResult r = PortfolioSolver(mocks.registry).solve(batch, pc);
+
+  ASSERT_EQ(r.solved, 1u);
+  EXPECT_EQ(later_runs.load(), 0);
+  const PortfolioOutcome& o = r.outcomes[0];
+  EXPECT_EQ(o.winner, "decider");
+  EXPECT_EQ(o.attempts[0].outcome, AttemptOutcome::kCompleted);
+  EXPECT_EQ(o.attempts[1].outcome, AttemptOutcome::kCancelled);
+  EXPECT_EQ(o.attempts[2].outcome, AttemptOutcome::kCancelled);
+  // Cancelled attempts are canonical stubs: no certificate fields at all.
+  for (std::size_t lane = 1; lane < 3; ++lane) {
+    EXPECT_EQ(o.attempts[lane].algorithm, pc.variants[lane]);
+    EXPECT_FALSE(o.attempts[lane].ok);
+    EXPECT_DOUBLE_EQ(o.attempts[lane].makespan, 0.0);
+    EXPECT_DOUBLE_EQ(o.attempts[lane].lower_bound, 0.0);
+    EXPECT_DOUBLE_EQ(o.attempts[lane].ratio, 0.0);
+    EXPECT_DOUBLE_EQ(o.attempts[lane].guarantee, 0.0);
+    EXPECT_EQ(o.attempts[lane].dual_calls, 0);
+  }
+  EXPECT_EQ(r.cancelled_attempts, 2u);
+  ASSERT_EQ(r.per_variant.size(), 3u);
+  EXPECT_EQ(r.per_variant[1].cancelled, 1u);
+  EXPECT_EQ(r.per_variant[2].cancelled, 1u);
+  EXPECT_EQ(r.per_variant[1].failed, 0u);  // cancelled != failed in the table
+  EXPECT_EQ(r.per_variant[2].failed, 0u);
+}
+
+TEST(EarlyCancel, SlowWinnerBeatsFastLoser) {
+  MockRegistry mocks;
+  mocks.add_weak("fast-loser");            // instant, worst schedule
+  mocks.add_optimal("slow-winner", 5);     // 5 ms, optimal schedule
+
+  const std::vector<Instance> batch{single_job_instance(8, 7),
+                                    single_job_instance(16, 8)};
+  PortfolioConfig pc;
+  pc.variants = {"fast-loser", "slow-winner"};
+  pc.tie_break = TieBreak::kPortfolioOrder;
+  const PortfolioResult r = PortfolioSolver(mocks.registry).solve(batch, pc);
+
+  ASSERT_EQ(r.solved, batch.size());
+  for (const PortfolioOutcome& o : r.outcomes) {
+    // The fast completion must NOT decide the instance: its makespan is
+    // above the certified bound, so the slow optimal run still runs and wins.
+    EXPECT_EQ(o.winner, "slow-winner") << o.index;
+    EXPECT_EQ(o.attempts[0].outcome, AttemptOutcome::kCompleted);
+    EXPECT_EQ(o.attempts[1].outcome, AttemptOutcome::kCompleted);
+    EXPECT_LT(o.attempts[1].makespan, o.attempts[0].makespan);
+    EXPECT_DOUBLE_EQ(o.makespan, o.attempts[1].makespan);
+  }
+  EXPECT_EQ(r.cancelled_attempts, 0u);
+  ASSERT_EQ(r.per_variant.size(), 2u);
+  EXPECT_EQ(r.per_variant[1].wins, batch.size());
+  EXPECT_GT(r.per_variant[0].gap_max, 0);  // the loser's quality gap is real
+}
+
+TEST(EarlyCancel, DecisionProofTightensTheCombinedCertificate) {
+  // The decider's self-reported bound is deliberately loose. Its peer (who
+  // might have certified tighter) is skipped — but the decision itself is
+  // a proof of optimality (makespan <= omega <= OPT), so the combined
+  // certificate folds omega in instead of regressing to the loose bound.
+  MockRegistry mocks;
+  mocks.registry.add("loose-optimal", [](const Instance& i, const SolverConfig&) {
+    core::ScheduleResult r = stacked_result(i, i.machines());
+    r.lower_bound = r.makespan / 10;  // certified, but needlessly weak
+    r.ratio_vs_lower = 10;
+    return r;
+  });
+  mocks.add_weak("later");
+
+  const std::vector<Instance> batch{single_job_instance(8, 29)};
+  PortfolioConfig pc;
+  pc.variants = {"loose-optimal", "later"};
+  const PortfolioResult r = PortfolioSolver(mocks.registry).solve(batch, pc);
+  ASSERT_EQ(r.solved, 1u);
+  EXPECT_EQ(r.outcomes[0].attempts[1].outcome, AttemptOutcome::kCancelled);
+  EXPECT_DOUBLE_EQ(r.outcomes[0].lower_bound, r.outcomes[0].makespan);
+  EXPECT_DOUBLE_EQ(r.outcomes[0].ratio, 1.0);
+}
+
+TEST(EarlyCancel, NonDecidingPortfolioKeepsEveryAttempt) {
+  // No variant reaches the certified bound: nothing may be cancelled, and
+  // the combined certificate must cover every completed attempt.
+  MockRegistry mocks;
+  mocks.add_weak("weak-a");
+  mocks.add_weak("weak-b", 5);
+
+  const std::vector<Instance> batch{make_instance(Family::kMixed, 6, 32, 23)};
+  PortfolioConfig pc;
+  pc.variants = {"weak-a", "weak-b"};
+  const PortfolioResult r = PortfolioSolver(mocks.registry).solve(batch, pc);
+  EXPECT_EQ(r.cancelled_attempts, 0u);
+  EXPECT_EQ(r.outcomes[0].attempts[0].outcome, AttemptOutcome::kCompleted);
+  EXPECT_EQ(r.outcomes[0].attempts[1].outcome, AttemptOutcome::kCompleted);
+}
+
+TEST(EarlyCancel, DigestIsThreadCountIndependent) {
+  // A mixed batch exercising both regimes: tiny single-job instances where
+  // `exact` completes at the certified bound and cancels its peers, and
+  // larger instances where every variant runs to completion (exact fails
+  // fast over its caps).
+  std::vector<Instance> batch;
+  for (std::uint64_t s = 0; s < 6; ++s) batch.push_back(single_job_instance(8, 40 + s));
+  const auto families = jobs::all_families();
+  for (std::size_t i = 0; i < 12; ++i)
+    batch.push_back(make_instance(families[i % families.size()], 16, 64, 200 + i));
+
+  PortfolioConfig pc;
+  pc.variants = {"exact", "algorithm3-linear", "lt-2approx"};
+  pc.tie_break = TieBreak::kPortfolioOrder;
+  pc.threads = 1;
+  const PortfolioResult reference = PortfolioSolver().solve(batch, pc);
+  EXPECT_GT(reference.cancelled_attempts, 0u);  // the rule actually fires
+
+  pc.threads = 8;
+  const PortfolioResult wide = PortfolioSolver().solve(batch, pc);
+  ASSERT_EQ(wide.digest(), reference.digest());
+  EXPECT_EQ(wide.cancelled_attempts, reference.cancelled_attempts);
+  ASSERT_EQ(wide.outcomes.size(), reference.outcomes.size());
+  for (std::size_t i = 0; i < wide.outcomes.size(); ++i) {
+    const PortfolioOutcome& x = reference.outcomes[i];
+    const PortfolioOutcome& y = wide.outcomes[i];
+    EXPECT_EQ(x.ok, y.ok) << i;
+    EXPECT_EQ(x.winner, y.winner) << i;  // order tie-break: label too
+    EXPECT_DOUBLE_EQ(x.makespan, y.makespan) << i;
+    EXPECT_DOUBLE_EQ(x.lower_bound, y.lower_bound) << i;
+    ASSERT_EQ(x.attempts.size(), y.attempts.size()) << i;
+    for (std::size_t v = 0; v < x.attempts.size(); ++v) {
+      EXPECT_EQ(x.attempts[v].outcome, y.attempts[v].outcome) << i << "/" << v;
+      EXPECT_DOUBLE_EQ(x.attempts[v].makespan, y.attempts[v].makespan) << i << "/" << v;
+    }
+  }
+}
 
 TEST(SingleSolver, EmptyBatch) {
   const PortfolioResult r = PortfolioSolver().solve({}, single("auto"));

@@ -602,15 +602,17 @@ TEST(StreamSolver, WindowTimesInflightOverflowIsRejected) {
 }
 
 // ---------------------------------------------------------- record/replay --
-// The bit-exact record/replay contract (traffic/replay.hpp): a session
-// recorded while served live at --threads 4 --race must replay on 1 thread
+// The bit-exact record/replay contract (traffic/replay.hpp): a portfolio
+// session recorded while served live at --threads 4 must replay on 1 thread
 // with an identical rolling digest and identical memo / cancelled /
-// deadline-miss counters; a truncated or tampered record file must be
-// rejected with a diagnostic naming the defect, and a tampered-but-
-// internally-consistent trailer must be caught by the replay comparison.
+// deadline-miss counters — also when its serve line carries the race keys
+// that builds with a concurrent race mode wrote; a truncated or tampered
+// record file must be rejected with a diagnostic naming the defect, and a
+// tampered-but-internally-consistent trailer must be caught by the replay
+// comparison.
 
 /// A storm-shaped stream for the round-trip tests: Poisson arrivals, class
-/// mix, 1-job deciders (so the racing early-cancel rule fires), duplicates
+/// mix, 1-job deciders (so the early-cancel rule fires), duplicates
 /// (so the memo hit path runs), enough distinct records to overflow a
 /// capacity-16 memo store.
 std::string recordable_stream() {
@@ -627,14 +629,13 @@ std::string recordable_stream() {
   return out.str();
 }
 
-/// The serve configuration under test: racing portfolio, bounded LRU memo,
-/// an interactive deadline.
+/// The serve configuration under test: portfolio, bounded LRU memo, an
+/// interactive deadline.
 StreamConfig recordable_config(unsigned threads) {
   StreamConfig config;
   config.window = 8;
   config.max_inflight = 2;
   config.variants = {"exact", "fptas", "mrt"};
-  config.race = true;
   config.threads = threads;
   config.memo = true;
   config.memo_capacity = 16;
@@ -658,11 +659,20 @@ std::pair<std::string, StreamResult> record_session(const std::string& text,
 
 TEST(StreamRecordReplay, FourThreadRaceSessionReplaysBitExactOnOneThread) {
   const std::string text = recordable_stream();
-  const auto [record_text, live] = record_session(text, recordable_config(4));
+  auto [record_text, live] = record_session(text, recordable_config(4));
   ASSERT_GT(live.instances, 100u);
   ASSERT_GT(live.cancelled_attempts, 0u) << "the deciders must trigger early-cancel";
   ASSERT_GT(live.memo_hits, 0u);
   ASSERT_GT(live.memo_evictions, 0u);
+
+  // A raced session's record differs only in its serve line, which also
+  // carried race=1 and race-width=W; the loader checks and discards both.
+  const std::size_t serve = record_text.find("# serve ");
+  const std::size_t shed_key = record_text.find(" shed=", serve);
+  ASSERT_NE(shed_key, std::string::npos);
+  EXPECT_EQ(record_text.substr(serve, record_text.find('\n', serve) - serve).find(" race"),
+            std::string::npos);
+  record_text.insert(shed_key, " race=1 race-width=2");
 
   std::istringstream file(record_text);
   const traffic::ReplayFile loaded = traffic::load_record(file);
@@ -670,7 +680,6 @@ TEST(StreamRecordReplay, FourThreadRaceSessionReplaysBitExactOnOneThread) {
   EXPECT_EQ(loaded.config.window, 8u);
   EXPECT_EQ(loaded.config.max_inflight, 2u);
   EXPECT_EQ(loaded.config.variants, (std::vector<std::string>{"exact", "fptas", "mrt"}));
-  EXPECT_TRUE(loaded.config.race);
   EXPECT_TRUE(loaded.config.memo);
   EXPECT_EQ(loaded.config.memo_capacity, 16u);
   EXPECT_EQ(loaded.config.tie_break, TieBreak::kPortfolioOrder);
@@ -687,7 +696,7 @@ TEST(StreamRecordReplay, FourThreadRaceSessionReplaysBitExactOnOneThread) {
   EXPECT_EQ(loaded.source_preamble.front(), "# traffic-manifest v1");
 
   // The acceptance gate: replay on ONE thread, compare against the
-  // four-thread racing session.
+  // four-thread session.
   const traffic::ReplayReport report = traffic::replay(loaded, 1);
   EXPECT_TRUE(report.ok) << (report.mismatches.empty() ? "?" : report.mismatches[0]);
   EXPECT_TRUE(report.mismatches.empty());
