@@ -1,5 +1,5 @@
 // Knapsack hot-path kernels (Sections 4.1-4.3) on pinned shapes: the dense
-// DP row update, dense solve with reconstruction, Pareto merge, pair-list
+// DP solve with reconstruction (mrt's engine), Pareto merge, pair-list
 // solve, the compressible solver (Algorithm 2) and the bounded pipeline.
 // Each is timed on fixed sizes/seeds and emitted to BENCH_knapsack.json for
 // the perf-regression gate (bench/check_regression against
@@ -41,9 +41,6 @@ std::vector<moldable::bench::PinnedResult> run_pinned() {
   {
     const procs_t cap = 1 << 16;
     const auto items = make_items(256, cap, 3);
-    pinned.push_back({"dense_row_n256_c65536", moldable::bench::best_of_ms(kReps, [&] {
-                        sink = knapsack::dense_profit_row(items, cap).back();
-                      })});
     pinned.push_back({"dense_dp_n256_c65536", moldable::bench::best_of_ms(kReps, [&] {
                         sink = knapsack::solve_dense(items, cap).profit;
                       })});

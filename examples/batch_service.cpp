@@ -317,6 +317,9 @@ int run_batch(const Options& opt, const std::vector<moldable::jobs::Instance>& b
 int run_serve(const Options& opt) {
   const StreamConfig& config = opt.config;
   const StreamSolver solver;
+  // A refused config exits before any side effect: no --record file is
+  // truncated, no socket is bound, no port file or watch ledger written.
+  solver.check_config(config);
 
   const auto on_window = [&](const moldable::engine::WindowStats& w) {
     std::cout << "window " << w.index << ": " << w.instances << " inst, " << w.solved
@@ -609,16 +612,6 @@ int main(int argc, char** argv) {
     if (opt.serve && !opt.input.empty()) {
       std::cerr << "--serve reads records from stdin; it cannot be combined with "
                    "--input (pipe the files in instead: cat DIR/* | ... --serve)\n";
-      return 2;
-    }
-    if (opt.serve && opt.config.shed && opt.config.class_deadlines.empty()) {
-      std::cerr << "--shed needs at least one --deadline class (shedding is "
-                   "certified against the class deadline budget)\n";
-      return 2;
-    }
-    if (opt.serve && opt.config.adapt && !portfolio) {
-      std::cerr << "--adapt learns per-class variant priors; it needs a "
-                   "--portfolio to reorder\n";
       return 2;
     }
     flags.warn_inactive({{kSynthetic, !opt.serve && opt.input.empty()},

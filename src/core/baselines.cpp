@@ -12,27 +12,21 @@ namespace moldable::core {
 BaselineResult ludwig_tiwari_schedule(const jobs::Instance& instance) {
   BaselineResult out;
   if (instance.size() == 0) return out;
-  const EstimatorResult est = estimate_makespan(instance);
-  out.lower_bound = est.omega;
-  out.schedule = sched::list_schedule(instance, est.allotment);
-  return out;
-}
-
-BaselineResult memory_greedy_schedule(const jobs::Instance& instance) {
-  BaselineResult out;
-  if (instance.size() == 0) return out;
   EstimatorResult est = estimate_makespan(instance);
-  const procs_t m = instance.machines();
-  for (std::size_t j = 0; j < instance.size(); ++j) {
-    const procs_t kmin = instance.min_feasible_allotment(j);
-    if (kmin > m)
-      throw std::invalid_argument(
-          "memory_greedy_schedule: job " + std::to_string(j) +
-          " is memory-infeasible: needs more than the " + std::to_string(m) +
-          " machines that exist");
-    if (est.allotment[j] < kmin) est.allotment[j] = kmin;
+  out.lower_bound = est.omega;
+  if (instance.memory_constrained()) {
+    const procs_t m = instance.machines();
+    for (std::size_t j = 0; j < instance.size(); ++j) {
+      const procs_t kmin = instance.min_feasible_allotment(j);
+      if (kmin > m)
+        throw std::invalid_argument(
+            "ludwig_tiwari_schedule: job " + std::to_string(j) +
+            " is memory-infeasible: needs more than the " + std::to_string(m) +
+            " machines that exist");
+      if (est.allotment[j] < kmin) est.allotment[j] = kmin;
+    }
+    out.lower_bound = std::max(est.omega, instance.memory_lower_bound());
   }
-  out.lower_bound = std::max(est.omega, instance.memory_lower_bound());
   out.schedule = sched::list_schedule(instance, est.allotment);
   return out;
 }

@@ -3,7 +3,7 @@
 //   * Ludwig-Tiwari / Turek-Wolf-Yu style 2-approximation: the estimator's
 //     minimizing allotment handed to Graham list scheduling (Section 3:
 //     "the list scheduling algorithm ... produces a schedule of makespan at
-//     most 2 omega");
+//     most 2 omega"), and the library's one memory-aware list scheduler;
 //   * a sequential baseline (every job on one processor) — the natural
 //     no-moldability straw man;
 //   * an equal-share baseline (every job on max(1, m/n) processors) — the
@@ -20,16 +20,13 @@ struct BaselineResult {
   double lower_bound = 0;  ///< omega from the estimator (0 for straw men)
 };
 
-/// Estimator allotment + list scheduling: makespan <= 2 * OPT.
+/// Estimator allotment + list scheduling: makespan <= 2 * OPT, lower bound
+/// omega. When the memory constraint binds, each allotment is first clamped
+/// up to the smallest memory-feasible one, kmin_j, and the lower bound is
+/// max(omega, memory_lower_bound), both certified; the clamped schedule has
+/// no proven factor. Throws std::invalid_argument when some job is
+/// memory-infeasible (kmin_j > m).
 BaselineResult ludwig_tiwari_schedule(const jobs::Instance& instance);
-
-/// Memory-aware greedy: the estimator's minimizing allotment, clamped up
-/// per job to the smallest memory-feasible allotment kmin_j, then list
-/// scheduled. On memory-free instances this is exactly
-/// ludwig_tiwari_schedule (kmin_j == 1 everywhere). The lower bound is
-/// max(omega, memory_lower_bound), both certified. Throws
-/// std::invalid_argument when some job is memory-infeasible (kmin_j > m).
-BaselineResult memory_greedy_schedule(const jobs::Instance& instance);
 
 /// Every job sequential, list scheduled. No approximation guarantee.
 BaselineResult sequential_schedule(const jobs::Instance& instance);

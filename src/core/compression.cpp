@@ -26,15 +26,4 @@ CompressionResult compress(const jobs::Job& job, procs_t b, double rho) {
   return r;
 }
 
-Lemma16Params Lemma16Params::from_delta(double delta) {
-  if (!(delta > 0) || delta > 1)
-    throw std::invalid_argument("Lemma16Params: delta must be in (0, 1]");
-  Lemma16Params p;
-  p.delta = delta;
-  p.rho = (std::sqrt(1.0 + delta) - 1.0) / 4.0;
-  p.factor = 2 * p.rho - p.rho * p.rho;
-  p.b = 1.0 / p.factor;
-  return p;
-}
-
 }  // namespace moldable::core

@@ -10,7 +10,8 @@
 // delta in (0, 1], rho = (sqrt(1+delta) - 1)/4 and b = 1/(2 rho - rho^2),
 // any job on >= b processors can be compressed with factor 2 rho - rho^2,
 // shrinking its processor count by (1-rho)^2 while its time grows by a
-// factor < 1 + delta.
+// factor < 1 + delta. Algorithm 3 takes rho and b from
+// knapsack::BoundedRounding::make.
 #pragma once
 
 #include "src/jobs/job.hpp"
@@ -28,14 +29,5 @@ struct CompressionResult {
 /// rho in (0, 1/4] and b >= 1/rho. The invariant check asserts the lemma's
 /// conclusion, which holds for every monotone job.
 CompressionResult compress(const jobs::Job& job, procs_t b, double rho);
-
-struct Lemma16Params {
-  double delta = 0;
-  double rho = 0;     ///< (sqrt(1+delta) - 1)/4
-  double factor = 0;  ///< 2 rho - rho^2, the compression factor
-  double b = 0;       ///< 1/factor, the wide threshold
-
-  static Lemma16Params from_delta(double delta);
-};
 
 }  // namespace moldable::core

@@ -96,7 +96,9 @@ ScheduleResult schedule_moldable(const jobs::Instance& instance, double eps, Alg
     BaselineResult r = ludwig_tiwari_schedule(instance);
     out.schedule = std::move(r.schedule);
     out.lower_bound = r.lower_bound;
-    out.guarantee = 2;
+    // The 2 omega bound is the memory-free one; a schedule clamped up to
+    // the memory-feasible allotments has no proven factor.
+    out.guarantee = instance.memory_constrained() ? 0 : 2;
   } else {
     // Section 3: the estimator brackets OPT in [omega, 2 omega], and the
     // bisection narrows it to within (1 + eps_search).

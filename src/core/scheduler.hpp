@@ -45,7 +45,9 @@ struct ScheduleResult {
 
 /// Schedules the instance with approximation parameter eps in (0, 1].
 /// Guarantee: makespan <= (1 + eps) OPT in the FPTAS regime, else
-/// (3/2 + eps) OPT ((2) for kLudwigTiwari, where eps is ignored). Throws
+/// (3/2 + eps) OPT ((2) for kLudwigTiwari, where eps is ignored). Only
+/// kLudwigTiwari honours the memory constraint (ludwig_tiwari_schedule); it
+/// reports guarantee 0 when the constraint binds. Throws
 /// std::invalid_argument for eps outside (0, 1], and for kFptas when m is
 /// below fptas_machine_threshold.
 ScheduleResult schedule_moldable(const jobs::Instance& instance, double eps,

@@ -81,8 +81,8 @@ std::vector<VariantStats> aggregate(const std::vector<PortfolioOutcome>& outcome
       s.wall_p99 = wall.p99;
       s.wall_max = wall.max;
     }
-    // kAuto is "no core algorithm" (exact, mem-greedy) and a variant that
-    // resolved to itself dispatched nothing.
+    // kAuto is "no core algorithm" (exact, and ptas's exact branch) and a
+    // variant that resolved to itself dispatched nothing.
     for (const auto& [used, count] : x.resolved) {
       if (used == core::Algorithm::kAuto) continue;
       std::string name = core::algorithm_name(used);

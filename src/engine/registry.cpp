@@ -4,8 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "src/core/baselines.hpp"
-
 namespace moldable::engine {
 
 namespace {
@@ -27,37 +25,26 @@ core::ScheduleResult exact_row(const jobs::Instance& instance, double /*eps*/) {
   return std::move(*exact);
 }
 
-core::ScheduleResult memory_greedy_row(const jobs::Instance& instance, double /*eps*/) {
-  const core::BaselineResult b = core::memory_greedy_schedule(instance);
-  core::ScheduleResult out;
-  out.schedule = b.schedule;
-  out.lower_bound = b.lower_bound;
-  out.makespan = out.schedule.makespan();
-  out.ratio_vs_lower = out.lower_bound > 0 ? out.makespan / out.lower_bound : 1;
-  // On memory-free instances this IS lt-2approx (kmin == 1 everywhere), so
-  // the 2 omega bound holds; the clamped schedule under a binding memory
-  // constraint has no proven factor.
-  out.guarantee = instance.memory_constrained() ? 0 : 2;
-  return out;
-}
-
 }  // namespace
 
 AlgorithmRegistry AlgorithmRegistry::with_builtins() {
   AlgorithmRegistry r;
+  // The memory-aware rows: lt-2approx clamps its allotments up to kmin_j
+  // when memory binds (core::ludwig_tiwari_schedule), and solve_exact
+  // narrows every allotment search to the memory-feasible range [kmin_j, m],
+  // so its optimum (and the bound it certifies) already honors the
+  // constraint.
   for (core::Algorithm a :
        {core::Algorithm::kAuto, core::Algorithm::kFptas, core::Algorithm::kMrt,
         core::Algorithm::kCompressible, core::Algorithm::kBounded,
         core::Algorithm::kBoundedLinear, core::Algorithm::kLudwigTiwari})
-    r.add(core::algorithm_name(a), builtin([a](const jobs::Instance& instance, double eps) {
+    r.add(core::algorithm_name(a),
+          builtin([a](const jobs::Instance& instance, double eps) {
             return core::schedule_moldable(instance, eps, a);
-          }));
+          }),
+          SolverCaps{/*memory_aware=*/a == core::Algorithm::kLudwigTiwari});
   r.add("ptas", builtin(core::ptas_schedule));
-  // The memory-aware pair. solve_exact narrows every allotment search to
-  // the memory-feasible range [kmin_j, m], so its optimum (and the bound it
-  // certifies) already honors the constraint.
   r.add("exact", builtin(exact_row), SolverCaps{/*memory_aware=*/true});
-  r.add("mem-greedy", builtin(memory_greedy_row), SolverCaps{/*memory_aware=*/true});
   return r;
 }
 

@@ -7,10 +7,9 @@
 // one uniform `solve(instance, config)` signature:
 //
 //   auto, fptas, mrt, algorithm1, algorithm3, algorithm3-linear  (the enum)
-//   lt-2approx                                                   (baseline)
+//   lt-2approx                        (the enum; memory-aware list scheduler)
 //   ptas                                                         (Section 3.2)
 //   exact                                       (tiny refs, memory-aware)
-//   mem-greedy                                  (memory-aware list greedy)
 //
 // Registries are value types; `global()` returns the shared immutable
 // instance holding the built-ins. Custom variants (ablations, tuned eps

@@ -47,11 +47,7 @@ StreamResult StreamSolver::run(std::istream& input, const StreamConfig& config,
   return run(source, config, on_window, on_error);
 }
 
-StreamResult StreamSolver::run(InstanceSource& source, const StreamConfig& config,
-                               const WindowCallback& on_window,
-                               const ErrorCallback& on_error) const {
-  // Fail fast, before consuming any input: a config typo must not eat half
-  // a stream first. The same checks the per-window solvers repeat.
+void StreamSolver::check_config(const StreamConfig& config) const {
   if (config.window == 0)
     throw std::invalid_argument("stream: window must be >= 1");
   if (config.max_inflight == 0)
@@ -63,32 +59,40 @@ StreamResult StreamSolver::run(InstanceSource& source, const StreamConfig& confi
   if (!(config.eps > 0) || config.eps > 1)
     throw std::invalid_argument("stream: eps must be in (0, 1]");
   // Single-solver mode is the one-variant portfolio {algorithm}.
-  const bool portfolio_mode = !config.variants.empty();
-  PortfolioConfig portfolio_config = config.portfolio();
-  const std::vector<std::string>& variants = portfolio_config.variants;
+  const std::vector<std::string> variants = config.portfolio().variants;
   for (std::size_t v = 0; v < variants.size(); ++v) {
     registry_->at(variants[v]);  // throws with the known-name list
     for (std::size_t w = 0; w < v; ++w)
       if (variants[w] == variants[v])
         throw std::invalid_argument("stream: duplicate variant '" + variants[v] + "'");
   }
-  // Canonicalize deadline keys the way Instance does ("default" == the
-  // unlabelled class) so the lookup below can use sla_class() verbatim.
-  std::map<std::string, double> deadlines;
-  for (const auto& [name, seconds] : config.class_deadlines) {
+  for (const auto& [name, seconds] : config.class_deadlines)
     if (!(seconds > 0) || !std::isfinite(seconds))
       throw std::invalid_argument("stream: deadline for class '" + name +
                                   "' must be finite and > 0");
-    deadlines[name == "default" ? std::string() : name] = seconds;
-  }
-  if (config.shed && deadlines.empty())
+  if (config.shed && config.class_deadlines.empty())
     throw std::invalid_argument(
         "stream: shed requires at least one class deadline (with nothing to "
         "certify against there is nothing to shed)");
-  if (config.adapt && !portfolio_mode)
+  if (config.adapt && config.variants.empty())
     throw std::invalid_argument(
         "stream: adapt requires a portfolio (a single solver has no variant "
         "order to learn)");
+}
+
+StreamResult StreamSolver::run(InstanceSource& source, const StreamConfig& config,
+                               const WindowCallback& on_window,
+                               const ErrorCallback& on_error) const {
+  // Fail fast, before consuming any input: a config typo must not eat half
+  // a stream first. The same checks the per-window solvers repeat.
+  check_config(config);
+  PortfolioConfig portfolio_config = config.portfolio();
+  const std::vector<std::string>& variants = portfolio_config.variants;
+  // Canonicalize deadline keys the way Instance does ("default" == the
+  // unlabelled class) so the lookup below can use sla_class() verbatim.
+  std::map<std::string, double> deadlines;
+  for (const auto& [name, seconds] : config.class_deadlines)
+    deadlines[name == "default" ? std::string() : name] = seconds;
 
   // The policy layer: shed probe + virtual clock + variant plans. Owned
   // here and driven entirely from the serial serve loop (fill, window cut,

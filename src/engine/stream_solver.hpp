@@ -279,12 +279,16 @@ class StreamSolver {
   /// The registry must outlive the solver (the global registry always does).
   explicit StreamSolver(const AlgorithmRegistry& registry = AlgorithmRegistry::global());
 
-  /// Serves `source` to exhaustion. Throws std::invalid_argument up front —
-  /// before consuming any input — for a zero window/max_inflight, a
-  /// window × max_inflight product that overflows, an unknown or duplicate
-  /// solver name, eps out of range, a non-finite or non-positive class
-  /// deadline, `shed` without any class deadline, or `adapt` outside
-  /// portfolio mode; per-instance failures and malformed records are
+  /// Throws std::invalid_argument for a config run() would refuse: a zero
+  /// window/max_inflight, a window × max_inflight product that overflows,
+  /// an unknown or duplicate solver name, eps out of range, a non-finite or
+  /// non-positive class deadline, `shed` without any class deadline, or
+  /// `adapt` outside portfolio mode. A caller with side effects of its own
+  /// (a record file to truncate, a socket to open) checks here first.
+  void check_config(const StreamConfig& config) const;
+
+  /// Serves `source` to exhaustion. Runs check_config up front, before
+  /// consuming any input; per-instance failures and malformed records are
   /// recorded, never thrown.
   StreamResult run(InstanceSource& source, const StreamConfig& config,
                    const WindowCallback& on_window = {},

@@ -10,6 +10,8 @@ namespace moldable::jobs {
 Instance::Instance(std::vector<Job> jobs, procs_t m, std::string name)
     : jobs_(std::move(jobs)), m_(m), name_(std::move(name)) {
   if (m_ < 1) throw std::invalid_argument("Instance: machine count must be >= 1");
+  if (m_ > kMaxMachines)
+    throw std::invalid_argument("Instance: machine count must be <= 2^62");
   for (const Job& j : jobs_)
     if (j.machines() != m_)
       throw std::invalid_argument("Instance: job bound to a different machine count");
@@ -58,8 +60,9 @@ procs_t Instance::min_feasible_allotment(std::size_t j) const {
   // multiples: k is feasible iff k * capacity >= mem (within tolerance).
   const double k = std::ceil(mem / memory_capacity_ - kRelTol);
   // Saturate before the cast, which is undefined past 2^63 (inf included):
-  // any count past m is infeasible, reported as m + 1.
-  if (k >= 0x1p63 || static_cast<procs_t>(k) > m_) return m_ + 1;
+  // any count past m is infeasible, reported as m + 1. m <= 2^62 is exact
+  // as a double, so the comparison is too, and m + 1 cannot overflow.
+  if (!(k <= static_cast<double>(m_))) return m_ + 1;
   return std::max<procs_t>(1, static_cast<procs_t>(k));
 }
 

@@ -11,8 +11,15 @@
 
 namespace moldable::jobs {
 
+/// The largest machine count an instance may have, 2^62: the range the
+/// closed-form families are built for (processing_time.hpp), with headroom
+/// for m + 1 (min_feasible_allotment's "infeasible") and sums of counts.
+inline constexpr procs_t kMaxMachines = procs_t{1} << 62;
+
 class Instance {
  public:
+  /// Throws std::invalid_argument unless 1 <= m <= kMaxMachines and every
+  /// job is bound to m.
   Instance(std::vector<Job> jobs, procs_t m, std::string name = {});
 
   const std::vector<Job>& jobs() const { return jobs_; }

@@ -177,6 +177,9 @@ Instance from_text(std::string_view text, std::string default_name) {
 
   const procs_t m = w[0] == "machines" && w.size() == 2 ? count(1, "") : 0;
   if (m < 1) fail(lineno, "expected 'machines <m>' with m >= 1");
+  if (m > kMaxMachines)
+    fail(lineno, "machine count " + std::to_string(m) + " is out of range (at most 2^62 = " +
+                     std::to_string(kMaxMachines) + ")");
 
   std::vector<Job> jv;
   while (next_line()) {

@@ -23,7 +23,7 @@
 // did. max/add/compare are exact IEEE operations at any vector width, so
 // the results carry no reassociation error: identical bits, lane for lane.
 //
-// solve_dense additionally records take bits. The SIMD path processes one
+// solve_dense records take bits as it goes. The SIMD path processes one
 // 64-bit take word (64 cells) per inner block, accumulating the
 // compare-mask bits in a register and touching take memory once per word —
 // this needs sz >= 64 so a whole word fits inside one dependence-free
@@ -32,7 +32,7 @@
 // Dispatch: the widest ISA is picked once per process via
 // __builtin_cpu_supports, keeping the build portable x86-64 (the baseline
 // binary carries SSE2 paths and only *calls* AVX2/AVX-512 code on machines
-// that have it). Non-x86 builds compile the scalar fallbacks only.
+// that have it). Non-x86 builds compile the scalar loop only.
 
 namespace moldable::knapsack {
 
@@ -49,54 +49,6 @@ void validate_input(const std::vector<Item>& items, procs_t capacity) {
 }
 
 procs_t isize(const Item& it) { return static_cast<procs_t>(it.size); }
-
-// ---------------------------------------------------------- profit row ---
-
-#if defined(__x86_64__)
-#define MOLDABLE_SPAN_MAX_VARIANT(tgt, name)                                 \
-  __attribute__((target(tgt))) void name(                                    \
-      double* __restrict__ bw, const double* __restrict__ br, double p,      \
-      std::size_t len) {                                                     \
-    for (std::size_t k = 0; k < len; ++k) bw[k] = std::max(bw[k], br[k] + p); \
-  }
-MOLDABLE_SPAN_MAX_VARIANT("avx512f", span_max_avx512)
-MOLDABLE_SPAN_MAX_VARIANT("avx2", span_max_avx2)
-MOLDABLE_SPAN_MAX_VARIANT("default", span_max_sse2)
-#undef MOLDABLE_SPAN_MAX_VARIANT
-
-using SpanMaxFn = void (*)(double*, const double*, double, std::size_t);
-
-SpanMaxFn pick_span_max() {
-  if (__builtin_cpu_supports("avx512f")) return span_max_avx512;
-  if (__builtin_cpu_supports("avx2")) return span_max_avx2;
-  return span_max_sse2;
-}
-#else
-void span_max_scalar(double* __restrict__ bw, const double* __restrict__ br,
-                     double p, std::size_t len) {
-  for (std::size_t k = 0; k < len; ++k) bw[k] = std::max(bw[k], br[k] + p);
-}
-
-using SpanMaxFn = void (*)(double*, const double*, double, std::size_t);
-
-SpanMaxFn pick_span_max() { return span_max_scalar; }
-#endif
-
-const SpanMaxFn g_span_max = pick_span_max();
-
-/// One item's row update over best[sz..capacity], walked in descending
-/// chunks of at most sz cells so each chunk is dependence-free (see the
-/// file comment) and hands a contiguous span to the vector kernel.
-void profit_row_update(double* best, std::size_t ucap, std::size_t usz, double p) {
-  std::size_t hi = ucap;
-  while (true) {
-    const std::size_t len = std::min(usz, hi - usz + 1);
-    const std::size_t lo = hi - len + 1;
-    g_span_max(best + lo, best + lo - usz, p, len);
-    if (lo == usz) break;
-    hi = lo - 1;
-  }
-}
 
 // ----------------------------------------------------- take-bit kernels ---
 
@@ -195,23 +147,6 @@ void take_row_update(double* b, std::size_t ucap, std::size_t usz, double p,
 
 }  // namespace
 
-std::vector<double> dense_profit_row(const std::vector<Item>& items, procs_t capacity) {
-  validate_input(items, capacity);
-  std::vector<double> best(static_cast<std::size_t>(capacity) + 1, 0.0);
-  const auto ucap = static_cast<std::size_t>(capacity);
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    const Item& it = items[i];
-    const procs_t sz = isize(it);
-    if (sz > capacity) continue;
-    if (sz == 0) {
-      for (double& b : best) b += it.profit;
-      continue;
-    }
-    profit_row_update(best.data(), ucap, static_cast<std::size_t>(sz), it.profit);
-  }
-  return best;
-}
-
 Solution solve_dense(const std::vector<Item>& items, procs_t capacity) {
   validate_input(items, capacity);
   const std::size_t n = items.size();
@@ -260,29 +195,6 @@ Solution solve_dense(const std::vector<Item>& items, procs_t capacity) {
   }
   std::reverse(sol.chosen.begin(), sol.chosen.end());
   return sol;
-}
-
-Solution solve_bruteforce(const std::vector<Item>& items, procs_t capacity) {
-  validate_input(items, capacity);
-  const std::size_t n = items.size();
-  if (n > 24) throw std::invalid_argument("solve_bruteforce: n too large");
-  Solution best;
-  for (std::uint32_t mask = 0; mask < (1u << n); ++mask) {
-    procs_t size = 0;
-    double profit = 0;
-    for (std::size_t i = 0; i < n; ++i)
-      if (mask >> i & 1) {
-        size += isize(items[i]);
-        profit += items[i].profit;
-      }
-    if (size <= capacity && profit > best.profit) {
-      best.profit = profit;
-      best.chosen.clear();
-      for (std::size_t i = 0; i < n; ++i)
-        if (mask >> i & 1) best.chosen.push_back(i);
-    }
-  }
-  return best;
 }
 
 }  // namespace moldable::knapsack

@@ -14,7 +14,7 @@
 // kernels (SSE2/AVX2/AVX-512, picked once at run time) while producing
 // *bitwise identical* results to the scalar descending loop; decision bits
 // live in one flat row-major bitmap carved from the thread's ScratchArena.
-// The scalar originals are retained in tests/knapsack_reference.hpp and the
+// The scalar original is retained in tests/knapsack_reference.hpp and the
 // equivalence is property-tested (test_kernel_equivalence) and gated by the
 // pinned benchmarks in bench/bench_knapsack.cpp.
 #pragma once
@@ -29,12 +29,5 @@ namespace moldable::knapsack {
 /// always taken when profitable. Throws std::invalid_argument for negative
 /// capacity/sizes/profits or when n*(C+1) exceeds ~2^35 decision bits.
 Solution solve_dense(const std::vector<Item>& items, procs_t capacity);
-
-/// Profit-only DP row: best[c] = max profit with size <= c, for all
-/// c in [0, capacity]. Same guardrails; no reconstruction cost.
-std::vector<double> dense_profit_row(const std::vector<Item>& items, procs_t capacity);
-
-/// Exhaustive reference for tests: enumerates all 2^n subsets (n <= 24).
-Solution solve_bruteforce(const std::vector<Item>& items, procs_t capacity);
 
 }  // namespace moldable::knapsack

@@ -48,7 +48,7 @@ class NormalizationGrid {
   /// Number of grid points (Figure 4's subinterval count + 1 for zero).
   std::size_t size() const { return points_.size(); }
 
-  /// Subinterval count of interval I(i), for the Figure 4 bench.
+  /// Subinterval count of each interval I(i); Lemma 12 bounds it by O(nbar).
   std::vector<std::size_t> per_interval_counts() const { return per_interval_; }
 
   double max_value() const { return points_.back(); }

@@ -22,24 +22,6 @@ procs_t isize(const Item& it) { return static_cast<procs_t>(it.size); }
 
 }  // namespace
 
-std::vector<double> dense_profit_row(const std::vector<Item>& items, procs_t capacity) {
-  validate_input(items, capacity);
-  std::vector<double> best(static_cast<std::size_t>(capacity) + 1, 0.0);
-  for (const Item& it : items) {
-    const procs_t sz = isize(it);
-    if (sz > capacity) continue;
-    if (sz == 0) {
-      for (double& b : best) b += it.profit;
-      continue;
-    }
-    for (procs_t c = capacity; c >= sz; --c) {
-      const auto uc = static_cast<std::size_t>(c);
-      best[uc] = std::max(best[uc], best[uc - static_cast<std::size_t>(sz)] + it.profit);
-    }
-  }
-  return best;
-}
-
 Solution solve_dense(const std::vector<Item>& items, procs_t capacity) {
   validate_input(items, capacity);
   const std::size_t n = items.size();
@@ -181,6 +163,29 @@ Solution solve_pairlist(const std::vector<Item>& items, double capacity) {
                   "pairlist reconstruction lost profit");
   sol.profit = check;
   return sol;
+}
+
+Solution solve_bruteforce(const std::vector<Item>& items, procs_t capacity) {
+  validate_input(items, capacity);
+  const std::size_t n = items.size();
+  if (n > 24) throw std::invalid_argument("solve_bruteforce: n too large");
+  Solution best;
+  for (std::uint32_t mask = 0; mask < (1u << n); ++mask) {
+    procs_t size = 0;
+    double profit = 0;
+    for (std::size_t i = 0; i < n; ++i)
+      if (mask >> i & 1) {
+        size += isize(items[i]);
+        profit += items[i].profit;
+      }
+    if (size <= capacity && profit > best.profit) {
+      best.profit = profit;
+      best.chosen.clear();
+      for (std::size_t i = 0; i < n; ++i)
+        if (mask >> i & 1) best.chosen.push_back(i);
+    }
+  }
+  return best;
 }
 
 }  // namespace moldable::knapsack::reference

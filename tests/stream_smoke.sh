@@ -97,10 +97,11 @@ smoke)
         "$bin" --serve --verify --memo --window 3 --max-inflight 2 \
                --threads "$1" < "$stream"
     }
-    # The capped twin may only run mem-greedy: it must miss the memo, and
-    # --verify (exit 1 on divergence) re-serves both twins without it.
+    # The free twin runs both lanes, the capped twin only lt-2approx: it
+    # must miss the memo, and --verify (exit 1 on divergence) re-serves
+    # both twins without it.
     twins=$(dirname "$fixture")/memo_twins.txt
-    tout=$("$bin" --serve --verify --memo --portfolio lt-2approx,mem-greedy \
+    tout=$("$bin" --serve --verify --memo --portfolio mrt,lt-2approx \
                   --tie-break order --window 1 < "$twins")
     case $tout in
     *"memo: 0 hit(s)"*) ;;
@@ -426,9 +427,68 @@ cli)
     done
     expect_cli_error "$bin" "--record captures a serve session" --record "$nodir/r.rec"
     expect_cli_error "$bin" "--serve reads records from stdin" --serve --input "$nodir"
-    expect_cli_error "$bin" "--shed needs at least one --deadline" --serve --shed < "$fixture"
-    expect_cli_error "$bin" "--adapt learns per-class variant priors" \
-        --serve --adapt < "$fixture"
+    # ... and the serve-config rules, which have one home: StreamSolver's
+    # check_config.
+    expect_cli_error "$bin" "shed requires at least one class deadline" \
+        --serve --shed < "$fixture"
+    expect_cli_error "$bin" "adapt requires a portfolio" --serve --adapt < "$fixture"
+    # mem-greedy was merged into lt-2approx: the name is refused.
+    expect_cli_error "$bin" "unknown algorithm 'mem-greedy'" --algorithm mem-greedy
+    expect_cli_error "$bin" "unknown algorithm 'mem-greedy'" \
+        --serve --algorithm mem-greedy < "$fixture"
+
+    # A refused serve config exits before any side effect: an existing
+    # --record file keeps its bytes, --listen binds nothing (no
+    # `listening on` line, no port file) and --watch writes no ledger.
+    tmp=${TMPDIR:-/tmp}
+    rec=$tmp/cli_guard_$$.rec
+    keep=$tmp/cli_guard_$$.keep
+    portfile=$tmp/cli_guard_$$.port
+    watchdir=$tmp/cli_guard_$$.watch
+    trap 'rm -rf "$rec" "$keep" "$portfile" "$watchdir"' EXIT
+    mkdir "$watchdir"
+    sed -n '1,/^$/p' "$fixture" | "$bin" --serve --record "$rec" > /dev/null
+    "$bin" --replay "$rec" > /dev/null
+    cp "$rec" "$keep"
+    for refused in "--window 0|window must be >= 1" "--eps 0|eps must be in (0, 1]" \
+                   "--deadline c=0|deadline for class 'c'" \
+                   "--portfolio mrt,no-such|unknown algorithm 'no-such'" \
+                   "--shed|shed requires at least one class deadline" \
+                   "--adapt|adapt requires a portfolio"; do
+        flags=${refused%%|*}
+        needle=${refused#*|}
+        # shellcheck disable=SC2086 # $flags is a flag and its value
+        expect_cli_error "$bin" "$needle" --serve $flags --record "$rec" < "$fixture"
+        # shellcheck disable=SC2086
+        expect_cli_error "$bin" "$needle" --watch "$watchdir" $flags --record "$rec"
+        set +e
+        # shellcheck disable=SC2086
+        out=$("$bin" --listen 127.0.0.1:0 --port-file "$portfile" $flags \
+                     --record "$rec" 2>&1)
+        status=$?
+        set -e
+        if [ "$status" -ne 2 ] || [ -e "$portfile" ]; then
+            echo "stream_smoke (cli): refused '$flags' under --listen: exit $status, port file $([ -e "$portfile" ] && echo written || echo absent)" >&2
+            printf '%s\n' "$out" >&2
+            exit 1
+        fi
+        case $out in
+        *"listening on"*)
+            echo "stream_smoke (cli): refused '$flags' still started --listen:" >&2
+            printf '%s\n' "$out" >&2
+            exit 1
+            ;;
+        esac
+        if ! cmp -s "$rec" "$keep"; then
+            echo "stream_smoke (cli): refused '$flags' rewrote the --record file" >&2
+            exit 1
+        fi
+        if [ -e "$watchdir/.moldable-served" ]; then
+            echo "stream_smoke (cli): refused '$flags' opened the --watch ledger" >&2
+            exit 1
+        fi
+    done
+    "$bin" --replay "$rec" > /dev/null
 
     # A flag given outside its mode warns and the run still succeeds — even
     # when its value equals the default.
@@ -565,12 +625,12 @@ if [ "$mode" = shed_soak ]; then
     # provably unschedulable — ceil(mem/C) machines needed, only 4 exist,
     # so the certified lower bound is +inf and --shed MUST refuse them with
     # a certificate-backed REJECT. The feasible rest serve through the
-    # memory-aware greedy (--algorithm mem-greedy; the default portfolio
-    # variants are memory-blind and would fail closed). traffic_gen
+    # memory-aware list scheduler (--algorithm lt-2approx; the default
+    # portfolio variants are memory-blind and would fail closed). traffic_gen
     # --connect exits nonzero unless the SUMMARY's shed counter equals the
     # per-record REJECT frames it saw and every arrival was answered.
     "$bin" --listen 127.0.0.1:0 --port-file "$portfile" --listen-sessions 1 \
-           --threads 4 --algorithm mem-greedy --shed --deadline interactive=8 \
+           --threads 4 --algorithm lt-2approx --shed --deadline interactive=8 \
            --memo --memo-capacity 64 --window 16 --max-inflight 4 \
            --record "$memrecord" > "$serverlog" 2>&1 &
     server=$!

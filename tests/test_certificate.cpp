@@ -75,7 +75,7 @@ TEST(Certificate, MemoryTightScheduleRoundTrips) {
     for (std::size_t j = 0; j < mem.size(); ++j)
       mem[j] = 0.5 + static_cast<double>((j * 5 + seed) % 8);
     inst.set_job_memory(std::move(mem));
-    const core::BaselineResult r = core::memory_greedy_schedule(inst);
+    const core::BaselineResult r = core::ludwig_tiwari_schedule(inst);
     const Certificate cert = certificate_from_schedule(inst, r.schedule);
     const CertificateResult cr =
         verify_certificate(inst, cert, r.schedule.makespan());

@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "src/knapsack/compressible.hpp"
-#include "src/knapsack/dense_dp.hpp"
 #include "src/util/prng.hpp"
+#include "tests/knapsack_reference.hpp"
 
 namespace moldable::knapsack {
 namespace {
@@ -42,7 +42,7 @@ TEST(CompressibleKnapsack, Theorem15ProfitAndFeasibility) {
     EXPECT_LE(sol.compressed_size, static_cast<double>(cap) * (1 + 1e-9));
 
     // Profit >= OPT(I, empty, C, 0): compare against brute force.
-    const Solution exact = solve_bruteforce(in.items, cap);
+    const Solution exact = reference::solve_bruteforce(in.items, cap);
     EXPECT_GE(sol.profit, exact.profit - 1e-6) << "rep=" << rep << " cap=" << cap;
   }
 }
@@ -162,7 +162,7 @@ TEST(CompressibleKnapsack, NormalizedEngineRegime) {
   in.beta_max = in.capacity;
   in.nbar = 8;
   const CompressibleSolution sol = solve_compressible(in);
-  const Solution exact = solve_bruteforce(in.items, in.capacity);
+  const Solution exact = reference::solve_bruteforce(in.items, in.capacity);
   EXPECT_GE(sol.profit, exact.profit - 1e-6);
   EXPECT_LE(sol.compressed_size, static_cast<double>(in.capacity) * (1 + 1e-9));
 }
@@ -183,7 +183,7 @@ TEST(CompressibleKnapsack, ExactEngineRegime) {
   in.beta_max = 24;
   in.nbar = 3;
   const CompressibleSolution sol = solve_compressible(in);
-  const Solution exact = solve_bruteforce(in.items, in.capacity);
+  const Solution exact = reference::solve_bruteforce(in.items, in.capacity);
   EXPECT_GE(sol.profit, exact.profit - 1e-9);
 }
 

@@ -7,6 +7,7 @@
 
 #include "src/core/compression.hpp"
 #include "src/jobs/generators.hpp"
+#include "src/knapsack/bounded.hpp"
 
 namespace moldable::core {
 namespace {
@@ -73,33 +74,33 @@ TEST(Compression, ExactBoundaryCase) {
 }
 
 TEST(Lemma16, ParameterIdentities) {
+  // The (rho, b) Algorithm 3 runs with: BoundedRounding::make's.
   for (double delta : {0.01, 0.1, 0.5, 1.0}) {
-    const auto p = Lemma16Params::from_delta(delta);
+    const auto r = knapsack::BoundedRounding::make(1.0, delta, 1024);
     // (1 + 4 rho)^2 = 1 + delta.
-    EXPECT_NEAR((1 + 4 * p.rho) * (1 + 4 * p.rho), 1 + delta, 1e-12);
-    // factor = 2 rho - rho^2 and b = 1/factor.
-    EXPECT_NEAR(p.factor, 2 * p.rho - p.rho * p.rho, 1e-15);
-    EXPECT_NEAR(p.b * p.factor, 1.0, 1e-12);
+    EXPECT_NEAR((1 + 4 * r.rho) * (1 + 4 * r.rho), 1 + delta, 1e-12);
+    // b = 1/(2 rho - rho^2), the inverse of the compression factor.
+    EXPECT_NEAR(r.b * (2 * r.rho - r.rho * r.rho), 1.0, 1e-12);
     // Lemma 16's asymptotics: rho = Theta(delta), b = Theta(1/delta).
-    EXPECT_GE(p.rho, delta / 12);
-    EXPECT_LE(p.rho, delta / 4);
+    EXPECT_GE(r.rho, delta / 12);
+    EXPECT_LE(r.rho, delta / 4);
   }
-  EXPECT_THROW(Lemma16Params::from_delta(0.0), std::invalid_argument);
-  EXPECT_THROW(Lemma16Params::from_delta(1.5), std::invalid_argument);
+  EXPECT_THROW(knapsack::BoundedRounding::make(1.0, 0.0, 1024), std::invalid_argument);
+  EXPECT_THROW(knapsack::BoundedRounding::make(1.0, 1.5, 1024), std::invalid_argument);
 }
 
 TEST(Lemma16, DoubleCompressionWithinDelta) {
-  // Compressing with factor 2 rho - rho^2 inflates time by < 1 + delta.
+  // Compressing with factor 1/b = 2 rho - rho^2 inflates time by < 1 + delta.
   const double delta = 0.4;
-  const auto p = Lemma16Params::from_delta(delta);
   const Instance inst = make_instance(Family::kMixed, 8, 1 << 14, 5);
+  const auto r = knapsack::BoundedRounding::make(1.0, delta, inst.machines());
   for (const jobs::Job& job : inst.jobs()) {
-    const auto b = static_cast<procs_t>(std::ceil(p.b)) * 4;
-    const CompressionResult r = compress(job, b, p.factor);
-    EXPECT_LT(r.inflation, 1 + delta + 1e-9);
+    const auto b = static_cast<procs_t>(std::ceil(r.b)) * 4;
+    const CompressionResult c = compress(job, b, 1 / r.b);
+    EXPECT_LT(c.inflation, 1 + delta + 1e-9);
     // Processor shrink factor is at least (1 - rho)^2 - rounding slack.
-    EXPECT_LE(static_cast<double>(r.new_procs),
-              (1 - p.rho) * (1 - p.rho) * static_cast<double>(b) + 1);
+    EXPECT_LE(static_cast<double>(c.new_procs),
+              (1 - r.rho) * (1 - r.rho) * static_cast<double>(b) + 1);
   }
 }
 

@@ -3,6 +3,7 @@
 
 #include "src/knapsack/dense_dp.hpp"
 #include "src/util/prng.hpp"
+#include "tests/knapsack_reference.hpp"
 
 namespace moldable::knapsack {
 namespace {
@@ -59,19 +60,11 @@ TEST(DenseDp, MatchesBruteForceRandomized) {
       items.push_back({static_cast<double>(rng.uniform_int(0, 15)),
                        static_cast<double>(rng.uniform_int(0, 100))});
     const Solution dp = solve_dense(items, cap);
-    const Solution bf = solve_bruteforce(items, cap);
+    const Solution bf = reference::solve_bruteforce(items, cap);
     EXPECT_NEAR(dp.profit, bf.profit, 1e-9) << "rep=" << rep;
     EXPECT_NEAR(profit_of(items, dp.chosen), dp.profit, 1e-9);
     EXPECT_LE(size_of(items, dp.chosen), static_cast<double>(cap) + 1e-9);
   }
-}
-
-TEST(DenseDp, ProfitRowMonotone) {
-  const std::vector<Item> items = {{3, 7}, {5, 2}, {2, 9}};
-  const auto row = dense_profit_row(items, 12);
-  ASSERT_EQ(row.size(), 13u);
-  for (std::size_t c = 1; c < row.size(); ++c) EXPECT_GE(row[c], row[c - 1]);
-  EXPECT_DOUBLE_EQ(row[12], 18);  // everything fits (sizes sum to 10)
 }
 
 TEST(DenseDp, GuardsAgainstHugeMatrices) {
@@ -81,7 +74,7 @@ TEST(DenseDp, GuardsAgainstHugeMatrices) {
 
 TEST(BruteForce, CapsN) {
   const std::vector<Item> items(25, Item{1, 1});
-  EXPECT_THROW(solve_bruteforce(items, 5), std::invalid_argument);
+  EXPECT_THROW(reference::solve_bruteforce(items, 5), std::invalid_argument);
 }
 
 }  // namespace

@@ -41,21 +41,20 @@ TEST(Registry, ListsEveryBuiltinVariant) {
   const auto names = AlgorithmRegistry::global().names();
   for (const char* expected :
        {"auto", "fptas", "mrt", "algorithm1", "algorithm3", "algorithm3-linear",
-        "lt-2approx", "mem-greedy", "ptas", "exact"}) {
+        "lt-2approx", "ptas", "exact"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
         << "missing builtin: " << expected;
   }
-  EXPECT_EQ(names.size(), 10u);
+  EXPECT_EQ(names.size(), 9u);
   EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
 }
 
 TEST(Registry, CapabilityFlagsMarkTheMemoryAwareVariants) {
   const AlgorithmRegistry& r = AlgorithmRegistry::global();
-  EXPECT_TRUE(r.memory_aware("mem-greedy"));
+  EXPECT_TRUE(r.memory_aware("lt-2approx"));
   EXPECT_TRUE(r.memory_aware("exact"));
   for (const char* blind :
-       {"auto", "fptas", "mrt", "algorithm1", "algorithm3", "algorithm3-linear",
-        "lt-2approx", "ptas"})
+       {"auto", "fptas", "mrt", "algorithm1", "algorithm3", "algorithm3-linear", "ptas"})
     EXPECT_FALSE(r.memory_aware(blind)) << blind;
   EXPECT_THROW(r.caps("no-such-solver"), std::invalid_argument);
 }
@@ -71,12 +70,12 @@ TEST(Registry, MemoryBlindVariantsFailClosedOnMemoryCappedInstances) {
   const Instance capped = memory_capped_instance();
   // Every memory-blind builtin refuses with the named capability error …
   try {
-    AlgorithmRegistry::global().solve("lt-2approx", capped, {});
+    AlgorithmRegistry::global().solve("mrt", capped, {});
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("capability:"), std::string::npos)
         << e.what();
-    EXPECT_NE(std::string(e.what()).find("lt-2approx"), std::string::npos)
+    EXPECT_NE(std::string(e.what()).find("mrt"), std::string::npos)
         << e.what();
   }
   EXPECT_THROW(AlgorithmRegistry::global().solve("auto", capped, {}),
@@ -85,13 +84,13 @@ TEST(Registry, MemoryBlindVariantsFailClosedOnMemoryCappedInstances) {
   // solves the same instance with the memory axis stripped.
   SolverConfig config;
   config.eps = 0.5;
-  for (const char* aware : {"mem-greedy", "exact"}) {
+  for (const char* aware : {"lt-2approx", "exact"}) {
     const core::ScheduleResult r =
         AlgorithmRegistry::global().solve(aware, capped, config);
     EXPECT_GT(r.makespan, 0) << aware;
   }
   const Instance plain = make_instance(Family::kAmdahl, 4, 8, 5);
-  EXPECT_NO_THROW(AlgorithmRegistry::global().solve("lt-2approx", plain, config));
+  EXPECT_NO_THROW(AlgorithmRegistry::global().solve("mrt", plain, config));
 }
 
 TEST(Registry, SolvesUnderEveryBuiltinName) {

@@ -131,6 +131,12 @@ TEST(Instance, HugeFootprintIsInfeasible) {
   tiny_capacity.set_memory_capacity(1e-300);
   tiny_capacity.set_job_memory({1e300});  // the ratio overflows to inf
   EXPECT_EQ(tiny_capacity.min_feasible_allotment(0), tiny_capacity.machines() + 1);
+  // At the largest machine count an instance may have, m + 1 still fits.
+  Instance widest = make_instance(Family::kAmdahl, 1, kMaxMachines, 5);
+  widest.set_memory_capacity(1);
+  widest.set_job_memory({1e300});
+  EXPECT_EQ(widest.min_feasible_allotment(0), kMaxMachines + 1);
+  EXPECT_EQ(widest.memory_lower_bound(), std::numeric_limits<double>::infinity());
 }
 
 TEST(Generators, HighVarianceContainsGiantsAndDwarfs) {

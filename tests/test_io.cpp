@@ -383,6 +383,29 @@ TEST(Io, ParseErrorsAreDescriptive) {
   }
 }
 
+TEST(Io, MachineCountAbove2To62IsRefused) {
+  // kMaxMachines is the largest count that parses; one more is refused on
+  // the machines line, with the bound named, before any job is built.
+  const std::string job = "job amdahl 10 0.5\n";
+  const Instance at_bound =
+      from_text("moldable-instance v1\nmachines 4611686018427387904\n" + job);
+  EXPECT_EQ(at_bound.machines(), kMaxMachines);
+  try {
+    from_text("moldable-instance v1\nmemcap 1\nmem 1 1e300\n"
+              "machines 4611686018427387905\n" + job);
+    FAIL() << "expected throw";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("line 4"), std::string::npos) << what;
+    EXPECT_NE(what.find("2^62"), std::string::npos) << what;
+  }
+  // INT64_MAX machines used to overflow m + 1 in min_feasible_allotment.
+  EXPECT_THROW(from_text("moldable-instance v1\nmemcap 1\nmem 1 1e300\n"
+                         "machines 9223372036854775807\n" + job),
+               std::invalid_argument);
+  EXPECT_THROW(Instance({}, kMaxMachines + 1), std::invalid_argument);
+}
+
 TEST(Io, FileRoundTrip) {
   const Instance inst = make_instance(Family::kMixed, 6, 128, 11);
   const std::string path = "/tmp/moldable_io_test.inst";

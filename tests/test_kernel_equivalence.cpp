@@ -6,7 +6,7 @@
 // arena scratch change *speed only*: every profit is the same IEEE bit
 // pattern, every decision bit and reconstruction identical. That is what
 // keeps the engine digests stable, so these tests compare bit for bit
-// (memcmp on doubles, exact chosen-index equality) — never with tolerances —
+// (double bit patterns, exact chosen-index equality) — never with tolerances —
 // across hand-picked edge shapes and a randomized fuzz sweep: empty input,
 // capacity 0/1/exact-fit, duplicate items, zero-size and over-capacity
 // items, and size mixes straddling the SIMD word threshold (sz < 64 scalar
@@ -36,13 +36,6 @@ std::uint64_t bits(double d) {
   return u;
 }
 
-void expect_rows_identical(const std::vector<double>& ref,
-                           const std::vector<double>& opt, const char* what) {
-  ASSERT_EQ(ref.size(), opt.size()) << what;
-  ASSERT_EQ(std::memcmp(ref.data(), opt.data(), ref.size() * sizeof(double)), 0)
-      << what << ": profit row differs bitwise";
-}
-
 void expect_solutions_identical(const Solution& ref, const Solution& opt,
                                 const char* what) {
   EXPECT_EQ(bits(ref.profit), bits(opt.profit)) << what << ": profit bits";
@@ -60,8 +53,6 @@ void expect_pareto_identical(const std::vector<ParetoPoint>& ref,
 
 /// Runs every kernel pair on (items, capacity) and asserts bitwise equality.
 void check_all(const std::vector<Item>& items, procs_t capacity, const char* what) {
-  expect_rows_identical(reference::dense_profit_row(items, capacity),
-                        dense_profit_row(items, capacity), what);
   expect_solutions_identical(reference::solve_dense(items, capacity),
                              solve_dense(items, capacity), what);
   const auto cap_d = static_cast<double>(capacity);

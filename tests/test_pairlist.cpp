@@ -6,6 +6,7 @@
 #include "src/knapsack/dense_dp.hpp"
 #include "src/knapsack/pairlist.hpp"
 #include "src/util/prng.hpp"
+#include "tests/knapsack_reference.hpp"
 
 namespace moldable::knapsack {
 namespace {
@@ -35,13 +36,11 @@ TEST(ExactPareto, MatchesDenseProfitRow) {
   util::Prng rng(6);
   for (int rep = 0; rep < 20; ++rep) {
     const auto items = random_items(rng, 12, 20, 30);
-    const procs_t cap = 60;
-    const auto row = dense_profit_row(items, cap);
     const auto profits = profits_for_capacities(
         items, {0.0, 10.0, 25.0, 33.0, 59.0, 60.0});
     const std::vector<procs_t> caps = {0, 10, 25, 33, 59, 60};
     for (std::size_t i = 0; i < caps.size(); ++i)
-      EXPECT_NEAR(profits[i], row[static_cast<std::size_t>(caps[i])], 1e-9)
+      EXPECT_NEAR(profits[i], solve_dense(items, caps[i]).profit, 1e-9)
           << "rep=" << rep << " cap=" << caps[i];
   }
 }
@@ -53,7 +52,7 @@ TEST(SolvePairlist, MatchesBruteForce) {
     const auto items = random_items(rng, n, 15, 40);
     const double cap = static_cast<double>(rng.uniform_int(0, 50));
     const Solution pl = solve_pairlist(items, cap);
-    const Solution bf = solve_bruteforce(items, static_cast<procs_t>(cap));
+    const Solution bf = reference::solve_bruteforce(items, static_cast<procs_t>(cap));
     EXPECT_NEAR(pl.profit, bf.profit, 1e-9) << "rep=" << rep;
     double s = 0;
     for (std::size_t i : pl.chosen) s += items[i].size;

@@ -440,7 +440,7 @@ TEST(StreamPolicy, HugeFootprintRecordIsShedWithACertificate) {
   const std::string text =
       "moldable-instance v1\nmemcap 1\nmem 1 1e19\nmachines 4\njob amdahl 10 0.5\n";
   StreamConfig config;
-  config.algorithm = "mem-greedy";
+  config.algorithm = "lt-2approx";
   config.shed = true;
   config.class_deadlines["default"] = 100;
   std::vector<ShedOutcome> sheds;

@@ -317,14 +317,14 @@ TEST(PortfolioSolver, MemoryBlindVariantsAreDroppedFromCappedInstances) {
   batch.push_back(memory_capped(32));
   batch.push_back(make_instance(Family::kAmdahl, 4, 8, 33));
   PortfolioConfig pc;
-  pc.variants = {"lt-2approx", "mem-greedy"};
+  pc.variants = {"mrt", "lt-2approx"};
   pc.eps = 0.5;
   const PortfolioResult r = PortfolioSolver().solve(batch, pc);
   EXPECT_EQ(r.solved, 3u);
   EXPECT_EQ(r.failed, 0u);
   ASSERT_EQ(r.outcomes[1].attempts.size(), 1u);  // blind lane dropped, not failed
-  EXPECT_EQ(r.outcomes[1].attempts[0].algorithm, "mem-greedy");
-  EXPECT_EQ(r.outcomes[1].winner, "mem-greedy");
+  EXPECT_EQ(r.outcomes[1].attempts[0].algorithm, "lt-2approx");
+  EXPECT_EQ(r.outcomes[1].winner, "lt-2approx");
   EXPECT_EQ(r.outcomes[0].attempts.size(), 2u);
   EXPECT_EQ(r.outcomes[2].attempts.size(), 2u);
 
@@ -342,7 +342,7 @@ TEST(PortfolioSolver, AllBlindPortfolioFailsClosedOnCappedInstance) {
   std::vector<Instance> batch;
   batch.push_back(memory_capped(41));
   PortfolioConfig pc;
-  pc.variants = {"lt-2approx", "algorithm1"};
+  pc.variants = {"mrt", "algorithm1"};
   pc.eps = 0.5;
   const PortfolioResult r = PortfolioSolver().solve(batch, pc);
   EXPECT_EQ(r.solved, 0u);
@@ -764,7 +764,7 @@ TEST(SingleSolver, CapabilityErrorIsIsolatedPerInstance) {
   // named capability error on that slot alone — the batch never aborts.
   std::vector<Instance> batch = small_batch(2, 8);
   batch.insert(batch.begin() + 1, memory_capped(5));
-  const PortfolioResult r = PortfolioSolver().solve(batch, single("lt-2approx"));
+  const PortfolioResult r = PortfolioSolver().solve(batch, single("mrt"));
   EXPECT_EQ(r.solved, 2u);
   EXPECT_EQ(r.failed, 1u);
   EXPECT_TRUE(r.outcomes[0].ok);
@@ -777,7 +777,7 @@ TEST(SingleSolver, CapabilityErrorIsIsolatedPerInstance) {
 TEST(SingleSolver, MemoryAwareBatchIsDeterministicAcrossThreadCounts) {
   std::vector<Instance> batch;
   for (std::size_t i = 0; i < 12; ++i) batch.push_back(memory_capped(50 + i));
-  for (const char* algorithm : {"mem-greedy", "exact"}) {
+  for (const char* algorithm : {"lt-2approx", "exact"}) {
     PortfolioConfig serial = single(algorithm);
     serial.eps = 0.5;
     serial.threads = 1;

@@ -99,8 +99,8 @@ TEST(Scheduler, EveryBuiltinCertifiesItsGuarantee) {
       }
     }
   }
-  // 8 rows apply to all 156 (instance, eps) cases; exact adds 36, fptas 75.
-  EXPECT_EQ(checked, 1359);
+  // 7 rows apply to all 156 (instance, eps) cases; exact adds 36, fptas 75.
+  EXPECT_EQ(checked, 1203);
 }
 
 TEST(Scheduler, EmptyInstance) {

@@ -230,9 +230,9 @@ TEST(StreamSolver, SingleAlgorithmIsTheOneVariantPortfolioForEveryBuiltin) {
 
 TEST(StreamSolver, MemoKeepsTheMemoryConstrainedTwinApart) {
   // Identical jobs, but the second record is memory-constrained, so only
-  // mem-greedy may serve it. A memo key blind to memcap/mem would hand it
-  // the first record's memory-blind lt-2approx schedule: memo on must give
-  // the memo-off digest, with no hit.
+  // lt-2approx may serve it, while the first runs both lanes. A memo key
+  // blind to memcap/mem would hand it the first record's two-lane outcome:
+  // memo on must give the memo-off digest, with no hit.
   const std::string jobs_text =
       "machines 4\njob amdahl 10 0.5 a\njob amdahl 8 0.8 b\n"
       "job powerlaw 6 0.7 c\njob comm 4 0.2 d\njob amdahl 2 0.9 e\n";
@@ -240,7 +240,7 @@ TEST(StreamSolver, MemoKeepsTheMemoryConstrainedTwinApart) {
                             "moldable-instance v1\nmemcap 1\nmem 5 4 4 4 0 0\n" +
                             jobs_text;
   StreamConfig config;
-  config.variants = {"lt-2approx", "mem-greedy"};
+  config.variants = {"mrt", "lt-2approx"};
   config.tie_break = TieBreak::kPortfolioOrder;
   config.window = 1;
   const StreamResult plain = run_stream(twins, config);

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Docs drift guard: links, driver names and cited docs must resolve, flags must be documented.
+"""Docs drift guard: links, driver names and cited docs must resolve, flags and solvers must be documented.
 
-Five checks, all cheap enough to run as a ctest case on every build:
+Six checks, all cheap enough to run as a ctest case on every build:
 
 1. Link check — every relative markdown link in README.md and docs/*.md
    must point at a file (or directory) that exists in the repo. External
@@ -32,6 +32,12 @@ Five checks, all cheap enough to run as a ctest case on every build:
    given (`docs/OPERATIONS.md`). This is what catches a comment pointing
    readers at a document that was renamed or never written.
 
+6. Solver table — every solver name `batch_service --help` lists after
+   `known:` must have a row in the solver table of OPERATIONS.md §2 (the
+   table whose first column is `solver`), and every row there must name
+   a registered solver: checks 3 and 4 for registry names, so a solver
+   deleted from the registry cannot stay documented.
+
 Usage:
     tools/docs_lint.py REPO_ROOT [BATCH_SERVICE_BIN TRAFFIC_GEN_BIN]
 
@@ -51,6 +57,9 @@ DRIVER_DIRS = ("examples", "bench", "tests")
 VERIFY_SKILL = Path(".claude") / "skills" / "verify" / "SKILL.md"
 FLAG_RE = re.compile(r"--[A-Za-z][A-Za-z0-9-]*")
 ROW_FLAG_RE = re.compile(r"^\|\s*`(--[A-Za-z][A-Za-z0-9-]*)")
+ROW_NAME_RE = re.compile(r"^\|\s*`([^`]+)`")
+SOLVER_HEADER_RE = re.compile(r"^\|\s*solver\s*\|")
+KNOWN_RE = re.compile(r"known:((?:[ \t]+[A-Za-z0-9_-]+)+)")
 SECTION_RE = re.compile(r"^## (\d+)\.")
 SKIP_SCHEMES = ("http://", "https://", "mailto:")
 CODE_DIRS = ("src", "examples", "bench", "tests")
@@ -129,13 +138,17 @@ def check_cited_docs(root: Path):
     return problems
 
 
-def help_flags(binary: str):
+def help_text(binary: str):
     out = subprocess.run(
         [binary, "--help"], capture_output=True, text=True, timeout=30
     )
     if out.returncode != 0:
         raise RuntimeError(f"{binary} --help exited {out.returncode}")
-    return sorted(set(FLAG_RE.findall(out.stdout + out.stderr)))
+    return out.stdout + out.stderr
+
+
+def help_flags(binary: str):
+    return sorted(set(FLAG_RE.findall(help_text(binary))))
 
 
 def table_row_flags(ops_text: str):
@@ -180,6 +193,52 @@ def check_flag_coverage(root: Path, binaries):
     return problems
 
 
+def solver_table_rows(ops_text: str):
+    """(line, name) for every row of the solver table in OPERATIONS.md §2."""
+    rows = []
+    section = None
+    in_table = False
+    for lineno, line in enumerate(ops_text.splitlines(), 1):
+        heading = SECTION_RE.match(line)
+        if heading:
+            section = int(heading.group(1))
+        if section != 2:
+            continue
+        if SOLVER_HEADER_RE.match(line):
+            in_table = True
+            continue
+        if in_table and not line.startswith("|"):
+            in_table = False
+        row = ROW_NAME_RE.match(line) if in_table else None
+        if row:
+            rows.append((lineno, row.group(1)))
+    return rows
+
+
+def check_solver_table(root: Path, batch_service: str):
+    ops = root / "docs" / "OPERATIONS.md"
+    if not ops.is_file():
+        return ["docs/OPERATIONS.md missing (solver table lives there)"]
+    known = KNOWN_RE.search(help_text(batch_service))
+    if not known:
+        return [f"`{Path(batch_service).name} --help` lists no `known:` solver names"]
+    names = set(known.group(1).split())
+    rows = solver_table_rows(ops.read_text(encoding="utf-8"))
+    if not rows:
+        return ["docs/OPERATIONS.md: §2 has no solver table (first column `solver`)"]
+    documented = {name for _, name in rows}
+    problems = [
+        f"docs/OPERATIONS.md: solver `{name}` from `--help` has no §2 solver-table row"
+        for name in sorted(names - documented)
+    ]
+    problems += [
+        f"docs/OPERATIONS.md:{lineno}: solver-table row `{name}` is not a registered solver"
+        for lineno, name in rows
+        if name not in names
+    ]
+    return problems
+
+
 def main(argv):
     if len(argv) not in (2, 4):
         print(__doc__, file=sys.stderr)
@@ -192,6 +251,7 @@ def main(argv):
     problems = check_links(root) + check_driver_names(root) + check_cited_docs(root)
     if len(argv) == 4:
         problems += check_flag_coverage(root, argv[2:4])
+        problems += check_solver_table(root, argv[2])
 
     for p in problems:
         print(p)
