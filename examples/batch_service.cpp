@@ -91,7 +91,8 @@ cli::FlagTable make_flags(Options& opt) {
   return cli::FlagTable("[options]", {
       {"--instances", "N", "batch size (default 100)", kSynthetic, cli::count(opt.instances)},
       {"--jobs", "N", "jobs per instance (default 64)", kSynthetic, cli::count(opt.jobs)},
-      {"--machines", "M", "machine count (default 1024)", kSynthetic, cli::count(opt.machines)},
+      {"--machines", "M", "machine count (default 1024)", kSynthetic,
+       cli::count_at_most(opt.machines, moldable::jobs::kMaxMachines, "2^62")},
       {"--input", "DIR", "solve the instance files in DIR (bad files skipped)", "",
        cli::text(opt.input)},
       {"--serve", "", "serve io-format records from stdin until EOF", "", cli::on(opt.serve)},

@@ -70,7 +70,7 @@ cli::FlagTable make_flags(Options& opt) {
        cli::count(c.jobs_min)},
       {"--jobs-cap", "N", "job-count cap (default 64)", "", cli::count(c.jobs_cap)},
       {"--machines", "M", "machine count per instance (default 32)", "",
-       cli::count(c.machines)},
+       cli::count_at_most(c.machines, moldable::jobs::kMaxMachines, "2^62")},
       {"--families", "A,B", "generator families (default amdahl,powerlaw,comm,mixed)", "",
        [&c](const std::string& v) {
          c.families.clear();

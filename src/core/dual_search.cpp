@@ -12,6 +12,23 @@ DualSearchResult dual_search(const DualFn& dual, double omega, double eps_search
 
   DualSearchResult res;
   res.lower_bound = omega;
+  double lo = omega;  // OPT >= omega always; raised on every rejection
+
+  // Probe first: an accepted d <= (1 + eps_search) omega already meets the
+  // contract. When the probe reaches 2 omega the bracket is that narrow
+  // already, and the 2 omega call below is the whole search.
+  const double probe = (1 + eps_search) * omega;
+  if (probe < 2 * omega) {
+    DualOutcome out = dual(probe);
+    ++res.dual_calls;
+    if (out.accepted) {
+      res.schedule = std::move(out.schedule);
+      res.d_accepted = probe;
+      return res;
+    }
+    lo = probe;  // rejection certifies OPT > probe
+    res.lower_bound = probe;
+  }
 
   // The estimator guarantees OPT <= 2 omega, so a correct dual must accept
   // d = 2 omega. Retry with small head-room to absorb floating-point edge
@@ -30,7 +47,6 @@ DualSearchResult dual_search(const DualFn& dual, double omega, double eps_search
   res.schedule = std::move(top.schedule);
   res.d_accepted = hi;
 
-  double lo = omega;  // OPT >= omega always; raised on every rejection
   while (hi > lo * (1 + eps_search)) {
     const double mid = 0.5 * (lo + hi);
     DualOutcome out = dual(mid);

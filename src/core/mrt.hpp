@@ -11,7 +11,7 @@
 // The knapsack is solved exactly with the dense O(n m) dynamic program, so
 // a dual call costs O(n m): this is the baseline the paper's Algorithms 1
 // and 3 accelerate. schedule_moldable(…, Algorithm::kMrt) wraps the dual in
-// the estimator + bisection, giving (3/2)(1 + eps_search) <= 3/2 + eps.
+// the estimator + dual search, giving (3/2)(1 + eps_search) <= 3/2 + eps.
 #pragma once
 
 #include "src/core/dual_search.hpp"

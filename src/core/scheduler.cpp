@@ -21,7 +21,7 @@ bool fptas_regime(const jobs::Instance& instance, double eps) {
 }
 
 /// What a dual algorithm brings to Section 3's composition: its c-dual, the
-/// share eps_search of eps left to the bisection, and c (1 + eps_search).
+/// share eps_search of eps left to the dual search, and c (1 + eps_search).
 struct DualAlgorithm {
   DualFn dual;
   double eps_search;
@@ -38,7 +38,7 @@ DualAlgorithm dual_algorithm(const jobs::Instance& instance, double eps, Algorit
         throw std::invalid_argument(
             "fptas: requires m >= 24 n / eps (Theorem 2 regime); use the "
             "(3/2+eps) algorithms below the threshold");
-      // Dual and bisection at eps/3 each: (1 + eps/3)^2 <= 1 + eps on (0, 1].
+      // Dual and search at eps/3 each: (1 + eps/3)^2 <= 1 + eps on (0, 1].
       return {[&instance, eps](double d) { return fptas_dual(instance, d, eps / 3); }, eps / 3,
               1 + eps};
     case Algorithm::kMrt:
@@ -76,7 +76,8 @@ std::string algorithm_name(Algorithm a) {
   return "unknown";
 }
 
-ScheduleResult schedule_moldable(const jobs::Instance& instance, double eps, Algorithm algo) {
+ScheduleResult schedule_moldable(const jobs::Instance& instance, double eps, Algorithm algo,
+                                 double omega) {
   if (!(eps > 0) || eps > 1)
     throw std::invalid_argument("schedule_moldable: eps must be in (0, 1]");
 
@@ -101,9 +102,10 @@ ScheduleResult schedule_moldable(const jobs::Instance& instance, double eps, Alg
     out.guarantee = instance.memory_constrained() ? 0 : 2;
   } else {
     // Section 3: the estimator brackets OPT in [omega, 2 omega], and the
-    // bisection narrows it to within (1 + eps_search).
+    // dual search narrows it to within (1 + eps_search).
     const DualAlgorithm a = dual_algorithm(instance, eps, algo);
-    DualSearchResult sr = dual_search(a.dual, estimate_makespan(instance).omega, a.eps_search);
+    if (!(omega > 0)) omega = estimate_makespan(instance).omega;
+    DualSearchResult sr = dual_search(a.dual, omega, a.eps_search);
     out.schedule = std::move(sr.schedule);
     out.lower_bound = sr.lower_bound;
     out.dual_calls = sr.dual_calls;
@@ -127,16 +129,17 @@ std::optional<ScheduleResult> exact_schedule(const jobs::Instance& instance) {
   return out;
 }
 
-ScheduleResult ptas_schedule(const jobs::Instance& instance, double eps) {
+ScheduleResult ptas_schedule(const jobs::Instance& instance, double eps, double omega) {
   if (!(eps > 0) || eps > 1)
     throw std::invalid_argument("ptas_schedule: eps must be in (0, 1]");
-  if (fptas_regime(instance, eps)) return schedule_moldable(instance, eps, Algorithm::kFptas);
+  if (fptas_regime(instance, eps))
+    return schedule_moldable(instance, eps, Algorithm::kFptas, omega);
 
   // Substituted [14] branch: exact for tiny instances, (3/2+eps) otherwise.
   const ExactLimits limits;
   if (instance.size() <= limits.max_jobs && instance.machines() <= limits.max_machines)
     if (auto exact = exact_schedule(instance)) return std::move(*exact);
-  return schedule_moldable(instance, eps, Algorithm::kBoundedLinear);
+  return schedule_moldable(instance, eps, Algorithm::kBoundedLinear, omega);
 }
 
 }  // namespace moldable::core

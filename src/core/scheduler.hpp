@@ -50,8 +50,14 @@ struct ScheduleResult {
 /// reports guarantee 0 when the constraint binds. Throws
 /// std::invalid_argument for eps outside (0, 1], and for kFptas when m is
 /// below fptas_machine_threshold.
+///
+/// `omega` is the dual search's estimate when the caller already holds it:
+/// it must be estimate_makespan(instance).omega, bit for bit, and then the
+/// result is identical to a call without it. Any other value voids the
+/// certificate. 0 means "compute it here"; kLudwigTiwari always does,
+/// since it needs the estimator's allotment too.
 ScheduleResult schedule_moldable(const jobs::Instance& instance, double eps,
-                                 Algorithm algo = Algorithm::kAuto);
+                                 Algorithm algo = Algorithm::kAuto, double omega = 0);
 
 /// solve_exact's optimum as a result (guarantee 1, `used` left at kAuto):
 /// nullopt when the node budget runs out; throws over the hard caps.
@@ -65,6 +71,7 @@ std::optional<ScheduleResult> exact_schedule(const jobs::Instance& instance);
 /// else falls back to Algorithm 3 with guarantee 3/2+eps. The returned
 /// `guarantee` field reports which branch ran; callers needing a true PTAS
 /// for mid-size low-m instances must accept the documented substitution.
-ScheduleResult ptas_schedule(const jobs::Instance& instance, double eps);
+/// `omega` is forwarded to schedule_moldable, under its contract.
+ScheduleResult ptas_schedule(const jobs::Instance& instance, double eps, double omega = 0);
 
 }  // namespace moldable::core

@@ -251,13 +251,15 @@ PortfolioResult PortfolioSolver::solve(const std::vector<jobs::Instance>& batch,
 
   // One variant's attempt, run to completion or failure. Pure except for
   // the wall stamp.
-  const auto run_attempt = [&](std::size_t i, std::uint16_t v, VariantAttempt& a) {
+  const auto run_attempt = [&](std::size_t i, std::uint16_t v, double omega,
+                               VariantAttempt& a) {
     a.algorithm = config.variants[v];
     a.variant = v;
     util::Timer attempt_timer;
     try {
       SolverConfig solver_config;
       solver_config.eps = config.eps;
+      solver_config.omega = omega;
       const core::ScheduleResult r = (*solvers[v])(batch[i], solver_config);
       const sched::ValidationResult check = sched::validate(r.schedule, batch[i]);
       if (!check.ok)
@@ -324,13 +326,19 @@ PortfolioResult PortfolioSolver::solve(const std::vector<jobs::Instance>& batch,
           lanes = capable.size();
         }
         out.attempts.resize(lanes);
-        // A single-lane instance (single-solver mode, a down-shifted plan,
-        // or a capability-filtered instance) has no peers to cancel and must
-        // stay bitwise equal to solving that one variant alone, so it skips
-        // the decision machinery (and the estimator call funding it).
-        const double omega = lanes > 1
-                                 ? certified_lower_bound(batch[i])
-                                 : -std::numeric_limits<double>::infinity();
+        // The certified lower bound, computed at most once: the caller's
+        // when it holds one, else here for a multi-lane instance. A
+        // single-lane instance (single-solver mode, a down-shifted plan, or
+        // a capability-filtered instance) has no peers to cancel and must
+        // stay bitwise equal to solving that one variant alone, so it never
+        // decides and never runs the estimator for the decision's sake.
+        double bound = config.omegas && i < config.omegas->size() ? (*config.omegas)[i] : 0;
+        if (bound == 0 && lanes > 1) bound = certified_lower_bound(batch[i]);
+        const double omega = lanes > 1 ? bound : -std::numeric_limits<double>::infinity();
+        // The lanes' estimate: on a memory-free instance the bound is the
+        // estimator's omega itself. An estimator failure (-inf) carries
+        // nothing; the lane then computes and fails as it would alone.
+        const double lane_omega = batch[i].memory_constrained() ? 0 : std::max(bound, 0.0);
 
         // Lanes run in plan order. Once a completed attempt decides the
         // instance (makespan <= omega), every later lane is skipped and
@@ -340,7 +348,7 @@ PortfolioResult PortfolioSolver::solve(const std::vector<jobs::Instance>& batch,
         for (std::size_t lane = 0; lane < lanes; ++lane) {
           VariantAttempt& a = out.attempts[lane];
           if (!decided) {
-            run_attempt(i, variant_of(lane), a);
+            run_attempt(i, variant_of(lane), lane_omega, a);
             decided = a.ok && a.makespan <= omega;
             continue;
           }

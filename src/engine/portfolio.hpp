@@ -38,6 +38,13 @@
 // therefore a pure function of (batch, variants, eps): completed results
 // are pure and the decision threshold omega is deterministic.
 //
+// One estimate per instance: omega is computed at most once per instance,
+// or taken from the caller (PortfolioConfig::omegas, the stream's
+// admission probe), and every lane of a memory-free instance gets it as
+// SolverConfig::omega, so no dual solver runs the estimator again. On a
+// memory-constrained instance omega folds in the memory bound, so it only
+// serves the decision and the lanes get 0.
+//
 // All combined certificate fields are pure functions of (batch, variants,
 // eps) and enter the digest. The *winner name* is tie-broken by makespan,
 // then (under the default TieBreak::kWallTime) wall time, then portfolio
@@ -94,6 +101,12 @@ struct PortfolioConfig {
   /// salted into the memo key so they never alias. Entries must be valid,
   /// duplicate-free variant indices. The pointee must outlive solve().
   const std::vector<std::vector<std::uint16_t>>* variant_plans = nullptr;
+  /// Optional per-instance certified_lower_bound values the caller already
+  /// holds, index-aligned with the batch like `variant_plans`; 0 (or a
+  /// missing entry) = not known, computed here when needed. A known entry
+  /// must equal certified_lower_bound(batch[i]), so it changes no outcome,
+  /// only what is computed. The pointee must outlive solve().
+  const std::vector<double>* omegas = nullptr;
 };
 
 /// How one variant's attempt on one instance ended.
@@ -221,8 +234,8 @@ class PortfolioSolver {
   /// duplicate name, or eps is out of range; per-instance solver errors are
   /// recorded in the outcomes instead of thrown. A single-variant portfolio
   /// is exactly that solver: one attempt per instance carrying the solver's
-  /// own makespan, bound, ratio, and guarantee (no estimator call, no
-  /// early-cancel machinery).
+  /// own makespan, bound, ratio, and guarantee (no estimator call of the
+  /// portfolio's own, no early-cancel machinery).
   ///
   /// `memo` (optional) enables digest-keyed memoization: instances whose
   /// content was already solved under this config — earlier in this batch

@@ -8,16 +8,7 @@ namespace moldable::engine {
 
 namespace {
 
-/// The one adapter every built-in is registered through: core solvers take
-/// eps positionally.
-template <class Solve>
-SolverFn builtin(Solve solve) {
-  return [solve](const jobs::Instance& instance, const SolverConfig& config) {
-    return solve(instance, config.eps);
-  };
-}
-
-core::ScheduleResult exact_row(const jobs::Instance& instance, double /*eps*/) {
+core::ScheduleResult exact_row(const jobs::Instance& instance, const SolverConfig& /*config*/) {
   auto exact = core::exact_schedule(instance);  // throws over the hard caps
   if (!exact)
     throw std::runtime_error("exact: node budget exceeded for instance '" +
@@ -39,12 +30,14 @@ AlgorithmRegistry AlgorithmRegistry::with_builtins() {
         core::Algorithm::kCompressible, core::Algorithm::kBounded,
         core::Algorithm::kBoundedLinear, core::Algorithm::kLudwigTiwari})
     r.add(core::algorithm_name(a),
-          builtin([a](const jobs::Instance& instance, double eps) {
-            return core::schedule_moldable(instance, eps, a);
-          }),
+          [a](const jobs::Instance& instance, const SolverConfig& config) {
+            return core::schedule_moldable(instance, config.eps, a, config.omega);
+          },
           SolverCaps{/*memory_aware=*/a == core::Algorithm::kLudwigTiwari});
-  r.add("ptas", builtin(core::ptas_schedule));
-  r.add("exact", builtin(exact_row), SolverCaps{/*memory_aware=*/true});
+  r.add("ptas", [](const jobs::Instance& instance, const SolverConfig& config) {
+    return core::ptas_schedule(instance, config.eps, config.omega);
+  });
+  r.add("exact", exact_row, SolverCaps{/*memory_aware=*/true});
   return r;
 }
 

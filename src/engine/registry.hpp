@@ -38,6 +38,12 @@ namespace moldable::engine {
 /// every solver signature.
 struct SolverConfig {
   double eps = 0.1;  ///< approximation parameter, in (0, 1]
+  /// The instance's estimate when the caller already holds it, so a dual
+  /// solver does not run the estimator again; 0 = the solver computes it.
+  /// It must be core::estimate_makespan(instance).omega: the result is
+  /// then identical to a call without it, and any other value voids the
+  /// certificate. PortfolioSolver sets it on memory-free instances only.
+  double omega = 0;
 };
 
 /// A registered solver variant: maps (instance, config) to a ScheduleResult,

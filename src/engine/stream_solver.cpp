@@ -121,8 +121,8 @@ StreamResult StreamSolver::run(InstanceSource& source, const StreamConfig& confi
     jobs::Instance instance;
     std::uint64_t tag;
     /// Admission probe's certified lower bound (deadline classes under an
-    /// active policy; 0 otherwise). Carried to the window cut so the
-    /// down-shift check never re-runs the estimator.
+    /// active policy; 0 otherwise). Carried to the window cut so neither
+    /// the down-shift check nor the portfolio re-runs the estimator.
     double omega;
   };
   std::vector<Pending> pending;
@@ -261,6 +261,7 @@ StreamResult StreamSolver::run(InstanceSource& source, const StreamConfig& confi
     // the stream prefix and config.
     std::vector<std::vector<std::uint16_t>> window_plans;
     portfolio_config.variant_plans = nullptr;
+    portfolio_config.omegas = &window_omegas;
     if (learn) {
       window_plans.resize(take);
       for (std::size_t i = 0; i < take; ++i) {

@@ -98,9 +98,12 @@ CompressibleSolution solve_compressible(const CompressibleInput& input) {
   std::vector<ParetoPoint> exact_list;
   bool exact_engine = false;
   {
+    // The grid stops growing at the size that already selects the exact
+    // engine, so the choice is made without building a grid it would drop.
+    const std::size_t exact_size = static_cast<std::size_t>(input.capacity) + 2;
     grid = std::make_unique<NormalizationGrid>(A, alpha_min, rho,
-                                               std::max<procs_t>(input.nbar, 1));
-    if (grid->size() >= static_cast<std::size_t>(input.capacity) + 2) {
+                                               std::max<procs_t>(input.nbar, 1), exact_size);
+    if (grid->size() >= exact_size) {
       exact_engine = true;  // grid finer than the integers: pointless
     } else {
       try {

@@ -51,7 +51,7 @@ double round_up_geom(double a, double L, double U, double x) {
 }
 
 NormalizationGrid::NormalizationGrid(std::vector<double> capacities, double alpha_min,
-                                     double rho, procs_t nbar) {
+                                     double rho, procs_t nbar, std::size_t max_points) {
   if (capacities.empty()) throw std::invalid_argument("NormalizationGrid: empty capacity set");
   if (!(rho > 0) || rho > 0.5) throw std::invalid_argument("NormalizationGrid: rho out of (0, 0.5]");
   if (nbar < 1) nbar = 1;
@@ -74,6 +74,7 @@ NormalizationGrid::NormalizationGrid(std::vector<double> capacities, double alph
       if (edge >= alpha) break;
       if (edge > points_.back() * (1 + kRelTol) || points_.back() == 0.0) {
         if (edge > points_.back()) {
+          if (points_.size() >= max_points) return;
           points_.push_back(edge);
           ++count;
         }
@@ -82,7 +83,8 @@ NormalizationGrid::NormalizationGrid(std::vector<double> capacities, double alph
     per_interval_.push_back(count);
     prev = alpha;
   }
-  points_.push_back(prev);  // the largest capacity itself is representable
+  // The largest capacity itself is representable.
+  if (points_.size() < max_points) points_.push_back(prev);
 }
 
 std::optional<double> NormalizationGrid::normalize(double s) const {

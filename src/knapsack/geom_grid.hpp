@@ -14,6 +14,7 @@
 // nbar * U_i, which compression absorbs (Eq. (14)).
 #pragma once
 
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -38,8 +39,12 @@ class NormalizationGrid {
   /// `nbar` is the bound on normalized additions per solution; callers that
   /// reconstruct solutions by divide-and-conquer must double it (each
   /// combine step adds one extra normalization).
+  /// The grid stops growing once it holds `max_points` points (at least
+  /// 1): a grid that reaches the bound has size() == max_points and is good
+  /// for nothing but that count, and one that does not is the full grid.
   NormalizationGrid(std::vector<double> capacities, double alpha_min, double rho,
-                    procs_t nbar);
+                    procs_t nbar,
+                    std::size_t max_points = std::numeric_limits<std::size_t>::max());
 
   /// Largest grid point <= s, or nullopt when s exceeds the largest
   /// capacity's interval (the pair is infeasible for every capacity in A).

@@ -17,16 +17,28 @@ namespace moldable::traffic {
 
 namespace {
 
-// v2: single-solver sessions are served as one-variant portfolios, so their
-// digests changed value; a v1 recording can no longer replay to its digest.
-constexpr char kHeaderSentinel[] = "# moldable-record v2";
-constexpr char kHeaderV1[] = "# moldable-record v1";
+constexpr char kHeaderSentinel[] = "# moldable-record v3";
 constexpr char kEndSentinel[] = "# moldable-record-end v1";
 constexpr char kCloseSentinel[] = "# moldable-record-close v1";
 
 [[noreturn]] void fail(const std::string& what) {
   throw std::runtime_error("record: " + what);
 }
+
+/// Record formats whose digests no longer replay, each with the change
+/// that retired it.
+struct RetiredVersion {
+  const char* version;
+  const char* why;
+};
+constexpr RetiredVersion kRetired[] = {
+    {"v1",
+     "single-solver (--algorithm) digests changed in v2, when every solver "
+     "became a one-variant portfolio"},
+    {"v2",
+     "the dual solvers' digests changed in v3, when the dual search began "
+     "probing (1+eps) omega first"},
+};
 
 /// Splits "key=value" tokens of a frame line body into ordered pairs.
 std::vector<std::pair<std::string, std::string>> split_kv(const std::string& body,
@@ -240,10 +252,10 @@ ReplayFile load_record(std::istream& is) {
   while (std::getline(is, line)) {
     const std::string t = trim(line);
     if (t.empty()) continue;
-    if (t == kHeaderV1)
-      fail("record format v1 is no longer replayable: single-solver "
-           "(--algorithm) digests changed in v2, when every solver became a "
-           "one-variant portfolio; re-record the session");
+    for (const RetiredVersion& v : kRetired)
+      if (t == std::string("# moldable-record ") + v.version)
+        fail(std::string("record format ") + v.version + " is no longer replayable: " + v.why +
+             "; re-record the session");
     if (t != kHeaderSentinel)
       fail(std::string("not a record file (expected '") + kHeaderSentinel +
            "' first, got '" + t.substr(0, 40) + "')");

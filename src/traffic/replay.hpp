@@ -4,7 +4,7 @@
 // A record file is three comment-framed sections, and — because every frame
 // line is an io comment — the whole file doubles as a plain serve stream:
 //
-//   # moldable-record v2
+//   # moldable-record v3
 //   # serve window=16 max-inflight=4 eps=0.1 memo=1 memo-capacity=64 ...
 //   # portfolio exact,fptas,mrt              (portfolio mode only)
 //   # deadline interactive=0.5               (repeatable)
@@ -31,11 +31,11 @@
 // fed back through StreamConfig::replay_latencies, so deadline-miss tallies
 // reproduce too. replay() asserts all of it and reports every divergence.
 //
-// Failure modes are first-class: a v1 file (recorded before single-solver
-// digests changed) is rejected by name, a file without the trailer
-// sentinels is rejected as truncated, a file whose body bytes do not hash to
-// records-digest is rejected as corrupted — each with a diagnostic naming
-// what was expected.
+// Failure modes are first-class: a v1 or v2 file (recorded before
+// single-solver or dual-solver digests changed) is rejected by name, a file
+// without the trailer sentinels is rejected as truncated, a file whose body
+// bytes do not hash to records-digest is rejected as corrupted — each with
+// a diagnostic naming what was expected.
 #pragma once
 
 #include <cstdint>

@@ -68,6 +68,16 @@ template <class T>
 Setter count(T& dst) {
   return [&dst](const std::string& v) { dst = parse_count<T>(v); };
 }
+/// count(dst) that also refuses a value above `max`, which `max_text`
+/// names in the diagnostic.
+template <class T>
+Setter count_at_most(T& dst, T max, const char* max_text) {
+  return [&dst, max, max_text](const std::string& v) {
+    const T value = parse_count<T>(v);
+    if (value > max) throw BadValue(std::string("must be at most ") + max_text);
+    dst = value;
+  };
+}
 Setter real(double& dst);
 Setter text(std::string& dst);
 Setter on(bool& dst);

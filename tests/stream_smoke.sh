@@ -395,6 +395,11 @@ cli)
         --machines 18446744073709551615
     expect_cli_error "$traffic_gen" "--machines needs a non-negative integer" \
         --machines 18446744073709551615
+    # Above the instance format's 2^62 cap the flag is refused by name, not
+    # later by the first Instance built from it.
+    expect_cli_error "$bin" "--machines must be at most 2^62" --machines 4611686018427387905
+    expect_cli_error "$traffic_gen" "--machines must be at most 2^62" \
+        --machines 4611686018427387905
     expect_cli_error "$bin" "window x max-inflight" \
         --serve --window 4294967296 --max-inflight 4294967296 < "$fixture"
 

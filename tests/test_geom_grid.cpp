@@ -114,6 +114,25 @@ TEST(NormalizationGrid, Lemma12IntervalCounts) {
   EXPECT_LE(grid.size(), (static_cast<std::size_t>(nbar) + 2) * (caps.size() + 2));
 }
 
+TEST(NormalizationGrid, PointBoundStopsGrowthAtTheBound) {
+  // A bound the full grid reaches yields exactly that many points; any
+  // larger bound yields the full grid, point for point.
+  const double rho = 0.1;
+  for (procs_t nbar : {1, 5, 40}) {
+    const std::vector<double> caps = geom_set(50.0 / (1 - rho), 1e5, 1.0 / (1 - rho));
+    const NormalizationGrid full(caps, 50.0, rho, nbar);
+    const std::size_t n = full.size();
+    for (std::size_t bound : {std::size_t{1}, std::size_t{2}, n / 2, n - 1, n, n + 1, 4 * n}) {
+      const NormalizationGrid bounded(caps, 50.0, rho, nbar, bound);
+      if (bound < n) {
+        EXPECT_EQ(bounded.size(), bound) << "nbar=" << nbar << " bound=" << bound;
+      } else {
+        EXPECT_EQ(bounded.points(), full.points()) << "nbar=" << nbar << " bound=" << bound;
+      }
+    }
+  }
+}
+
 TEST(NormalizationGrid, ValidatesArguments) {
   EXPECT_THROW(NormalizationGrid({}, 1.0, 0.1, 5), std::invalid_argument);
   EXPECT_THROW(NormalizationGrid({10.0}, 0.0, 0.1, 5), std::invalid_argument);

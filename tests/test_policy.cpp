@@ -16,7 +16,9 @@
 #include <mutex>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/engine/policy.hpp"
@@ -493,6 +495,67 @@ TEST(StreamPolicy, ShedRequiresADeadlineAndAdaptRequiresAPortfolio) {
   StreamConfig adapt_only;
   adapt_only.adapt = true;  // no variants to reorder
   EXPECT_THROW(run_stream("", adapt_only), std::invalid_argument);
+}
+
+TEST(StreamPolicy, SolversReuseOneEstimatePerInstance) {
+  // Recording rows log the SolverConfig::omega each attempt was handed,
+  // then fail, so no lane decides and every lane runs.
+  std::mutex mu;
+  std::vector<std::pair<std::size_t, double>> seen;  // (job count, omega)
+  AlgorithmRegistry registry;
+  for (const char* name : {"rec-a", "rec-b"})
+    registry.add(
+        name,
+        [&](const Instance& inst, const SolverConfig& config) -> core::ScheduleResult {
+          const std::lock_guard<std::mutex> lock(mu);
+          seen.emplace_back(inst.size(), config.omega);
+          throw std::runtime_error("recorded");
+        },
+        SolverCaps{/*memory_aware=*/true});
+  const auto take = [&] { return std::exchange(seen, {}); };
+
+  const Instance free_inst = make_instance(Family::kAmdahl, 5, 64, 71);
+  Instance capped = make_instance(Family::kAmdahl, 4, 8, 72);
+  capped.set_memory_capacity(4.0);
+  capped.set_job_memory({10.0, 1.0, 6.0, 3.0});
+  const double omega = certified_lower_bound(free_inst);
+  ASSERT_GT(omega, 0);
+  ASSERT_GT(certified_lower_bound(capped), 0);
+  using Seen = std::vector<std::pair<std::size_t, double>>;
+
+  // Every lane of a memory-free multi-lane instance gets the one estimate,
+  // computed here or carried by the caller; a memory-constrained instance's
+  // bound folds in the memory bound, so its lanes get 0.
+  PortfolioConfig pc;
+  pc.variants = {"rec-a", "rec-b"};
+  pc.threads = 1;
+  const PortfolioSolver solver(registry);
+  solver.solve({free_inst, capped}, pc);
+  EXPECT_EQ(take(), (Seen{{5, omega}, {5, omega}, {4, 0.0}, {4, 0.0}}));
+  const std::vector<double> carried = {omega, certified_lower_bound(capped)};
+  pc.omegas = &carried;
+  solver.solve({free_inst, capped}, pc);
+  EXPECT_EQ(take(), (Seen{{5, omega}, {5, omega}, {4, 0.0}, {4, 0.0}}));
+
+  // A lone lane computes nothing for a decision it never makes.
+  solver.solve({free_inst}, PortfolioConfig{{"rec-a"}});
+  EXPECT_EQ(take(), (Seen{{5, 0.0}}));
+
+  // Served, the lone lane of an admitted deadline record gets the admission
+  // probe's estimate; a record of a class without a deadline gets 0.
+  Instance deadline = free_inst;
+  deadline.set_sla_class("rt");
+  Instance bulk = free_inst;
+  bulk.set_sla_class("bulk");
+  StreamConfig config;
+  config.algorithm = "rec-a";
+  config.threads = 1;
+  config.shed = true;
+  config.class_deadlines["rt"] = 1e9;
+  std::istringstream input(to_stream({deadline, bulk}));
+  const StreamResult result = StreamSolver(registry).run(input, config);
+  EXPECT_EQ(result.shed, 0u);
+  EXPECT_EQ(take(), (Seen{{5, omega}, {5, 0.0}}));
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <optional>
+#include <limits>
 
 #include "src/core/estimator.hpp"
 #include "src/core/exact.hpp"
@@ -53,53 +53,105 @@ TEST(Scheduler, FptasRegimeBoundaryIsSolved) {
   }
 }
 
-TEST(Scheduler, EveryBuiltinCertifiesItsGuarantee) {
-  // Each registry row against its own certificate: makespan <= guarantee *
-  // lower_bound with omega <= lower_bound <= OPT, and a dual search that
-  // stays within its budget over [omega, 2 omega]. The sweep below only
-  // checks the looser guarantee * 2 * lower_bound.
+/// The registry sweep: every family, n in {1, 6, 40}, m in {8, 256, 16384}
+/// (tables only up to 8192) and eps in {0.1, 1.0}. Calls on_instance(inst)
+/// once per instance, then visit(inst, eps, name, where) for every row that
+/// applies — fptas in Theorem 2's regime, exact within its caps.
+template <class OnInstance, class Visit>
+void for_each_registry_case(OnInstance on_instance, Visit visit) {
   const engine::AlgorithmRegistry& registry = engine::AlgorithmRegistry::global();
   const ExactLimits limits;
-  int checked = 0;
   for (Family fam : jobs::all_families()) {
     for (std::size_t n : {1, 6, 40}) {
       for (procs_t m : {8, 256, 16384}) {
         if (fam == Family::kTable && m > 8192) continue;  // tables are Theta(m) per job
         const Instance inst = make_instance(fam, n, m, 2024);
-        ASSERT_FALSE(inst.memory_constrained());
-        const double omega = estimate_makespan(inst).omega;
-        std::optional<double> opt;
-        if (n <= limits.max_jobs && m <= limits.max_machines) {
-          const auto exact = solve_exact(inst, limits);
-          ASSERT_TRUE(exact.has_value());
-          opt = exact->makespan;
-        }
+        const bool exact_ok = n <= limits.max_jobs && m <= limits.max_machines;
+        on_instance(inst);
         for (double eps : {0.1, 1.0}) {
-          const int max_calls = 2 + static_cast<int>(std::ceil(std::log2(4 / eps)));
           const bool fptas_ok = static_cast<double>(m) >= fptas_machine_threshold(n, eps);
           for (const std::string& name : registry.names()) {
-            if ((name == "fptas" && !fptas_ok) || (name == "exact" && !opt)) continue;
-            const std::string where = name + " " + jobs::family_name(fam) +
-                                      " n=" + std::to_string(n) + " m=" + std::to_string(m) +
-                                      " eps=" + std::to_string(eps);
-            engine::SolverConfig config;
-            config.eps = eps;
-            const ScheduleResult r = registry.solve(name, inst, config);
-            const auto v = sched::validate(r.schedule, inst);
-            ASSERT_TRUE(v.ok) << where << ": " << (v.errors.empty() ? "" : v.errors.front());
-            EXPECT_LE(r.makespan, r.guarantee * r.lower_bound * (1 + 1e-9)) << where;
-            EXPECT_GE(r.lower_bound, omega * (1 - 1e-9)) << where;
-            if (opt) {
-              EXPECT_LE(r.lower_bound, *opt * (1 + 1e-9)) << where;
-            }
-            EXPECT_LE(r.dual_calls, max_calls) << where;
-            ++checked;
+            if ((name == "fptas" && !fptas_ok) || (name == "exact" && !exact_ok)) continue;
+            visit(inst, eps, name,
+                  name + " " + jobs::family_name(fam) + " n=" + std::to_string(n) +
+                      " m=" + std::to_string(m) + " eps=" + std::to_string(eps));
           }
         }
       }
     }
   }
+}
+
+TEST(Scheduler, EveryBuiltinCertifiesItsGuarantee) {
+  // Each registry row against its own certificate: makespan <= guarantee *
+  // lower_bound with omega <= lower_bound <= OPT, and a dual search that
+  // stays within its budget (the probe at (1+eps_s) omega, the 2 omega call
+  // and the bisection between). The sweep below only checks the looser
+  // guarantee * 2 * lower_bound.
+  const engine::AlgorithmRegistry& registry = engine::AlgorithmRegistry::global();
+  const ExactLimits limits;
+  double omega = 0;
+  double opt = 0;  // OPT within the exact solver's caps, else +inf
+  int checked = 0;
+  const auto on_instance = [&](const Instance& inst) {
+    ASSERT_FALSE(inst.memory_constrained());
+    omega = estimate_makespan(inst).omega;
+    opt = std::numeric_limits<double>::infinity();
+    if (inst.size() <= limits.max_jobs && inst.machines() <= limits.max_machines) {
+      const auto exact = solve_exact(inst, limits);
+      ASSERT_TRUE(exact.has_value());
+      opt = exact->makespan;
+    }
+  };
+  for_each_registry_case(on_instance, [&](const Instance& inst, double eps,
+                                          const std::string& name, const std::string& where) {
+    const int max_calls = 2 + static_cast<int>(std::ceil(std::log2(4 / eps)));
+    engine::SolverConfig config;
+    config.eps = eps;
+    const ScheduleResult r = registry.solve(name, inst, config);
+    const auto v = sched::validate(r.schedule, inst);
+    ASSERT_TRUE(v.ok) << where << ": " << (v.errors.empty() ? "" : v.errors.front());
+    EXPECT_LE(r.makespan, r.guarantee * r.lower_bound * (1 + 1e-9)) << where;
+    EXPECT_GE(r.lower_bound, omega * (1 - 1e-9)) << where;
+    EXPECT_LE(r.lower_bound, opt * (1 + 1e-9)) << where;
+    EXPECT_LE(r.dual_calls, max_calls) << where;
+    ++checked;
+  });
   // 7 rows apply to all 156 (instance, eps) cases; exact adds 36, fptas 75.
+  EXPECT_EQ(checked, 1203);
+}
+
+TEST(Registry, CarriedOmegaMatchesComputed) {
+  // SolverConfig::omega saves the estimator call and changes nothing else:
+  // every row, handed estimate_makespan's omega, returns what it computes
+  // without it, assignment for assignment.
+  const engine::AlgorithmRegistry& registry = engine::AlgorithmRegistry::global();
+  double omega = 0;
+  int checked = 0;
+  const auto on_instance = [&](const Instance& inst) { omega = estimate_makespan(inst).omega; };
+  for_each_registry_case(on_instance, [&](const Instance& inst, double eps,
+                                          const std::string& name, const std::string& where) {
+    engine::SolverConfig plain, carried;
+    plain.eps = carried.eps = eps;
+    carried.omega = omega;
+    const ScheduleResult a = registry.solve(name, inst, plain);
+    const ScheduleResult b = registry.solve(name, inst, carried);
+    EXPECT_EQ(a.makespan, b.makespan) << where;
+    EXPECT_EQ(a.lower_bound, b.lower_bound) << where;
+    EXPECT_EQ(a.dual_calls, b.dual_calls) << where;
+    EXPECT_EQ(a.guarantee, b.guarantee) << where;
+    EXPECT_EQ(a.used, b.used) << where;
+    const auto& sa = a.schedule.assignments();
+    const auto& sb = b.schedule.assignments();
+    ASSERT_EQ(sa.size(), sb.size()) << where;
+    for (std::size_t k = 0; k < sa.size(); ++k) {
+      EXPECT_EQ(sa[k].job, sb[k].job) << where;
+      EXPECT_EQ(sa[k].start, sb[k].start) << where;
+      EXPECT_EQ(sa[k].procs, sb[k].procs) << where;
+      EXPECT_EQ(sa[k].duration, sb[k].duration) << where;
+    }
+    ++checked;
+  });
   EXPECT_EQ(checked, 1203);
 }
 

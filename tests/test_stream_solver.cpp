@@ -759,20 +759,26 @@ TEST(StreamRecordReplay, TruncatedFilesAreRejectedWithADiagnostic) {
   EXPECT_THROW(traffic::load_record(empty), std::runtime_error);
 }
 
-TEST(StreamRecordReplay, VersionOneRecordsAreRejectedByName) {
-  // v1 recordings predate single-solver sessions becoming one-variant
-  // portfolios: their digests cannot replay, and the loader must say why
-  // instead of reporting a divergence.
+TEST(StreamRecordReplay, RetiredRecordVersionsAreRejectedByName) {
+  // Each retired version's digests cannot replay — v1 predates single-solver
+  // sessions becoming one-variant portfolios, v2 the probe-first dual
+  // search — and the loader must say why instead of reporting a divergence.
   std::ostringstream written;
   const traffic::StreamRecorder recorder(written, StreamConfig{});
-  ASSERT_EQ(written.str().rfind("# moldable-record v2\n", 0), 0u);
-  std::istringstream file("# moldable-record v1\n# serve window=16\n");
-  try {
-    traffic::load_record(file);
-    FAIL() << "a v1 record file must not load";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("v1"), std::string::npos) << e.what();
-    EXPECT_NE(std::string(e.what()).find("single-solver"), std::string::npos) << e.what();
+  ASSERT_EQ(written.str().rfind("# moldable-record v3\n", 0), 0u);
+  const std::vector<std::pair<std::string, std::string>> retired = {
+      {"v1", "single-solver"}, {"v2", "dual search"}};
+  for (const auto& [version, why] : retired) {
+    std::istringstream file("# moldable-record " + version + "\n# serve window=16\n");
+    try {
+      traffic::load_record(file);
+      FAIL() << "a " << version << " record file must not load";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("format " + version + " is no longer replayable"),
+                std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find(why), std::string::npos) << e.what();
+    }
   }
 }
 
@@ -781,7 +787,7 @@ TEST(StreamRecordReplay, OutOfRangeServeValuesAreRefusedNamingTheKey) {
   // replay died in vector::reserve; memo-capacity=-1 replayed as 2^64-1 —
   // and race-width was truncated into an unsigned.
   for (const std::string kv : {"window=-16", "memo-capacity=-1", "race-width=4294967296"}) {
-    std::istringstream file("# moldable-record v2\n# serve " + kv + "\n");
+    std::istringstream file("# moldable-record v3\n# serve " + kv + "\n");
     try {
       traffic::load_record(file);
       FAIL() << kv << " must not load";
@@ -803,7 +809,7 @@ TEST(StreamRecordReplay, TrailerValuesAreRefusedNamingTheKey) {
       {"# rolling-digest -1", "rolling-digest"},
       {"# records-digest +1", "records-digest"}};
   for (const auto& [line, key] : cases) {
-    std::istringstream file("# moldable-record v2\n# serve window=16\n"
+    std::istringstream file("# moldable-record v3\n# serve window=16\n"
                             "# moldable-record-end v1\n" + line + "\n");
     try {
       traffic::load_record(file);
