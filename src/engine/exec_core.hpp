@@ -5,16 +5,20 @@
 //   * per-index outcome slots, sized up front, each worker writing only its
 //     own slot (what makes every algorithmic output a pure function of
 //     (batch, config) and hence thread-count independent);
-//   * the shard loop on util::parallel_for: threads claim slots in index
-//     order and the calling thread works too. It is the only parallelism in
-//     a solve: each instance's variants run one after another on the
-//     thread that claimed it, so parallel_for never nests;
+//   * the shard loop on util::parallel_for: the calling thread and the
+//     executor's persistent helper threads claim slots in index order. It
+//     is the only parallelism in a solve: each instance's variants run one
+//     after another on the thread that claimed it, so parallel_for never
+//     nests;
 //   * a single steady-clock anchor that stamps both the per-instance claim
 //     time (the queue half of the latency split) and the whole-batch wall
 //     clock;
 //   * FNV-1a digest plumbing and nearest-rank percentile aggregation;
-//   * an opt-in digest-keyed memoization plan that serves duplicate
-//     instances from a prior outcome instead of re-solving them.
+//   * an opt-in memoization plan that serves duplicate instances from a
+//     prior outcome instead of re-solving them: keyed by a 64-bit FNV of
+//     the instance's structural identity (jobs::content_bytes), and served
+//     only when the identity bytes themselves match, so a key collision
+//     never serves another instance's outcome.
 //
 // Everything here is deterministic except the clock reads, and the memo
 // plan is computed serially before dispatch so hit/miss counts are
@@ -28,8 +32,9 @@
 #include <functional>
 #include <list>
 #include <optional>
+#include <string>
+#include <string_view>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "src/jobs/instance.hpp"
@@ -82,15 +87,14 @@ struct Percentiles {
 /// Sorts `samples` in place and summarizes it (all zeros when empty).
 Percentiles percentiles_of(std::vector<double>& samples);
 
-/// Digest-keyed memo key of one instance under one solver configuration:
-/// FNV-1a over the instance's canonical text form — every io directive
-/// (machines, jobs with their names, arrival, class, memcap, mem) minus the
+/// Memo key of one instance under one solver configuration: FNV-1a over
+/// the instance's content bytes (jobs::content_bytes — every io directive:
+/// machines, jobs with their names, arrival, class, memcap, mem — minus the
 /// instance name, which loaders auto-generate for unnamed input and which
-/// affects no algorithmic output — seeded with `config_key` (which must
+/// affects no algorithmic output), seeded with `config_key` (which must
 /// encode everything that changes the outcome — solver names, eps). Returns
-/// nullopt for instances that cannot be serialized (custom oracle types
-/// outside the io catalogue, instance names with line breaks, job names
-/// with whitespace); those are never memoized.
+/// nullopt for an oracle type outside the io catalogue; such instances are
+/// never memoized.
 std::optional<std::uint64_t> memo_key(const jobs::Instance& instance,
                                       std::uint64_t config_key);
 
@@ -106,18 +110,24 @@ struct MemoPlan {
   static constexpr std::size_t kFromStore = static_cast<std::size_t>(-2);
 
   std::vector<std::size_t> source;
-  std::vector<std::uint64_t> key;   ///< valid where memoizable[i]
-  std::vector<char> memoizable;     ///< 0 for unserializable instances
-  std::size_t hits = 0;             ///< slots served without solving
-  std::size_t misses = 0;           ///< slots that must compute
+  std::vector<std::uint64_t> key;  ///< valid where identity[i] is nonempty
+  /// Everything key[i] was hashed from: the content bytes, the plan salt
+  /// and the config key. Empty for an instance that is never memoized.
+  std::vector<std::string> identity;
+  std::size_t hits = 0;    ///< slots served without solving
+  std::size_t misses = 0;  ///< slots that must compute
 
   bool computes(std::size_t i) const { return source[i] == kCompute; }
 };
 
 /// Cross-batch memo storage: key -> the first finished outcome computed
-/// under that key. Owned by the caller (the stream layer keeps one alive
-/// across windows); not thread-safe by design — all access happens in the
-/// serial plan/finalize phases around the shard loop, never inside it.
+/// under that key, with the identity bytes the key was hashed from (see
+/// MemoPlan::identity). Every lookup passes the identity too, and an entry
+/// answers only when its bytes match exactly: a 64-bit key is a hash, and
+/// colliding keys can be constructed on purpose. Owned by the caller (the
+/// stream layer keeps one alive across windows); not thread-safe by design
+/// — all access happens in the serial plan/finalize phases around the
+/// shard loop, never inside it.
 ///
 /// A nonzero `capacity` bounds the store to that many outcomes under LRU
 /// eviction (capacity 0 = unbounded, the replay-run default). Recency is
@@ -135,30 +145,36 @@ class MemoStore {
  public:
   explicit MemoStore(std::size_t capacity = 0) : capacity_(capacity) {}
 
-  bool contains(std::uint64_t key) const { return map_.count(key) != 0; }
-
-  /// Looks the key up and, when present, marks it most-recently-used.
-  const Outcome* find(std::uint64_t key) {
+  bool contains(std::uint64_t key, std::string_view identity) const {
     const auto it = map_.find(key);
-    if (it == map_.end()) return nullptr;
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return &it->second->second;
+    return it != map_.end() && it->second->identity == identity;
   }
 
-  /// First insertion wins; re-inserting an existing key only refreshes its
-  /// recency (the solvers are pure, so a second outcome under the same key
-  /// is identical). A fresh insertion over capacity evicts the least
-  /// recently used entry.
-  void insert(std::uint64_t key, const Outcome& outcome) {
+  /// Looks the entry up and, when its identity matches, marks it
+  /// most-recently-used.
+  const Outcome* find(std::uint64_t key, std::string_view identity) {
+    const auto it = map_.find(key);
+    if (it == map_.end() || it->second->identity != identity) return nullptr;
+    lru_.splice(lru_.begin(), lru_, it->second);
+    return &it->second->outcome;
+  }
+
+  /// First insertion wins; re-inserting an existing entry only refreshes
+  /// its recency (the solvers are pure, so a second outcome for the same
+  /// identity is identical). An insert whose key collides with an entry of
+  /// another identity neither replaces nor refreshes that entry. A fresh
+  /// insertion over capacity evicts the least recently used entry.
+  void insert(std::uint64_t key, std::string_view identity, const Outcome& outcome) {
     const auto it = map_.find(key);
     if (it != map_.end()) {
-      lru_.splice(lru_.begin(), lru_, it->second);
+      if (it->second->identity == identity) lru_.splice(lru_.begin(), lru_, it->second);
       return;
     }
-    lru_.emplace_front(key, outcome);
+    // Copied, not moved: a copy is allocated at exactly its length.
+    lru_.push_front(Entry{key, std::string(identity), outcome});
     map_.emplace(key, lru_.begin());
     if (capacity_ != 0 && lru_.size() > capacity_) {
-      map_.erase(lru_.back().first);
+      map_.erase(lru_.back().key);
       lru_.pop_back();
       ++evictions_;
     }
@@ -169,18 +185,24 @@ class MemoStore {
   std::size_t evictions() const { return evictions_; }
 
  private:
+  struct Entry {
+    std::uint64_t key;
+    std::string identity;
+    Outcome outcome;
+  };
+
   std::size_t capacity_ = 0;
   std::size_t evictions_ = 0;
-  std::list<std::pair<std::uint64_t, Outcome>> lru_;  ///< front = most recent
-  std::unordered_map<std::uint64_t,
-                     typename std::list<std::pair<std::uint64_t, Outcome>>::iterator>
-      map_;
+  std::list<Entry> lru_;  ///< front = most recent
+  std::unordered_map<std::uint64_t, typename std::list<Entry>::iterator> map_;
 };
 
 /// Builds the memo plan for one batch: serially keys every instance, marks
 /// duplicates of earlier indices and instances already present in the store
-/// (membership queried through `in_store` so this stays independent of the
-/// outcome type). hits + misses == batch size.
+/// (membership queried through `in_store` with the slot's key and identity,
+/// so this stays independent of the outcome type). A slot is served only
+/// when the identity bytes match; a slot whose key collides with another
+/// identity computes its own outcome. hits + misses == batch size.
 ///
 /// `salts`, when non-null, must be batch-sized; a nonzero salts[i] is mixed
 /// into slot i's key. Callers that solve an instance under a per-instance
@@ -189,7 +211,7 @@ class MemoStore {
 /// as — full-portfolio cache entries for the same content. Salt 0 keeps the
 /// plain content key (the common path and the pre-plan behavior).
 MemoPlan plan_memo(const std::vector<jobs::Instance>& batch, std::uint64_t config_key,
-                   const std::function<bool(std::uint64_t)>& in_store,
+                   const std::function<bool(std::uint64_t, std::string_view)>& in_store,
                    const std::vector<std::uint64_t>* salts = nullptr);
 
 /// Timing side-channel of one shard dispatch. queue_seconds[i] is the

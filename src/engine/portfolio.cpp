@@ -242,9 +242,12 @@ PortfolioResult PortfolioSolver::solve(const std::vector<jobs::Instance>& batch,
         salts[i] = s != 0 ? s : 1;  // 0 is the "unsalted" sentinel
       }
     }
-    plan = exec::plan_memo(batch, config_memo_key(config),
-                           [&](std::uint64_t key) { return memo->contains(key); },
-                           salts.empty() ? nullptr : &salts);
+    plan = exec::plan_memo(
+        batch, config_memo_key(config),
+        [&](std::uint64_t key, std::string_view identity) {
+          return memo->contains(key, identity);
+        },
+        salts.empty() ? nullptr : &salts);
     result.memo_hits = plan.hits;
     result.memo_misses = plan.misses;
   }
@@ -415,7 +418,7 @@ PortfolioResult PortfolioSolver::solve(const std::vector<jobs::Instance>& batch,
     for (std::size_t i = 0; i < batch.size(); ++i) {
       if (plan.source[i] != exec::MemoPlan::kFromStore) continue;
       PortfolioOutcome& out = result.outcomes[i];
-      out = *memo->find(plan.key[i]);
+      out = *memo->find(plan.key[i], plan.identity[i]);
       out.compute_seconds = 0;
       for (VariantAttempt& a : out.attempts) a.wall_seconds = 0;
     }
@@ -429,7 +432,8 @@ PortfolioResult PortfolioSolver::solve(const std::vector<jobs::Instance>& batch,
     }
     out.index = i;
     out.queue_seconds = timing.queue_seconds[i];
-    if (memo && plan.computes(i) && plan.memoizable[i]) memo->insert(plan.key[i], out);
+    if (memo && plan.computes(i) && !plan.identity[i].empty())
+      memo->insert(plan.key[i], plan.identity[i], out);
   }
 
   for (const PortfolioOutcome& o : result.outcomes)

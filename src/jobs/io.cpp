@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -25,6 +26,133 @@ struct ParseError : std::invalid_argument {
   throw ParseError("instance parse error, line " + std::to_string(line) + ": " + msg);
 }
 
+// The format's one field walk. `to_text` and `content_bytes` both write
+// through it, so which fields a record carries, when, and in what order,
+// and the catalogue of oracle types, are written down once. An `Out`
+// provides open(tag, keyword) to start a line, real(v) and count(v) for one
+// numeric field, token(s) for a class token or a job name (empty writes
+// nothing as text), and close() to end the line.
+
+/// The metadata directives and the machines line, exactly when and as the
+/// text form writes them (the `name` line aside). Metadata directives are
+/// omitted at their defaults, so records predating them keep byte-identical
+/// output; `arrival -0` reads back as -0.0, which is omitted like 0.
+/// (Instance validates the setters: arrival is finite and >= 0, the class is
+/// a single token, capacity and footprints are finite and >= 0, one
+/// footprint per job.)
+template <typename Out>
+void walk_header(const Instance& instance, Out& out) {
+  if (instance.arrival() != 0) {
+    out.open('a', "arrival");
+    out.real(instance.arrival());
+    out.close();
+  }
+  if (!instance.sla_class().empty()) {
+    out.open('c', "class");
+    out.token(instance.sla_class());
+    out.close();
+  }
+  if (instance.memory_capacity() > 0) {
+    out.open('k', "memcap");
+    out.real(instance.memory_capacity());
+    out.close();
+  }
+  if (instance.has_job_memory()) {
+    out.open('f', "mem");
+    out.count(static_cast<std::int64_t>(instance.size()));
+    for (std::size_t j = 0; j < instance.size(); ++j) out.real(instance.job_memory(j));
+    out.close();
+  }
+  out.open('M', "machines");
+  out.count(instance.machines());
+  out.close();
+}
+
+/// One job line: the oracle's kind and parameters, then the job's name.
+/// Returns false, having written nothing, for an oracle type outside the
+/// catalogue.
+template <typename Out>
+bool walk_job(const Job& job, Out& out) {
+  const ProcessingTimeFunction& f = job.oracle();
+  if (const auto* a = dynamic_cast<const AmdahlTime*>(&f)) {
+    out.open('A', "job amdahl");
+    out.real(a->t1());
+    out.real(a->parallel_fraction());
+  } else if (const auto* p = dynamic_cast<const PowerLawTime*>(&f)) {
+    out.open('P', "job powerlaw");
+    out.real(p->t1());
+    out.real(p->alpha());
+  } else if (const auto* c = dynamic_cast<const CommOverheadTime*>(&f)) {
+    out.open('C', "job comm");
+    out.real(c->t1());
+    out.real(c->comm_cost());
+  } else if (const auto* t = dynamic_cast<const TableTime*>(&f)) {
+    out.open('T', "job table");
+    out.count(t->max_procs());
+    for (double v : t->values()) out.real(v);
+  } else if (const auto* l = dynamic_cast<const LinearReductionTime*>(&f)) {
+    out.open('L', "job linred");
+    out.count(l->machines());
+    out.count(l->a());
+  } else if (const auto* r = dynamic_cast<const RigidStepTime*>(&f)) {
+    out.open('R', "job rigid");
+    out.real(r->time());
+    out.count(r->size());
+    out.real(r->penalty());
+  } else if (const auto* g = dynamic_cast<const LogSpeedupTime*>(&f)) {
+    out.open('G', "job logspeed");
+    out.real(g->t1());
+  } else {
+    return false;
+  }
+  out.token(job.name());
+  out.close();
+  return true;
+}
+
+struct TextOut {
+  std::string text;
+  void open(char, std::string_view keyword) { text += keyword; }
+  void real(double v) {
+    text += ' ';
+    text += fmt_num(v);
+  }
+  void count(std::int64_t v) {
+    text += ' ';
+    text += std::to_string(v);
+  }
+  void token(std::string_view s) {
+    if (s.empty()) return;
+    text += ' ';
+    text += s;
+  }
+  void close() { text += '\n'; }
+};
+
+/// Tags instead of keywords, a double's 8 raw bytes (two finite doubles
+/// have equal bits exactly when their %.17g texts are equal, -0 included),
+/// counts as LEB128, and a token's length before its bytes: every
+/// variable-length part carries its length, so the encoding is prefix-free.
+struct BytesOut {
+  std::string bytes;
+  void open(char tag, std::string_view) { bytes += tag; }
+  void real(double v) {
+    char raw[sizeof(v)];
+    std::memcpy(raw, &v, sizeof(v));
+    bytes.append(raw, sizeof(raw));
+  }
+  void count(std::int64_t v) {
+    auto u = static_cast<std::uint64_t>(v);
+    for (; u >= 0x80; u >>= 7) bytes += static_cast<char>(u | 0x80);
+    bytes += static_cast<char>(u);
+  }
+  void token(std::string_view s) {
+    count(static_cast<std::int64_t>(s.size()));
+    bytes += s;
+  }
+  void close() {}
+};
+
 }  // namespace
 
 std::string to_text(const Instance& instance) {
@@ -36,54 +164,25 @@ std::string to_text(const Instance& instance) {
   if (instance.name().find('\n') != std::string::npos)
     throw std::invalid_argument("to_text: instance name contains a line break");
   const std::string name = trim(instance.name());
-  std::string out = "moldable-instance v1\n";
-  const auto num = [](double v) { return ' ' + fmt_num(v); };
-  const auto count = [](std::int64_t v) { return ' ' + std::to_string(v); };
-  if (!name.empty()) out += "name " + name + '\n';
-  // Metadata directives are omitted at their defaults, so files predating
-  // them keep byte-identical output. (Instance validates both setters:
-  // arrival is finite and >= 0, the class is a single token.)
-  if (instance.arrival() != 0) out += "arrival" + num(instance.arrival()) + '\n';
-  if (!instance.sla_class().empty()) out += "class " + instance.sla_class() + '\n';
-  // The memory axis is additive metadata like the directives above: both
-  // lines are omitted at their defaults, so memory-free instances keep
-  // byte-identical output. (Instance validates the setters: capacity and
-  // footprints are finite and >= 0, one footprint per job.)
-  if (instance.memory_capacity() > 0)
-    out += "memcap" + num(instance.memory_capacity()) + '\n';
-  if (instance.has_job_memory()) {
-    out += "mem" + count(static_cast<std::int64_t>(instance.size()));
-    for (std::size_t j = 0; j < instance.size(); ++j) out += num(instance.job_memory(j));
-    out += '\n';
-  }
-  out += "machines" + count(instance.machines()) + '\n';
+  TextOut out{"moldable-instance v1\n"};
+  if (!name.empty()) out.text += "name " + name + '\n';
+  walk_header(instance, out);
   for (const Job& job : instance.jobs()) {
-    const ProcessingTimeFunction& f = job.oracle();
     if (job.name().find_first_of(" \t\r\n") != std::string::npos)
       throw std::invalid_argument("to_text: job name '" + job.name() + "' contains whitespace");
-    out += "job ";
-    if (const auto* a = dynamic_cast<const AmdahlTime*>(&f)) {
-      out += "amdahl" + num(a->t1()) + num(a->parallel_fraction());
-    } else if (const auto* p = dynamic_cast<const PowerLawTime*>(&f)) {
-      out += "powerlaw" + num(p->t1()) + num(p->alpha());
-    } else if (const auto* c = dynamic_cast<const CommOverheadTime*>(&f)) {
-      out += "comm" + num(c->t1()) + num(c->comm_cost());
-    } else if (const auto* t = dynamic_cast<const TableTime*>(&f)) {
-      out += "table" + count(t->max_procs());
-      for (double v : t->values()) out += num(v);
-    } else if (const auto* l = dynamic_cast<const LinearReductionTime*>(&f)) {
-      out += "linred" + count(l->machines()) + count(l->a());
-    } else if (const auto* r = dynamic_cast<const RigidStepTime*>(&f)) {
-      out += "rigid" + num(r->time()) + count(r->size()) + num(r->penalty());
-    } else if (const auto* g = dynamic_cast<const LogSpeedupTime*>(&f)) {
-      out += "logspeed" + num(g->t1());
-    } else {
+    if (!walk_job(job, out))
       throw std::invalid_argument("to_text: unknown oracle type for job '" + job.name() + "'");
-    }
-    if (!job.name().empty()) out += ' ' + job.name();
-    out += '\n';
   }
-  return out;
+  return std::move(out.text);
+}
+
+std::optional<std::string> content_bytes(const Instance& instance) {
+  BytesOut out;
+  walk_header(instance, out);
+  out.count(static_cast<std::int64_t>(instance.size()));
+  for (const Job& job : instance.jobs())
+    if (!walk_job(job, out)) return std::nullopt;
+  return std::move(out.bytes);
 }
 
 Instance from_text(std::string_view text, std::string default_name) {

@@ -43,6 +43,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -55,6 +56,17 @@ namespace moldable::jobs {
 /// lossy fallback), an instance name with a line break, or a job name with
 /// whitespace.
 std::string to_text(const Instance& instance);
+
+/// The instance's structural identity: compact bytes of exactly the fields
+/// `to_text` writes, with the values it writes, minus the `name` line — a
+/// one-byte tag per directive and per job kind, doubles as their raw 8
+/// bytes, counts as integers, the job count after `machines`, and every
+/// variable-length part (class, `mem`, a table, a job name) after its
+/// length. Two instances have equal bytes exactly when their texts are
+/// equal once the `name` line is dropped. Never renders text and needs no
+/// escaping, so job names `to_text` refuses are encoded too. Returns
+/// nullopt only for an oracle type outside the catalogue above.
+std::optional<std::string> content_bytes(const Instance& instance);
 
 /// Parses the format; throws std::invalid_argument with a line-numbered
 /// message on any syntax or validation error. `default_name` (also on

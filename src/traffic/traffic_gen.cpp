@@ -113,8 +113,8 @@ std::size_t for_each_instance(const TrafficConfig& config, const RateCurve& curv
   gen_cfg.mem_max = config.mem_max;
 
   // The fixed duplicate record: the same bytes on every repeat (a constant
-  // arrival stamp included — the serve-mode memo key covers the canonical
-  // record text, so any varying byte would defeat the hit path).
+  // arrival stamp included — the serve-mode memo identity covers every
+  // directive, so any varying field would defeat the hit path).
   jobs::Instance duplicate = jobs::make_instance(
       config.families.front(), config.jobs_min, config.machines,
       jobs::derive_seed(config.seed, kDuplicate), gen_cfg);

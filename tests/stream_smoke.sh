@@ -69,6 +69,23 @@
 #            merge layer adds no new determinism obligations. The server
 #            binds port 0 and publishes the kernel-chosen port through
 #            --port-file, so concurrent `ctest -j` runs cannot collide.
+#   golden — the cross-version gate: replays tests/fixtures/golden_session.rec,
+#            recorded by the build before the memo key moved from the text
+#            form to content bytes, at --threads 1 and 4. The session is
+#            memo-heavy (a capacity-16 LRU store: hits and evictions) under
+#            --adapt, whose reordered lanes salt their memo keys, with
+#            certificate sheds. batch_service --replay exits nonzero unless
+#            the rolling digest and every counter (memo hits, misses and
+#            evictions among them) match the recording, so a pass proves
+#            the hit set is unchanged. A change that alters digests
+#            re-records the fixture with its record-format bump:
+#              traffic_gen --curve flash --seed 7 --horizon 40 \
+#                  --max-arrivals 240 --dup-every 3 --jobs-min 1 --jobs-cap 4 \
+#                  --machines 4 |
+#              batch_service --serve --threads 4 --portfolio mrt,fptas,exact \
+#                  --tie-break order --adapt --shed --deadline batch=20 --memo \
+#                  --memo-capacity 16 --window 8 --max-inflight 2 \
+#                  --record tests/fixtures/golden_session.rec
 #   cli    — the command-line contract guard: every malformed or out-of-
 #            range flag value (and a NaN/inf/negative --deadline budget),
 #            empty value, unknown option, missing value and mode conflict
@@ -240,6 +257,24 @@ storm)
         exit 1
     fi
     echo "stream_smoke (storm) OK: $arrivals arrivals; $dlive; $mlive; $clive; replay matched on 1 thread"
+    exit 0
+    ;;
+golden)
+    golden=$(dirname "$fixture")/golden_session.rec
+    served=$(grep '^# served ' "$golden" || true)
+    case $served in
+    *" memo-hits=0 "* | *" memo-evictions=0 "* | "")
+        echo "stream_smoke (golden): the fixture must record memo hits and evictions: '$served'" >&2
+        exit 1
+        ;;
+    esac
+    for threads in 1 4; do
+        if ! "$bin" --replay "$golden" --threads "$threads"; then
+            echo "stream_smoke (golden): replay at --threads $threads diverged from the recording" >&2
+            exit 1
+        fi
+    done
+    echo "stream_smoke (golden) OK: replayed bit-exact at 1 and 4 threads"
     exit 0
     ;;
 listen_soak)

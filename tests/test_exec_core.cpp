@@ -6,6 +6,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "src/core/scheduler.hpp"
@@ -214,31 +215,100 @@ TEST(MemoKey, InstanceNameDoesNotChangeTheKey) {
   EXPECT_NE(exec::memo_key(inst, 1), exec::memo_key(inst, 2));
 }
 
+/// The identity bytes the store tests file key k under.
+std::string id(std::uint64_t k) { return "instance-" + std::to_string(k); }
+
 TEST(MemoStoreLru, EvictsLeastRecentlyUsedAtCapacity) {
   exec::MemoStore<int> store(2);
   EXPECT_EQ(store.capacity(), 2u);
-  store.insert(1, 10);
-  store.insert(2, 20);
-  ASSERT_NE(store.find(1), nullptr);  // touch: key 1 is now most recent
-  store.insert(3, 30);                // evicts key 2, the LRU entry
+  store.insert(1, id(1), 10);
+  store.insert(2, id(2), 20);
+  ASSERT_NE(store.find(1, id(1)), nullptr);  // touch: key 1 is now most recent
+  store.insert(3, id(3), 30);                // evicts key 2, the LRU entry
   EXPECT_EQ(store.evictions(), 1u);
   EXPECT_EQ(store.size(), 2u);
-  EXPECT_TRUE(store.contains(1));
-  EXPECT_FALSE(store.contains(2));
-  EXPECT_TRUE(store.contains(3));
+  EXPECT_TRUE(store.contains(1, id(1)));
+  EXPECT_FALSE(store.contains(2, id(2)));
+  EXPECT_TRUE(store.contains(3, id(3)));
   // Re-inserting an existing key refreshes recency without growing.
-  store.insert(1, 99);
-  EXPECT_EQ(*store.find(1), 10);  // first insertion still wins
-  store.insert(4, 40);            // now 3 is the LRU entry
-  EXPECT_FALSE(store.contains(3));
+  store.insert(1, id(1), 99);
+  EXPECT_EQ(*store.find(1, id(1)), 10);  // first insertion still wins
+  store.insert(4, id(4), 40);            // now 3 is the LRU entry
+  EXPECT_FALSE(store.contains(3, id(3)));
   EXPECT_EQ(store.evictions(), 2u);
 }
 
 TEST(MemoStoreLru, ZeroCapacityIsUnbounded) {
   exec::MemoStore<int> store;
-  for (int k = 0; k < 1000; ++k) store.insert(static_cast<std::uint64_t>(k), k);
+  for (int k = 0; k < 1000; ++k) store.insert(static_cast<std::uint64_t>(k), id(k), k);
   EXPECT_EQ(store.size(), 1000u);
   EXPECT_EQ(store.evictions(), 0u);
+}
+
+TEST(MemoCollision, StoreAnswersOnlyTheIdentityItHolds) {
+  // Key 7 holds identity A. The same key with other bytes B is a collision:
+  // it misses, and inserting it neither replaces A nor refreshes A's
+  // recency.
+  exec::MemoStore<int> store(2);
+  store.insert(7, "A", 1);
+  EXPECT_TRUE(store.contains(7, "A"));
+  EXPECT_FALSE(store.contains(7, "B"));
+  EXPECT_EQ(store.find(7, "B"), nullptr);
+  // A prefix or an extension of the bytes is another identity too.
+  EXPECT_FALSE(store.contains(7, ""));
+  EXPECT_FALSE(store.contains(7, "AA"));
+
+  store.insert(8, "C", 3);  // A is now the least recently used entry
+  store.insert(7, "B", 2);  // collides: no replace, no refresh
+  EXPECT_EQ(store.size(), 2u);
+  ASSERT_NE(store.find(7, "A"), nullptr);
+  EXPECT_EQ(*store.find(7, "A"), 1);
+  EXPECT_FALSE(store.contains(7, "B"));
+
+  // Had the colliding insert refreshed A, C would be evicted next.
+  exec::MemoStore<int> lru(2);
+  lru.insert(7, "A", 1);
+  lru.insert(8, "C", 3);
+  lru.insert(7, "B", 2);
+  lru.insert(9, "D", 4);  // evicts the least recently used entry: A
+  EXPECT_FALSE(lru.contains(7, "A"));
+  EXPECT_TRUE(lru.contains(8, "C"));
+  EXPECT_TRUE(lru.contains(9, "D"));
+  EXPECT_EQ(lru.evictions(), 1u);
+}
+
+TEST(MemoCollision, PlanComputesASlotWhoseKeyHoldsAnotherIdentity) {
+  // A forged store entry: instance X's real key, but another instance's
+  // identity bytes and outcome. The plan must compute X and count a miss,
+  // never serve the forged outcome.
+  const std::vector<Instance> x = {jobs::from_text(kKeyBase)};
+  const std::vector<Instance> y = {
+      jobs::from_text(with_line(kKeyBase, "job amdahl 10 0.5 a", "job amdahl 11 0.5 a"))};
+  constexpr std::uint64_t kConfig = 42;
+  const std::uint64_t key_x = exec::memo_key(x[0], kConfig).value();
+  const exec::MemoPlan plan_y = exec::plan_memo(y, kConfig, nullptr);
+  ASSERT_FALSE(plan_y.identity[0].empty());
+  ASSERT_NE(plan_y.key[0], key_x);
+
+  exec::MemoStore<int> store;
+  store.insert(key_x, plan_y.identity[0], -1);
+  const auto in_store = [&](std::uint64_t key, std::string_view identity) {
+    return store.contains(key, identity);
+  };
+  const exec::MemoPlan plan = exec::plan_memo(x, kConfig, in_store);
+  EXPECT_EQ(plan.key[0], key_x);
+  EXPECT_TRUE(plan.computes(0));
+  EXPECT_EQ(plan.hits, 0u);
+  EXPECT_EQ(plan.misses, 1u);
+
+  // The same store serves X once the entry holds X's own bytes.
+  exec::MemoStore<int> honest;
+  honest.insert(key_x, plan.identity[0], 1);
+  const exec::MemoPlan served = exec::plan_memo(
+      x, kConfig,
+      [&](std::uint64_t key, std::string_view identity) { return honest.contains(key, identity); });
+  EXPECT_EQ(served.source[0], exec::MemoPlan::kFromStore);
+  EXPECT_EQ(served.hits, 1u);
 }
 
 TEST(MemoStoreLru, CapacityOneThrashIsDeterministic) {

@@ -655,7 +655,7 @@ std::vector<std::string> fuzz_seeds() {
 std::string mutate(const std::string& text, util::Prng& rng) {
   static const std::vector<std::string> kTokens = {
       "1e3", "+1", "-1", "inf", "nan", "-0", "0x10", "1.5x", "#", "4294967296",
-      "99999999999999999999", "1e400"};
+      "99999999999999999999", "1e400", "1e19", "1e300"};
   const auto pick = [&rng](std::size_t n) {
     return static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
   };
@@ -727,6 +727,60 @@ TEST(Io, MutatedRecordsAreRefusedOrRoundTrip) {
   // Both outcomes are exercised.
   EXPECT_GT(refused, kMutants / 10);
   EXPECT_GT(kMutants - refused, kMutants / 20);
+}
+
+/// The written form minus its `name` line, the part content_bytes covers.
+std::string text_without_name(const Instance& inst) {
+  std::string text = to_text(inst);
+  const std::size_t body = text.find('\n') + 1;
+  if (text.compare(body, 5, "name ") == 0) text.erase(body, text.find('\n', body) + 1 - body);
+  return text;
+}
+
+TEST(Io, ContentBytesAgreeWithCanonicalText) {
+  // Over the fuzzer's accepted mutants, each against its seed record: equal
+  // content bytes exactly when the written forms match once the name line
+  // is dropped, and the bytes survive a text round trip. Metadata
+  // directives may come in any order, so swapped and duplicated lines give
+  // many equal pairs.
+  const std::vector<std::string> seeds = fuzz_seeds();
+  util::Prng rng(24);
+  std::size_t accepted = 0, equal = 0;
+  constexpr std::size_t kMutants = 50000;
+  for (std::size_t n = 0; n < kMutants; ++n) {
+    const std::string& seed = seeds[n % seeds.size()];
+    const std::string mutant = mutate(seed, rng);
+    std::optional<Instance> a;
+    try {
+      a = from_text(mutant);
+    } catch (const std::invalid_argument&) {
+      continue;
+    }
+    ++accepted;
+    const Instance b = from_text(seed);
+    const std::optional<std::string> bytes_a = content_bytes(*a);
+    const std::optional<std::string> bytes_b = content_bytes(b);
+    ASSERT_TRUE(bytes_a && bytes_b) << mutant;
+    const bool same_text = text_without_name(*a) == text_without_name(b);
+    ASSERT_EQ(*bytes_a == *bytes_b, same_text) << "seed:\n" << seed << "mutant:\n" << mutant;
+    if (same_text) ++equal;
+    ASSERT_EQ(content_bytes(from_text(to_text(*a))), bytes_a) << mutant;
+  }
+  // Both sides of the equivalence are exercised.
+  EXPECT_GT(equal, kMutants / 100);
+  EXPECT_GT(accepted - equal, kMutants / 20);
+
+  // A negative zero arrival parses to -0.0, which the writer omits like 0:
+  // the same instance as a record with no arrival.
+  const std::string plain = "moldable-instance v1\nmachines 4\njob amdahl 10 0.5\n";
+  const std::string minus_zero =
+      "moldable-instance v1\narrival -0\nmachines 4\njob amdahl 10 0.5\n";
+  EXPECT_EQ(to_text(from_text(minus_zero)), to_text(from_text(plain)));
+  EXPECT_EQ(content_bytes(from_text(minus_zero)), content_bytes(from_text(plain)));
+  // The name is no part of the identity; every other field is.
+  std::string renamed = kPinnedText;
+  renamed.replace(renamed.find("pinned bytes"), 12, "other");
+  EXPECT_EQ(content_bytes(from_text(renamed)), content_bytes(from_text(kPinnedText)));
 }
 
 TEST(Io, RigidJobsRoundTrip) {

@@ -216,6 +216,68 @@ TEST(ParallelFor, OneThreadRunsInOrderOnTheCaller) {
   }
 }
 
+/// Counts the threads that ever ran a ReusesItsThreadsAcrossCalls body:
+/// each thread constructs its own copy on first use.
+std::atomic<int> g_threads_started{0};
+struct CountsItsThread {
+  CountsItsThread() { g_threads_started.fetch_add(1); }
+};
+thread_local CountsItsThread t_thread_marker;
+
+TEST(ParallelFor, ReusesItsThreadsAcrossCalls) {
+  // Three 4-thread calls whose bodies wait until all four threads hold an
+  // index, so every helper takes part in every call. Persistent helpers
+  // mean three helper threads in total; starting them per call would make
+  // nine. (No test in this suite asks for more than four threads, so the
+  // pool never holds more than three helpers.)
+  constexpr unsigned kThreads = 4;
+  const auto caller = std::this_thread::get_id();
+  std::atomic<int> helper_runs{0};
+  for (int call = 0; call < 3; ++call) {
+    std::atomic<unsigned> arrived{0};
+    util::parallel_for(
+        kThreads,
+        [&](std::size_t) {
+          (void)&t_thread_marker;
+          if (std::this_thread::get_id() != caller) helper_runs.fetch_add(1);
+          arrived.fetch_add(1);
+          // Bounded: a pool that starts fewer threads fails the counts
+          // below instead of hanging here.
+          const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+          while (arrived.load() < kThreads && std::chrono::steady_clock::now() < deadline)
+            std::this_thread::sleep_for(std::chrono::microseconds(100));
+        },
+        kThreads);
+  }
+  EXPECT_EQ(helper_runs.load(), 9) << "a helper missed a call";
+  const int caller_marker = 1;  // the calling thread ran bodies too
+  EXPECT_EQ(g_threads_started.load() - caller_marker, 3)
+      << "helper threads started across three 4-thread calls";
+}
+
+TEST(ParallelFor, ConcurrentCallersEachCoverTheirIndices) {
+  // Two callers on different threads share the helpers; each call must
+  // still run each of its own indices exactly once and return only when
+  // they are done.
+  constexpr std::size_t kItems = 2000;
+  constexpr int kRounds = 20;
+  const auto caller = [&](std::vector<int>& failures) {
+    for (int round = 0; round < kRounds; ++round) {
+      std::vector<std::atomic<int>> hits(kItems);
+      util::parallel_for(kItems, [&](std::size_t i) { hits[i].fetch_add(1); }, 4);
+      for (std::size_t i = 0; i < kItems; ++i)
+        if (hits[i].load() != 1) failures.push_back(round);
+    }
+  };
+  std::vector<int> failures_a, failures_b;
+  std::thread a(caller, std::ref(failures_a));
+  std::thread b(caller, std::ref(failures_b));
+  a.join();
+  b.join();
+  EXPECT_TRUE(failures_a.empty()) << failures_a.size() << " bad index counts";
+  EXPECT_TRUE(failures_b.empty()) << failures_b.size() << " bad index counts";
+}
+
 TEST(ParallelFor, PropagatesWorkerExceptions) {
   EXPECT_THROW(util::parallel_for(
                    100,
