@@ -15,10 +15,11 @@
 //     clock;
 //   * FNV-1a digest plumbing and nearest-rank percentile aggregation;
 //   * an opt-in memoization plan that serves duplicate instances from a
-//     prior outcome instead of re-solving them: keyed by a 64-bit FNV of
-//     the instance's structural identity (jobs::content_bytes), and served
-//     only when the identity bytes themselves match, so a key collision
-//     never serves another instance's outcome.
+//     prior outcome instead of re-solving them. The caller names every slot
+//     by its identity bytes (see engine::memo_identity: the solver config,
+//     the slot's execution plan and the instance's content bytes), and the
+//     store is keyed by those bytes themselves, so two slots share an
+//     outcome exactly when their identities are equal.
 //
 // Everything here is deterministic except the clock reads, and the memo
 // plan is computed serially before dispatch so hit/miss counts are
@@ -29,15 +30,12 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <functional>
 #include <list>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
 
-#include "src/jobs/instance.hpp"
 #include "src/util/parallel.hpp"
 #include "src/util/timer.hpp"
 
@@ -87,94 +85,63 @@ struct Percentiles {
 /// Sorts `samples` in place and summarizes it (all zeros when empty).
 Percentiles percentiles_of(std::vector<double>& samples);
 
-/// Memo key of one instance under one solver configuration: FNV-1a over
-/// the instance's content bytes (jobs::content_bytes — every io directive:
-/// machines, jobs with their names, arrival, class, memcap, mem — minus the
-/// instance name, which loaders auto-generate for unnamed input and which
-/// affects no algorithmic output), seeded with `config_key` (which must
-/// encode everything that changes the outcome — solver names, eps). Returns
-/// nullopt for an oracle type outside the io catalogue; such instances are
-/// never memoized.
-std::optional<std::uint64_t> memo_key(const jobs::Instance& instance,
-                                      std::uint64_t config_key);
-
 /// Where one outcome slot gets its value from under memoization. Computed
 /// serially before dispatch (see plan_memo), so the split — and therefore
 /// the hit/miss counts — is identical at every thread count.
 struct MemoPlan {
-  /// source[i] semantics: kCompute = solve slot i; kFromStore = copy the
-  /// outcome stored under key[i] by an earlier batch; any other value j is
-  /// an earlier index of THIS batch with the same key (j < i, j computes or
-  /// is itself served from the store — copy from the finished slot j).
+  /// source[i] semantics: kCompute = solve slot i; kFromStore = slot i
+  /// already holds the outcome an earlier batch stored; any other value j
+  /// is an earlier index of THIS batch with the same identity (j < i, and j
+  /// computes — copy from the finished slot j).
   static constexpr std::size_t kCompute = static_cast<std::size_t>(-1);
   static constexpr std::size_t kFromStore = static_cast<std::size_t>(-2);
 
   std::vector<std::size_t> source;
-  std::vector<std::uint64_t> key;  ///< valid where identity[i] is nonempty
-  /// Everything key[i] was hashed from: the content bytes, the plan salt
-  /// and the config key. Empty for an instance that is never memoized.
-  std::vector<std::string> identity;
   std::size_t hits = 0;    ///< slots served without solving
   std::size_t misses = 0;  ///< slots that must compute
 
   bool computes(std::size_t i) const { return source[i] == kCompute; }
 };
 
-/// Cross-batch memo storage: key -> the first finished outcome computed
-/// under that key, with the identity bytes the key was hashed from (see
-/// MemoPlan::identity). Every lookup passes the identity too, and an entry
-/// answers only when its bytes match exactly: a 64-bit key is a hash, and
-/// colliding keys can be constructed on purpose. Owned by the caller (the
-/// stream layer keeps one alive across windows); not thread-safe by design
-/// — all access happens in the serial plan/finalize phases around the
-/// shard loop, never inside it.
+/// Cross-batch memo storage: identity bytes -> the first finished outcome
+/// computed under them. The bytes themselves are the key, so an entry
+/// answers exactly the identity it holds. Owned by the caller (the stream
+/// layer keeps one alive across windows); not thread-safe by design — all
+/// access happens in the serial plan and finalize phases around the shard
+/// loop, never inside it.
 ///
 /// A nonzero `capacity` bounds the store to that many outcomes under LRU
-/// eviction (capacity 0 = unbounded, the replay-run default). Recency is
-/// updated by `find` and `insert` only — both run in the serial finalize
-/// phase, in batch order — so the eviction sequence, and with it every
-/// hit/miss/eviction count, is a pure function of the instance sequence and
-/// independent of the thread count. `contains` (the plan-phase probe) is
-/// deliberately recency-neutral: planning must not perturb the store.
-///
-/// Callers that both read hits and insert fresh outcomes in one finalize
-/// must perform ALL reads before the first insert (see PortfolioSolver's
-/// finalize): an insert may evict an entry the plan promised to serve.
+/// eviction (capacity 0 = unbounded, the replay-run default). Both `find`
+/// and `insert` update recency. plan_memo runs a batch's every `find`, in
+/// slot order, before the finalize runs its `insert`s, in slot order — so
+/// no insert can evict an entry the plan promised to serve, and the
+/// eviction sequence, and with it every hit/miss/eviction count, is a pure
+/// function of the instance sequence and independent of the thread count.
 template <typename Outcome>
 class MemoStore {
  public:
   explicit MemoStore(std::size_t capacity = 0) : capacity_(capacity) {}
 
-  bool contains(std::uint64_t key, std::string_view identity) const {
-    const auto it = map_.find(key);
-    return it != map_.end() && it->second->identity == identity;
-  }
-
-  /// Looks the entry up and, when its identity matches, marks it
-  /// most-recently-used.
-  const Outcome* find(std::uint64_t key, std::string_view identity) {
-    const auto it = map_.find(key);
-    if (it == map_.end() || it->second->identity != identity) return nullptr;
+  /// The outcome stored under `identity`, now the most recently used; null
+  /// when there is none.
+  const Outcome* find(std::string_view identity) {
+    const auto it = map_.find(identity);
+    if (it == map_.end()) return nullptr;
     lru_.splice(lru_.begin(), lru_, it->second);
     return &it->second->outcome;
   }
 
-  /// First insertion wins; re-inserting an existing entry only refreshes
-  /// its recency (the solvers are pure, so a second outcome for the same
-  /// identity is identical). An insert whose key collides with an entry of
-  /// another identity neither replaces nor refreshes that entry. A fresh
-  /// insertion over capacity evicts the least recently used entry.
-  void insert(std::uint64_t key, std::string_view identity, const Outcome& outcome) {
-    const auto it = map_.find(key);
-    if (it != map_.end()) {
-      if (it->second->identity == identity) lru_.splice(lru_.begin(), lru_, it->second);
-      return;
-    }
+  /// First insertion wins; re-inserting an identity only refreshes its
+  /// recency (the solvers are pure, so a second outcome for the same
+  /// identity is identical). A fresh insertion over capacity evicts the
+  /// least recently used entry.
+  void insert(std::string_view identity, const Outcome& outcome) {
+    if (find(identity)) return;
     // Copied, not moved: a copy is allocated at exactly its length.
-    lru_.push_front(Entry{key, std::string(identity), outcome});
-    map_.emplace(key, lru_.begin());
+    lru_.push_front(Entry{std::string(identity), outcome});
+    map_.emplace(lru_.front().identity, lru_.begin());
     if (capacity_ != 0 && lru_.size() > capacity_) {
-      map_.erase(lru_.back().key);
+      map_.erase(lru_.back().identity);
       lru_.pop_back();
       ++evictions_;
     }
@@ -186,33 +153,50 @@ class MemoStore {
 
  private:
   struct Entry {
-    std::uint64_t key;
-    std::string identity;
+    std::string identity;  ///< the bytes the map's key views
     Outcome outcome;
   };
 
   std::size_t capacity_ = 0;
   std::size_t evictions_ = 0;
   std::list<Entry> lru_;  ///< front = most recent
-  std::unordered_map<std::uint64_t, typename std::list<Entry>::iterator> map_;
+  std::unordered_map<std::string_view, typename std::list<Entry>::iterator> map_;
 };
 
-/// Builds the memo plan for one batch: serially keys every instance, marks
-/// duplicates of earlier indices and instances already present in the store
-/// (membership queried through `in_store` with the slot's key and identity,
-/// so this stays independent of the outcome type). A slot is served only
-/// when the identity bytes match; a slot whose key collides with another
-/// identity computes its own outcome. hits + misses == batch size.
-///
-/// `salts`, when non-null, must be batch-sized; a nonzero salts[i] is mixed
-/// into slot i's key. Callers that solve an instance under a per-instance
-/// execution plan (a down-shifted or reordered variant portfolio) pass the
-/// plan's hash here so those outcomes never alias — and are never served
-/// as — full-portfolio cache entries for the same content. Salt 0 keeps the
-/// plain content key (the common path and the pre-plan behavior).
-MemoPlan plan_memo(const std::vector<jobs::Instance>& batch, std::uint64_t config_key,
-                   const std::function<bool(std::uint64_t, std::string_view)>& in_store,
-                   const std::vector<std::uint64_t>* salts = nullptr);
+/// Builds the memo plan for one batch, serially and in slot order: a slot
+/// whose identity the store holds is served from it (the stored outcome is
+/// copied into slots[i] here, and the `find` touches its recency); a later
+/// slot with the identity of an earlier slot of this batch is served from
+/// that slot; every other slot computes. An empty identity names an
+/// instance that is never memoized: it computes and serves no one.
+/// hits + misses == batch size.
+template <typename Outcome>
+MemoPlan plan_memo(const std::vector<std::string>& identity, MemoStore<Outcome>& store,
+                   std::vector<Outcome>& slots) {
+  MemoPlan plan;
+  plan.source.assign(identity.size(), MemoPlan::kCompute);
+  std::unordered_map<std::string_view, std::size_t> first_seen;
+  for (std::size_t i = 0; i < identity.size(); ++i) {
+    if (identity[i].empty()) {
+      ++plan.misses;
+      continue;
+    }
+    if (const Outcome* stored = store.find(identity[i])) {
+      slots[i] = *stored;
+      plan.source[i] = MemoPlan::kFromStore;
+      ++plan.hits;
+      continue;
+    }
+    const auto [it, fresh] = first_seen.emplace(identity[i], i);
+    if (fresh) {
+      ++plan.misses;
+    } else {
+      plan.source[i] = it->second;
+      ++plan.hits;
+    }
+  }
+  return plan;
+}
 
 /// Timing side-channel of one shard dispatch. queue_seconds[i] is the
 /// steady-clock delta from batch submission to the moment a thread claimed

@@ -101,7 +101,7 @@ std::vector<VariantPriorTable::ClassPriors> VariantPriorTable::snapshot() const 
 AdmissionPolicy::AdmissionPolicy(Config config, std::map<std::string, double> deadlines)
     : config_(config),
       deadlines_(std::move(deadlines)),
-      priors_(config.n_variants, config.prior_decay) {}
+      priors_(config.n_variants) {}
 
 void AdmissionPolicy::observe_arrival(double arrival) {
   if (arrival > virtual_now_) virtual_now_ = arrival;

@@ -159,7 +159,6 @@ class AdmissionPolicy {
     /// Portfolio size; 1 = single-solver mode (shedding still applies,
     /// down-shift and adaptation have no variants to choose between).
     std::size_t n_variants = 0;
-    double prior_decay = 0.9;  ///< VariantPriorTable decay per window
   };
 
   /// `deadlines` must use canonical class keys ("" = unlabelled), the same
@@ -201,7 +200,7 @@ class AdmissionPolicy {
  private:
   Config config_;
   std::map<std::string, double> deadlines_;
-  VariantPriorTable priors_;
+  VariantPriorTable priors_;  ///< the table's default decay: 0.9 per window
   double virtual_now_ = 0;
 };
 

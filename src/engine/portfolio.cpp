@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <limits>
 #include <map>
+#include <optional>
 #include <stdexcept>
 
 #include "src/engine/exec_core.hpp"
 #include "src/engine/policy.hpp"
+#include "src/jobs/io.hpp"
 #include "src/sched/validator.hpp"
 #include "src/util/common.hpp"
 
@@ -93,26 +95,63 @@ std::vector<VariantStats> aggregate(const std::vector<PortfolioOutcome>& outcome
   return out;
 }
 
-/// Config part of the memo key: everything that changes an outcome — the
-/// variant list, eps, and the tie-break mode (the winner label is stored in
-/// the cached outcome, so outcomes produced under different tie-break rules
-/// must not alias).
-std::uint64_t config_memo_key(const PortfolioConfig& config) {
-  std::uint64_t h = detail::kFnvOffsetBasis;
-  const char tag[] = "portfolio";
-  fnv1a_mix(h, tag, sizeof(tag));
+/// Appends the raw bytes of `v`.
+template <typename T>
+void append_raw(std::string& out, const T& v) {
+  out.append(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+
+/// The config part of memo_identity, shared by every slot of a solve.
+std::string config_identity(const PortfolioConfig& config) {
+  std::string out;
+  append_raw(out, config.variants.size());
   for (const std::string& v : config.variants) {
-    fnv1a_mix(h, v.data(), v.size());
-    const char sep = ',';
-    fnv1a_mix(h, &sep, sizeof(sep));
+    append_raw(out, v.size());
+    out += v;
   }
-  fnv1a_mix_double(h, config.eps);
-  const unsigned char tie = config.tie_break == TieBreak::kPortfolioOrder ? 1 : 0;
-  fnv1a_mix(h, &tie, sizeof(tie));
-  return h;
+  append_raw(out, config.eps);
+  out += config.tie_break == TieBreak::kPortfolioOrder ? '\1' : '\0';
+  return out;
+}
+
+/// memo_identity after its config part, for a canonical `plan` (null for
+/// the identity plan).
+std::string slot_identity(std::string_view config_part,
+                          const std::vector<std::uint16_t>* plan,
+                          const jobs::Instance& instance) {
+  const std::optional<std::string> content = jobs::content_bytes(instance);
+  if (!content) return {};
+  const std::size_t lanes = plan ? plan->size() : 0;
+  std::string out;
+  out.reserve(config_part.size() + sizeof(lanes) + lanes * sizeof(std::uint16_t) +
+              content->size());
+  out += config_part;
+  append_raw(out, lanes);
+  for (std::size_t l = 0; l < lanes; ++l) append_raw(out, (*plan)[l]);
+  out += *content;
+  return out;
+}
+
+/// Null for every spelling of the identity plan — none, an empty one, or an
+/// explicit identity permutation — so each memoizes and digests exactly
+/// like a plan-free solve; `plan` itself otherwise.
+const std::vector<std::uint16_t>* canonical_plan(const std::vector<std::uint16_t>* plan,
+                                                 std::size_t n_variants) {
+  if (!plan || plan->empty()) return nullptr;
+  if (plan->size() != n_variants) return plan;
+  for (std::size_t l = 0; l < n_variants; ++l)
+    if ((*plan)[l] != l) return plan;
+  return nullptr;
 }
 
 }  // namespace
+
+std::string memo_identity(const PortfolioConfig& config,
+                          const std::vector<std::uint16_t>* plan,
+                          const jobs::Instance& instance) {
+  return slot_identity(config_identity(config),
+                       canonical_plan(plan, config.variants.size()), instance);
+}
 
 std::vector<std::string> parse_portfolio_spec(const std::string& spec) {
   std::vector<std::string> names;
@@ -193,20 +232,11 @@ PortfolioResult PortfolioSolver::solve(const std::vector<jobs::Instance>& batch,
   for (std::size_t v = 0; v < n_variants; ++v)
     mem_aware[v] = registry_->memory_aware(config.variants[v]) ? 1 : 0;
 
-  // Resolve slot i's execution plan: null = identity (full portfolio in
-  // config order). Explicit identity permutations are canonicalized to null
-  // here so they memoize, digest, and salt exactly like a plan-free solve.
+  // Slot i's execution plan: null = identity (full portfolio in config
+  // order).
   const auto plan_of = [&](std::size_t i) -> const std::vector<std::uint16_t>* {
     if (!config.variant_plans || i >= config.variant_plans->size()) return nullptr;
-    const std::vector<std::uint16_t>& p = (*config.variant_plans)[i];
-    if (p.empty()) return nullptr;
-    if (p.size() == n_variants) {
-      bool identity = true;
-      for (std::size_t l = 0; l < p.size(); ++l)
-        if (p[l] != l) { identity = false; break; }
-      if (identity) return nullptr;
-    }
-    return &p;
+    return canonical_plan(&(*config.variant_plans)[i], n_variants);
   };
   if (config.variant_plans) {
     for (const std::vector<std::uint16_t>& p : *config.variant_plans) {
@@ -225,29 +255,13 @@ PortfolioResult PortfolioSolver::solve(const std::vector<jobs::Instance>& batch,
   result.outcomes.resize(batch.size());
 
   exec::MemoPlan plan;
+  std::vector<std::string> identity;
   if (memo) {
-    // A non-identity plan changes the outcome, so it must change the memo
-    // key: salt each planned slot with a hash of its plan. Identity slots
-    // keep salt 0 and share entries with plan-free runs.
-    std::vector<std::uint64_t> salts;
-    if (config.variant_plans) {
-      salts.assign(batch.size(), 0);
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        const std::vector<std::uint16_t>* p = plan_of(i);
-        if (!p) continue;
-        std::uint64_t s = detail::kFnvOffsetBasis;
-        const char tag[] = "variant-plan";
-        fnv1a_mix(s, tag, sizeof(tag));
-        for (const std::uint16_t v : *p) fnv1a_mix(s, &v, sizeof(v));
-        salts[i] = s != 0 ? s : 1;  // 0 is the "unsalted" sentinel
-      }
-    }
-    plan = exec::plan_memo(
-        batch, config_memo_key(config),
-        [&](std::uint64_t key, std::string_view identity) {
-          return memo->contains(key, identity);
-        },
-        salts.empty() ? nullptr : &salts);
+    const std::string config_part = config_identity(config);
+    identity.resize(batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i)
+      identity[i] = slot_identity(config_part, plan_of(i), batch[i]);
+    plan = exec::plan_memo(identity, *memo, result.outcomes);
     result.memo_hits = plan.hits;
     result.memo_misses = plan.misses;
   }
@@ -303,9 +317,9 @@ PortfolioResult PortfolioSolver::solve(const std::vector<jobs::Instance>& batch,
         // runs only the memory-aware subset of its planned lanes — blind
         // variants are dropped, not failed, so a mixed portfolio degrades
         // gracefully. Deterministic: a pure function of instance content and
-        // the registry's declared capabilities, both memo-key-covered. When
-        // NO planned lane is capable the instance fails closed: every lane
-        // reports the named capability error.
+        // the registry's declared capabilities, both covered by the memo
+        // identity. When NO planned lane is capable the instance fails
+        // closed: every lane reports the named capability error.
         std::vector<std::uint16_t> capable;
         if (batch[i].memory_constrained()) {
           for (std::size_t lane = 0; lane < lanes; ++lane)
@@ -407,33 +421,21 @@ PortfolioResult PortfolioSolver::solve(const std::vector<jobs::Instance>& batch,
       });
   result.wall_seconds = timing.wall_seconds;
 
-  // Serial finalize, two passes. Pass 1 serves every store-promised slot
-  // before anything is inserted: under a bounded (LRU) store, recording a
-  // fresh outcome can evict an entry the plan promised to serve — plan_memo
-  // probed the store before the shard loop ran — so all store reads must
-  // precede the first write. Pass 2 serves in-batch duplicates (slot j < i
-  // is already final), stamps index/queue, and stores fresh outcomes.
-  // Served slots zero the compute cost — nothing was solved.
-  if (memo) {
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (plan.source[i] != exec::MemoPlan::kFromStore) continue;
-      PortfolioOutcome& out = result.outcomes[i];
-      out = *memo->find(plan.key[i], plan.identity[i]);
-      out.compute_seconds = 0;
-      for (VariantAttempt& a : out.attempts) a.wall_seconds = 0;
-    }
-  }
+  // Serial finalize, one pass in batch order. A served slot — plan_memo
+  // already copied its store hit in; an in-batch duplicate copies the
+  // finished slot j < i — zeroes the compute cost, since nothing was
+  // solved. Fresh outcomes are stored: plan_memo ran every store read
+  // before this first insert, so no insert evicts a promised entry.
   for (std::size_t i = 0; i < batch.size(); ++i) {
     PortfolioOutcome& out = result.outcomes[i];
-    if (memo && !plan.computes(i) && plan.source[i] != exec::MemoPlan::kFromStore) {
-      out = result.outcomes[plan.source[i]];
+    if (memo && !plan.computes(i)) {
+      if (plan.source[i] != exec::MemoPlan::kFromStore) out = result.outcomes[plan.source[i]];
       out.compute_seconds = 0;
       for (VariantAttempt& a : out.attempts) a.wall_seconds = 0;
     }
     out.index = i;
     out.queue_seconds = timing.queue_seconds[i];
-    if (memo && plan.computes(i) && !plan.identity[i].empty())
-      memo->insert(plan.key[i], plan.identity[i], out);
+    if (memo && plan.computes(i) && !identity[i].empty()) memo->insert(identity[i], out);
   }
 
   for (const PortfolioOutcome& o : result.outcomes)

@@ -5,7 +5,8 @@
 // Capability filtering (memory axis): a memory-constrained instance runs
 // only the memory-aware subset of its planned lanes — memory-blind variants
 // are auto-dropped per instance (deterministically: instance content,
-// memory axis included, and registry capabilities are both memo-key-covered).
+// memory axis included, and registry capabilities are both covered by the
+// memo identity).
 // When no planned lane is memory-aware the instance fails closed with the
 // named capability error on every lane, never a memory-overcommitted
 // schedule.
@@ -97,9 +98,10 @@ struct PortfolioConfig {
   /// outcome (and must be reproduced to reproduce the digest). An empty
   /// inner vector (or a missing entry past the vector's end) is the
   /// identity plan: full portfolio, config order, bitwise identical to a
-  /// plan-free solve and sharing its memo entries; non-identity plans are
-  /// salted into the memo key so they never alias. Entries must be valid,
-  /// duplicate-free variant indices. The pointee must outlive solve().
+  /// plan-free solve and sharing its memo entries; a non-identity plan's
+  /// lanes are part of the memo identity, so it never aliases another
+  /// plan. Entries must be valid, duplicate-free variant indices. The
+  /// pointee must outlive solve().
   const std::vector<std::vector<std::uint16_t>>* variant_plans = nullptr;
   /// Optional per-instance certified_lower_bound values the caller already
   /// holds, index-aligned with the batch like `variant_plans`; 0 (or a
@@ -108,6 +110,20 @@ struct PortfolioConfig {
   /// only what is computed. The pointee must outlive solve().
   const std::vector<double>* omegas = nullptr;
 };
+
+/// The memo identity of `instance` solved under `config` with the
+/// execution plan `plan` (null, empty or an explicit identity permutation
+/// all mean the full portfolio in config order). Raw bytes, each
+/// variable-length part after its length: the config fields that change an
+/// outcome (the variant names, the bits of eps, and the tie-break byte, as
+/// a stored outcome carries its winner label), the plan's lanes (none for
+/// the identity plan), then the instance's jobs::content_bytes. Equal
+/// identities mean equal config fields, plan lanes and content bytes, and
+/// the reverse. Empty for an oracle type outside the io catalogue: such an
+/// instance is never memoized.
+std::string memo_identity(const PortfolioConfig& config,
+                          const std::vector<std::uint16_t>* plan,
+                          const jobs::Instance& instance);
 
 /// How one variant's attempt on one instance ended.
 enum class AttemptOutcome : unsigned char {
@@ -237,13 +253,13 @@ class PortfolioSolver {
   /// own makespan, bound, ratio, and guarantee (no estimator call of the
   /// portfolio's own, no early-cancel machinery).
   ///
-  /// `memo` (optional) enables digest-keyed memoization: instances whose
-  /// content was already solved under this config — earlier in this batch
-  /// or in a prior batch sharing the store — reuse the stored outcome
-  /// (winner label included) instead of re-solving. Solvers are pure, so the
-  /// digest is unchanged; served outcomes report zero compute. The store is
-  /// read and extended serially around the shard loop and must not be
-  /// shared concurrently.
+  /// `memo` (optional) enables memoization by memo_identity: instances
+  /// whose content was already solved under this config and plan — earlier
+  /// in this batch or in a prior batch sharing the store — reuse the stored
+  /// outcome (winner label included) instead of re-solving. Solvers are
+  /// pure, so the digest is unchanged; served outcomes report zero compute.
+  /// The store is read and extended serially around the shard loop and
+  /// must not be shared concurrently.
   PortfolioResult solve(const std::vector<jobs::Instance>& batch,
                         const PortfolioConfig& config,
                         exec::MemoStore<PortfolioOutcome>* memo = nullptr) const;

@@ -312,7 +312,6 @@ StreamResult StreamSolver::run(InstanceSource& source, const StreamConfig& confi
     stats.memo_hits = r.memo_hits;
     stats.memo_misses = r.memo_misses;
     stats.cancelled_attempts = r.cancelled_attempts;
-    stats.digest = r.digest();
     for (std::size_t i = 0; i < r.outcomes.size(); ++i) {
       const PortfolioOutcome& o = r.outcomes[i];
       const std::size_t index = global_index++;

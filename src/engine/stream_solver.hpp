@@ -102,7 +102,7 @@ struct StreamConfig {
   std::vector<std::string> variants;  ///< non-empty: portfolio mode (ignores algorithm)
   double eps = 0.1;                   ///< approximation parameter, in (0, 1]
   unsigned threads = 0;               ///< worker threads per window; 0 = hardware
-  bool memo = false;                  ///< digest-keyed memoization across windows
+  bool memo = false;                  ///< memoization across windows
   /// Memo store bound (outcomes); 0 = unbounded. Only meaningful with
   /// `memo`. Eviction is LRU over the serial plan/finalize order, so
   /// hit/miss/eviction counts stay thread-count independent.
@@ -193,7 +193,6 @@ struct WindowStats {
   /// their deadline slack was already gone at the window cut (deterministic
   /// — the rule runs on stream virtual time).
   std::size_t downshifted = 0;
-  std::uint64_t digest = 0;          ///< this window's own batch digest
   std::uint64_t rolling_digest = 0;  ///< stream digest after this window
 };
 

@@ -12,12 +12,27 @@
 
 namespace moldable::net {
 
+namespace {
+
+SummaryFrame summary_of(const SessionCounters& tally) {
+  SummaryFrame summary;
+  summary.session = tally.id;
+  summary.records = tally.records;
+  summary.malformed = tally.malformed;
+  summary.results = tally.results;
+  summary.solved = tally.solved;
+  summary.failed = tally.failed;
+  summary.shed = tally.shed;
+  summary.down_shifted = tally.down_shifted;
+  return summary;
+}
+
+}  // namespace
+
 SocketServer::SocketServer(SocketServerConfig config) : config_(std::move(config)) {
   address_ = parse_address(config_.address);
   if (config_.max_sessions == 0)
     throw std::invalid_argument("socket server: max_sessions must be >= 1");
-  if (config_.queue_capacity == 0)
-    throw std::invalid_argument("socket server: queue_capacity must be >= 1");
 }
 
 SocketServer::~SocketServer() {
@@ -115,7 +130,7 @@ void SocketServer::reader_loop(Session& session) {
   while (reader.next(record)) {
     std::unique_lock<std::mutex> lock(mutex_);
     space_cv_.wait(lock,
-                   [&] { return queue_.size() < config_.queue_capacity || aborting_; });
+                   [&] { return queue_.size() < kQueueCapacity || aborting_; });
     if (aborting_) break;
     record.tag = session.id;
     record.ordinal = merged_ordinal_++;  // stream-wide, not per-session
@@ -191,16 +206,7 @@ void SocketServer::maybe_complete_session(Session& session) {
   // drains.
   if (session.summary_sent || !session.reader_done) return;
   if (session.tally.results + session.tally.shed != session.tally.records) return;
-  SummaryFrame summary;
-  summary.session = session.id;
-  summary.records = session.tally.records;
-  summary.malformed = session.tally.malformed;
-  summary.results = session.tally.results;
-  summary.solved = session.tally.solved;
-  summary.failed = session.tally.failed;
-  summary.shed = session.tally.shed;
-  summary.down_shifted = session.tally.down_shifted;
-  enqueue_frame(session, encode(summary));
+  enqueue_frame(session, encode(summary_of(session.tally)));
   session.summary_sent = true;
   session.close_after_drain = true;
   outbox_cv_.notify_all();
@@ -313,16 +319,7 @@ void SocketServer::finish() {
       // last result published); this catches the stragglers — e.g. a
       // session with a write_failed tally whose completion was skipped.
       if (!session->summary_sent) {
-        SummaryFrame summary;
-        summary.session = session->id;
-        summary.records = session->tally.records;
-        summary.malformed = session->tally.malformed;
-        summary.results = session->tally.results;
-        summary.solved = session->tally.solved;
-        summary.failed = session->tally.failed;
-        summary.shed = session->tally.shed;
-        summary.down_shifted = session->tally.down_shifted;
-        enqueue_frame(*session, encode(summary));
+        enqueue_frame(*session, encode(summary_of(session->tally)));
         session->summary_sent = true;
       }
       session->close_after_drain = true;

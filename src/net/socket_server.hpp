@@ -89,9 +89,6 @@ struct SocketServerConfig {
   /// Stop accepting after this many admitted sessions (0 = accept until
   /// shutdown()). The drain-after-N test/batch shape.
   std::size_t expected_sessions = 0;
-  /// Merged-queue bound, in records — the backpressure valve between fast
-  /// clients and the serve loop.
-  std::size_t queue_capacity = 4096;
   /// When nonempty, the bound TCP port is written here (atomic temp+rename)
   /// after listen — how a test harness learns a port-0 choice.
   std::string port_file;
@@ -194,6 +191,9 @@ class SocketServer : public engine::InstanceSource {
   /// the last flush marker, before next() emits a marker while sessions are
   /// still connected.
   static constexpr std::chrono::milliseconds kIdleFlushInterval{5};
+  /// Merged-queue bound, in records — the backpressure valve between fast
+  /// clients and the serve loop.
+  static constexpr std::size_t kQueueCapacity = 4096;
 
   struct Session {
     std::uint64_t id = 0;

@@ -1,9 +1,9 @@
 // Engine-core tests: AlgorithmRegistry name lookup and capability flags,
-// the memo key's coverage of every io directive, and the MemoStore LRU
-// contract as PortfolioSolver drives it.
+// the memo identity's coverage of every io directive, config field and
+// plan lane, and the MemoStore LRU contract as PortfolioSolver drives it.
 #include <gtest/gtest.h>
 
-#include <optional>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -135,8 +135,9 @@ TEST(Registry, RejectsDuplicateAndEmptyNames) {
 }
 
 // ---------------------------------------------------------------------------
-// The memo key must cover every io directive that can change an outcome:
-// two instances that differ in any of them must never share a cache entry.
+// The memo identity must cover every io directive, config field and plan
+// lane that can change an outcome: two slots that differ in any of them
+// must never share a cache entry, and two that differ in none must.
 
 /// One record using every io directive and every job kind.
 constexpr char kKeyBase[] = R"(moldable-instance v1
@@ -155,10 +156,13 @@ job rigid 5 2 7.5 f
 job logspeed 3 g
 )";
 
-std::uint64_t key_of(const std::string& text) {
-  const std::optional<std::uint64_t> key = exec::memo_key(jobs::from_text(text), 0);
-  EXPECT_TRUE(key.has_value()) << text;
-  return key.value_or(0);
+/// The plan-free identity of `text` under a two-variant config.
+std::string identity_of(const std::string& text) {
+  PortfolioConfig config;
+  config.variants = {"lt-2approx", "mrt"};
+  std::string identity = memo_identity(config, nullptr, jobs::from_text(text));
+  EXPECT_FALSE(identity.empty()) << text;
+  return identity;
 }
 
 /// `text` with the line `from` replaced by `to` (which may be empty).
@@ -169,8 +173,8 @@ std::string with_line(std::string text, const std::string& from, const std::stri
   return text.replace(pos, from.size() + 1, to.empty() ? "" : to + "\n");
 }
 
-TEST(MemoKey, EveryIoDirectiveChangesTheKey) {
-  const std::uint64_t base = key_of(kKeyBase);
+TEST(MemoIdentity, EveryIoDirectiveChangesTheIdentity) {
+  const std::string base = identity_of(kKeyBase);
   const struct {
     const char* directive;
     const char* from;
@@ -196,119 +200,153 @@ TEST(MemoKey, EveryIoDirectiveChangesTheKey) {
       {"logspeed t1", "job logspeed 3 g", "job logspeed 4 g"},
   };
   for (const auto& m : mutations)
-    EXPECT_NE(key_of(with_line(kKeyBase, m.from, m.to)), base) << m.directive;
+    EXPECT_NE(identity_of(with_line(kKeyBase, m.from, m.to)), base) << m.directive;
 
   // The machine count is bound into table/linred jobs, so it gets a record
   // of its own.
   const std::string small = "moldable-instance v1\nmachines 4\njob amdahl 10 0.5\n";
-  EXPECT_NE(key_of(with_line(small, "machines 4", "machines 5")), key_of(small));
+  EXPECT_NE(identity_of(with_line(small, "machines 4", "machines 5")), identity_of(small));
 }
 
-TEST(MemoKey, InstanceNameDoesNotChangeTheKey) {
-  // Loaders invent names for unnamed input; keying on them would make every
-  // unnamed duplicate unique.
-  const std::uint64_t base = key_of(kKeyBase);
-  EXPECT_EQ(key_of(with_line(kKeyBase, "name base", "name renamed")), base);
-  EXPECT_EQ(key_of(with_line(kKeyBase, "name base", "")), base);
-  // The config seed still separates configurations.
-  const jobs::Instance inst = jobs::from_text(kKeyBase);
-  EXPECT_NE(exec::memo_key(inst, 1), exec::memo_key(inst, 2));
+TEST(MemoIdentity, InstanceNameDoesNotChangeTheIdentity) {
+  // Loaders invent names for unnamed input; an identity covering them
+  // would make every unnamed duplicate unique.
+  const std::string base = identity_of(kKeyBase);
+  EXPECT_EQ(identity_of(with_line(kKeyBase, "name base", "name renamed")), base);
+  EXPECT_EQ(identity_of(with_line(kKeyBase, "name base", "")), base);
 }
 
-/// The identity bytes the store tests file key k under.
-std::string id(std::uint64_t k) { return "instance-" + std::to_string(k); }
+TEST(MemoIdentity, EveryConfigFieldAndPlanLaneChangesTheIdentity) {
+  const Instance inst = jobs::from_text(kKeyBase);
+  PortfolioConfig base;
+  base.variants = {"ab", "c", "mrt"};
+  const std::string identity = memo_identity(base, nullptr, inst);
+
+  // The reverse direction: equal fields, built apart, give equal bytes.
+  PortfolioConfig copy;
+  copy.variants = {"ab", "c", "mrt"};
+  copy.threads = 7;  // not an outcome field
+  EXPECT_EQ(memo_identity(copy, nullptr, jobs::from_text(kKeyBase)), identity);
+
+  PortfolioConfig fewer = base;
+  fewer.variants.pop_back();
+  PortfolioConfig regrouped = base;  // the same characters, other names
+  regrouped.variants = {"a", "bc", "mrt"};
+  PortfolioConfig reordered = base;
+  reordered.variants = {"c", "ab", "mrt"};
+  PortfolioConfig other_eps = base;
+  other_eps.eps = 0.5;
+  PortfolioConfig other_tie = base;
+  other_tie.tie_break = TieBreak::kPortfolioOrder;
+  for (const PortfolioConfig* other : {&fewer, &regrouped, &reordered, &other_eps, &other_tie})
+    EXPECT_NE(memo_identity(*other, nullptr, inst), identity);
+
+  // Every lane of a plan counts, and so does its length; an explicit
+  // identity permutation and an empty plan are the plan-free identity.
+  const std::vector<std::uint16_t> plan{2, 0, 1};
+  const std::string planned = memo_identity(base, &plan, inst);
+  EXPECT_NE(planned, identity);
+  const std::vector<std::vector<std::uint16_t>> other_plans{
+      {1, 0, 2}, {2, 1, 0}, {2, 0}, {2}, {0, 2, 1}};
+  for (const std::vector<std::uint16_t>& other : other_plans)
+    EXPECT_NE(memo_identity(base, &other, inst), planned) << other.size();
+  EXPECT_EQ(memo_identity(base, &plan, inst), planned);
+  const std::vector<std::uint16_t> explicit_identity{0, 1, 2};
+  const std::vector<std::uint16_t> empty;
+  EXPECT_EQ(memo_identity(base, &explicit_identity, inst), identity);
+  EXPECT_EQ(memo_identity(base, &empty, inst), identity);
+}
+
+/// An oracle outside the io catalogue: t(k) = 1 on every k.
+class UncataloguedTime final : public jobs::ProcessingTimeFunction {
+ public:
+  double at(procs_t) const override { return 1.0; }
+};
+
+TEST(MemoIdentity, UncataloguedOracleIsNeverMemoized) {
+  std::vector<jobs::Job> jobs;
+  jobs.emplace_back(std::make_shared<UncataloguedTime>(), 4);
+  const Instance inst(std::move(jobs), 4);
+  const PortfolioConfig config = single("lt-2approx");
+  EXPECT_TRUE(memo_identity(config, nullptr, inst).empty());
+
+  // Its duplicate computes too, and the store stays empty.
+  exec::MemoStore<PortfolioOutcome> store;
+  const PortfolioResult r = PortfolioSolver().solve({inst, inst}, config, &store);
+  EXPECT_EQ(r.solved, 2u);
+  EXPECT_EQ(r.memo_hits, 0u);
+  EXPECT_EQ(r.memo_misses, 2u);
+  EXPECT_EQ(store.size(), 0u);
+}
 
 TEST(MemoStoreLru, EvictsLeastRecentlyUsedAtCapacity) {
   exec::MemoStore<int> store(2);
   EXPECT_EQ(store.capacity(), 2u);
-  store.insert(1, id(1), 10);
-  store.insert(2, id(2), 20);
-  ASSERT_NE(store.find(1, id(1)), nullptr);  // touch: key 1 is now most recent
-  store.insert(3, id(3), 30);                // evicts key 2, the LRU entry
+  store.insert("a", 10);
+  store.insert("b", 20);
+  ASSERT_NE(store.find("a"), nullptr);  // touch: "a" is now most recent
+  store.insert("c", 30);                // evicts "b", the LRU entry
   EXPECT_EQ(store.evictions(), 1u);
   EXPECT_EQ(store.size(), 2u);
-  EXPECT_TRUE(store.contains(1, id(1)));
-  EXPECT_FALSE(store.contains(2, id(2)));
-  EXPECT_TRUE(store.contains(3, id(3)));
-  // Re-inserting an existing key refreshes recency without growing.
-  store.insert(1, id(1), 99);
-  EXPECT_EQ(*store.find(1, id(1)), 10);  // first insertion still wins
-  store.insert(4, id(4), 40);            // now 3 is the LRU entry
-  EXPECT_FALSE(store.contains(3, id(3)));
+  EXPECT_EQ(store.find("b"), nullptr);
+  ASSERT_NE(store.find("c"), nullptr);
+  ASSERT_NE(store.find("a"), nullptr);  // order, oldest first: c, a
+  // Re-inserting an existing identity refreshes recency without growing.
+  store.insert("c", 99);
+  EXPECT_EQ(*store.find("c"), 30);  // first insertion still wins
+  store.insert("d", 40);            // now "a" is the LRU entry
+  EXPECT_EQ(store.find("a"), nullptr);
   EXPECT_EQ(store.evictions(), 2u);
 }
 
 TEST(MemoStoreLru, ZeroCapacityIsUnbounded) {
   exec::MemoStore<int> store;
-  for (int k = 0; k < 1000; ++k) store.insert(static_cast<std::uint64_t>(k), id(k), k);
+  for (int k = 0; k < 1000; ++k) store.insert("instance-" + std::to_string(k), k);
   EXPECT_EQ(store.size(), 1000u);
   EXPECT_EQ(store.evictions(), 0u);
 }
 
-TEST(MemoCollision, StoreAnswersOnlyTheIdentityItHolds) {
-  // Key 7 holds identity A. The same key with other bytes B is a collision:
-  // it misses, and inserting it neither replaces A nor refreshes A's
-  // recency.
+TEST(MemoStoreLru, AnswersOnlyTheIdentityItHolds) {
+  // Other bytes are another identity — a prefix or an extension of the
+  // bytes too — and a lookup that misses leaves recency alone.
   exec::MemoStore<int> store(2);
-  store.insert(7, "A", 1);
-  EXPECT_TRUE(store.contains(7, "A"));
-  EXPECT_FALSE(store.contains(7, "B"));
-  EXPECT_EQ(store.find(7, "B"), nullptr);
-  // A prefix or an extension of the bytes is another identity too.
-  EXPECT_FALSE(store.contains(7, ""));
-  EXPECT_FALSE(store.contains(7, "AA"));
-
-  store.insert(8, "C", 3);  // A is now the least recently used entry
-  store.insert(7, "B", 2);  // collides: no replace, no refresh
-  EXPECT_EQ(store.size(), 2u);
-  ASSERT_NE(store.find(7, "A"), nullptr);
-  EXPECT_EQ(*store.find(7, "A"), 1);
-  EXPECT_FALSE(store.contains(7, "B"));
-
-  // Had the colliding insert refreshed A, C would be evicted next.
-  exec::MemoStore<int> lru(2);
-  lru.insert(7, "A", 1);
-  lru.insert(8, "C", 3);
-  lru.insert(7, "B", 2);
-  lru.insert(9, "D", 4);  // evicts the least recently used entry: A
-  EXPECT_FALSE(lru.contains(7, "A"));
-  EXPECT_TRUE(lru.contains(8, "C"));
-  EXPECT_TRUE(lru.contains(9, "D"));
-  EXPECT_EQ(lru.evictions(), 1u);
+  store.insert("A", 1);
+  store.insert("C", 3);  // "A" is now the least recently used entry
+  for (const std::string_view other : {"B", "", "AA", "a"})
+    EXPECT_EQ(store.find(other), nullptr) << other;
+  store.insert("AA", 2);  // a fresh identity: evicts "A", not "C"
+  EXPECT_EQ(store.find("A"), nullptr);
+  ASSERT_NE(store.find("C"), nullptr);
+  EXPECT_EQ(*store.find("C"), 3);
+  EXPECT_EQ(*store.find("AA"), 2);
+  EXPECT_EQ(store.evictions(), 1u);
 }
 
-TEST(MemoCollision, PlanComputesASlotWhoseKeyHoldsAnotherIdentity) {
-  // A forged store entry: instance X's real key, but another instance's
-  // identity bytes and outcome. The plan must compute X and count a miss,
-  // never serve the forged outcome.
-  const std::vector<Instance> x = {jobs::from_text(kKeyBase)};
-  const std::vector<Instance> y = {
-      jobs::from_text(with_line(kKeyBase, "job amdahl 10 0.5 a", "job amdahl 11 0.5 a"))};
-  constexpr std::uint64_t kConfig = 42;
-  const std::uint64_t key_x = exec::memo_key(x[0], kConfig).value();
-  const exec::MemoPlan plan_y = exec::plan_memo(y, kConfig, nullptr);
-  ASSERT_FALSE(plan_y.identity[0].empty());
-  ASSERT_NE(plan_y.key[0], key_x);
-
-  exec::MemoStore<int> store;
-  store.insert(key_x, plan_y.identity[0], -1);
-  const auto in_store = [&](std::uint64_t key, std::string_view identity) {
-    return store.contains(key, identity);
-  };
-  const exec::MemoPlan plan = exec::plan_memo(x, kConfig, in_store);
-  EXPECT_EQ(plan.key[0], key_x);
+TEST(MemoStoreLru, PlanServesStoreHitsThenEarlierSlots) {
+  // The store holds "y" and, more recently, "z". Slot order: x, y, x, w, y,
+  // and an unmemoized slot. The plan copies the store's outcome into every
+  // slot it holds, chains the second x to slot 0, and computes the rest.
+  exec::MemoStore<int> store(2);
+  store.insert("y", 7);
+  store.insert("z", 8);
+  std::vector<int> slots(6, 0);
+  const exec::MemoPlan plan = exec::plan_memo<int>({"x", "y", "x", "w", "y", ""}, store, slots);
   EXPECT_TRUE(plan.computes(0));
-  EXPECT_EQ(plan.hits, 0u);
-  EXPECT_EQ(plan.misses, 1u);
-
-  // The same store serves X once the entry holds X's own bytes.
-  exec::MemoStore<int> honest;
-  honest.insert(key_x, plan.identity[0], 1);
-  const exec::MemoPlan served = exec::plan_memo(
-      x, kConfig,
-      [&](std::uint64_t key, std::string_view identity) { return honest.contains(key, identity); });
-  EXPECT_EQ(served.source[0], exec::MemoPlan::kFromStore);
-  EXPECT_EQ(served.hits, 1u);
+  EXPECT_EQ(plan.source[1], exec::MemoPlan::kFromStore);
+  EXPECT_EQ(plan.source[2], 0u);
+  EXPECT_TRUE(plan.computes(3));
+  EXPECT_EQ(plan.source[4], exec::MemoPlan::kFromStore);
+  EXPECT_TRUE(plan.computes(5));
+  EXPECT_EQ(slots[1], 7);
+  EXPECT_EQ(slots[4], 7);
+  EXPECT_EQ(slots[0], 0);
+  EXPECT_EQ(plan.hits, 3u);
+  EXPECT_EQ(plan.misses, 3u);
+  // The plan's reads touched "y", so "z" is now the least recently used
+  // entry, and the finalize's first insert evicts it.
+  store.insert("x", 1);
+  EXPECT_EQ(store.find("z"), nullptr);
+  EXPECT_NE(store.find("y"), nullptr);
 }
 
 TEST(MemoStoreLru, CapacityOneThrashIsDeterministic) {
@@ -341,10 +379,10 @@ TEST(MemoStoreLru, CapacityOneThrashIsDeterministic) {
 }
 
 TEST(MemoStoreLru, PromisedHitsSurviveEvictionByFreshInserts) {
-  // Regression test for the two-pass finalize: the plan promises the last
-  // slot a store-served outcome, but the five fresh inserts before it would
-  // evict that entry from a capacity-1 store if reads and writes
-  // interleaved. All store reads must happen before the first insert.
+  // The plan promises the last slot a store-served outcome, but the five
+  // fresh inserts before it would evict that entry from a capacity-1 store
+  // if reads and writes interleaved in slot order. plan_memo copies every
+  // store hit into its slot before the finalize's first insert.
   auto fresh = small_batch(6);
   std::vector<Instance> seed = {fresh[0]};
   std::vector<Instance> batch(fresh.begin() + 1, fresh.end());

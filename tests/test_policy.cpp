@@ -1,7 +1,7 @@
 // Admission-policy tests: the shed certificate's validity (omega really
 // lower-bounds every achievable makespan), the never-shed edge cases, the
 // prior table's win/cancel/decay arithmetic and ordering rules, the
-// down-shift rule's slack inequality, plan-salted memoization (a planned
+// down-shift rule's slack inequality, plan-aware memoization (a planned
 // solve must never alias a plan-free one), and the stream-level contract —
 // the shed set, down-shift count, and prior-table state are thread-count
 // independent, digest-covered, gap-free across the served/shed index split,
@@ -223,10 +223,10 @@ TEST(VariantPrior, SnapshotListsClassesInDeterministicKeyOrder) {
 }
 
 // ---------------------------------------------------------------------------
-// Plan-salted memoization: a planned solve must never be served a plan-free
+// Plan-aware memoization: a planned solve must never be served a plan-free
 // outcome (or vice versa) just because the instance bytes match.
 
-TEST(StreamPolicy, MemoPlanSaltPreventsPlanAliasing) {
+TEST(StreamPolicy, MemoIdentityKeepsPlansApart) {
   const Instance x = make_instance(Family::kAmdahl, 4, 4, 7);
   const std::vector<Instance> batch{x, x};
 
@@ -234,9 +234,10 @@ TEST(StreamPolicy, MemoPlanSaltPreventsPlanAliasing) {
   config.variants = {"exact", "fptas"};
   config.threads = 1;
 
-  // Same instance twice, but slot 1 races only variant 0: without the plan
-  // salt the second solve would hit slot 0's full-portfolio entry and
-  // return an outcome with the wrong attempt set.
+  // Same instance twice, but slot 1 races only variant 0: were the plan's
+  // lanes not part of the memo identity, the second solve would hit slot
+  // 0's full-portfolio entry and return an outcome with the wrong attempt
+  // set.
   const std::vector<std::vector<std::uint16_t>> mixed{{}, {0}};
   config.variant_plans = &mixed;
   exec::MemoStore<PortfolioOutcome> store;
@@ -247,8 +248,8 @@ TEST(StreamPolicy, MemoPlanSaltPreventsPlanAliasing) {
   EXPECT_EQ(r.outcomes[1].attempts.size(), 1u);
   EXPECT_EQ(r.outcomes[1].winner, "exact");
 
-  // Identical non-identity plans DO share an entry — the salt is a pure
-  // function of the plan, not of the slot.
+  // Identical non-identity plans DO share an entry — the identity covers
+  // the plan's lanes, not the slot.
   const std::vector<std::vector<std::uint16_t>> same{{0}, {0}};
   config.variant_plans = &same;
   exec::MemoStore<PortfolioOutcome> store2;
@@ -256,7 +257,8 @@ TEST(StreamPolicy, MemoPlanSaltPreventsPlanAliasing) {
   EXPECT_EQ(r2.memo_hits, 1u);
 
   // An explicit identity permutation is canonicalized to the plan-free
-  // form: it salts as 0 and shares entries with an unplanned slot.
+  // form: it has no lanes in its identity and shares entries with an
+  // unplanned slot.
   const std::vector<std::vector<std::uint16_t>> identity{{}, {0, 1}};
   config.variant_plans = &identity;
   exec::MemoStore<PortfolioOutcome> store3;

@@ -849,7 +849,7 @@ TEST(SingleSolver, MemoServesDuplicatesWithUnchangedDigest) {
 
 TEST(SingleSolver, MemoKeyDistinguishesConfigs) {
   // The same instance under a different variant list, eps, or tie-break
-  // must not alias in the store: the config is folded into every memo key.
+  // must not alias in the store: the config is part of every memo identity.
   const auto batch = small_batch(2);
   exec::MemoStore<PortfolioOutcome> store;
   const PortfolioConfig a = single("lt-2approx");

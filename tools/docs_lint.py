@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Docs drift guard: links, driver names and cited docs must resolve, flags and solvers must be documented.
+"""Docs drift guard: what the docs cite must exist, and flags and solvers must be documented.
 
-Six checks, all cheap enough to run as a ctest case on every build:
+Seven checks, all cheap enough to run as a ctest case on every build:
 
 1. Link check — every relative markdown link in README.md and docs/*.md
    must point at a file (or directory) that exists in the repo. External
@@ -38,12 +38,17 @@ Six checks, all cheap enough to run as a ctest case on every build:
    a registered solver: checks 3 and 4 for registry names, so a solver
    deleted from the registry cannot stay documented.
 
+7. Cited tests — every backticked `Suite.Case` in README.md, docs/*.md
+   and the verify skill must name a TEST, TEST_F or TEST_P defined in
+   tests/*.cpp, so a renamed or deleted test cannot stay cited as
+   evidence.
+
 Usage:
     tools/docs_lint.py REPO_ROOT [BATCH_SERVICE_BIN TRAFFIC_GEN_BIN]
 
-Without the two binary paths only the link, driver-name and cited-doc
-checks run (handy when the tree is not built). Exit 0 = clean, 1 = findings (each
-printed one per line), 2 = usage/environment error.
+Without the two binary paths only the link, driver-name, cited-doc and
+cited-test checks run (handy when the tree is not built). Exit 0 = clean,
+1 = findings (each printed one per line), 2 = usage/environment error.
 """
 
 import re
@@ -65,6 +70,8 @@ SKIP_SCHEMES = ("http://", "https://", "mailto:")
 CODE_DIRS = ("src", "examples", "bench", "tests")
 COMMENT_MARKERS = {".cpp": "//", ".hpp": "//", ".sh": "#", ".py": "#"}
 CITED_DOC_RE = re.compile(r"(?<![\w./-])((?:[\w.-]+/)*[\w-]+\.md)\b")
+CITED_TEST_RE = re.compile(r"`([A-Z][A-Za-z0-9]*\.[A-Z][A-Za-z0-9_]*)`")
+TEST_DEF_RE = re.compile(r"^\s*TEST(?:_F|_P)?\(\s*(\w+)\s*,\s*(\w+)\s*\)", re.M)
 
 
 def markdown_files(root: Path):
@@ -95,12 +102,16 @@ def check_links(root: Path):
     return problems
 
 
-def check_driver_names(root: Path):
-    problems = []
+def docs_and_skill(root: Path):
     docs = markdown_files(root)
     if (root / VERIFY_SKILL).is_file():
         docs.append(root / VERIFY_SKILL)
-    for md in docs:
+    return docs
+
+
+def check_driver_names(root: Path):
+    problems = []
+    for md in docs_and_skill(root):
         text = md.read_text(encoding="utf-8")
         for lineno, line in enumerate(text.splitlines(), 1):
             for name in DRIVER_RE.findall(line):
@@ -135,6 +146,25 @@ def check_cited_docs(root: Path):
                             f"{rel}:{lineno}: cites '{name}', which is not at "
                             f"the repo root, in docs/ or at that path"
                         )
+    return problems
+
+
+def check_cited_tests(root: Path):
+    defined = set()
+    for path in sorted((root / "tests").glob("*.cpp")):
+        text = path.read_text(encoding="utf-8")
+        defined.update(f"{suite}.{case}" for suite, case in TEST_DEF_RE.findall(text))
+    problems = []
+    for md in docs_and_skill(root):
+        text = md.read_text(encoding="utf-8")
+        for lineno, line in enumerate(text.splitlines(), 1):
+            for name in CITED_TEST_RE.findall(line):
+                if name not in defined:
+                    rel = md.relative_to(root)
+                    problems.append(
+                        f"{rel}:{lineno}: cites test '{name}', which no "
+                        f"TEST/TEST_F/TEST_P in tests/*.cpp defines"
+                    )
     return problems
 
 
@@ -248,7 +278,8 @@ def main(argv):
         print(f"docs_lint: no README.md under {root}", file=sys.stderr)
         return 2
 
-    problems = check_links(root) + check_driver_names(root) + check_cited_docs(root)
+    problems = (check_links(root) + check_driver_names(root) + check_cited_docs(root)
+                + check_cited_tests(root))
     if len(argv) == 4:
         problems += check_flag_coverage(root, argv[2:4])
         problems += check_solver_table(root, argv[2])
