@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <stdexcept>
-
-#include "src/util/arena.hpp"
+#include <vector>
 
 #if defined(__x86_64__)
 #include <immintrin.h>
@@ -161,12 +160,15 @@ Solution solve_dense(const std::vector<Item>& items, procs_t capacity) {
   const std::size_t words = ucap / 64 + 1;
 
   // The profit row and the flat row-major decision bitmap are scratch: both
-  // die with this call, so they come from the thread's scratch arena and
-  // cost no heap traffic once the arena is warm.
-  util::ScratchArena& arena = util::scratch_arena();
-  util::ScratchArena::Frame frame(arena);
-  double* best = arena.alloc_zeroed<double>(ucap + 1);
-  std::uint64_t* take = arena.alloc_zeroed<std::uint64_t>(n * words);
+  // die with this call, so they live in this thread's two buffers. assign()
+  // zeroes exactly the cells this solve reads and never shrinks capacity,
+  // so a warm thread solves with no heap traffic.
+  thread_local std::vector<double> best_buf;
+  thread_local std::vector<std::uint64_t> take_buf;
+  best_buf.assign(ucap + 1, 0.0);
+  take_buf.assign(n * words, 0);
+  double* best = best_buf.data();
+  std::uint64_t* take = take_buf.data();
 
   for (std::size_t i = 0; i < n; ++i) {
     const Item& it = items[i];

@@ -13,7 +13,8 @@
 // full item size, so the cells are dependence-free and run through SIMD
 // kernels (SSE2/AVX2/AVX-512, picked once at run time) while producing
 // *bitwise identical* results to the scalar descending loop; decision bits
-// live in one flat row-major bitmap carved from the thread's ScratchArena.
+// live in one flat row-major bitmap, kept with the profit row in buffers
+// each thread reuses from solve to solve.
 // The scalar original is retained in tests/knapsack_reference.hpp and the
 // equivalence is property-tested (test_kernel_equivalence) and gated by the
 // pinned benchmarks in bench/bench_knapsack.cpp.

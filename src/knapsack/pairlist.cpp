@@ -1,43 +1,55 @@
 #include "src/knapsack/pairlist.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
-
-#include "src/util/arena.hpp"
+#include <utility>
 
 namespace moldable::knapsack {
 
 namespace {
 
-// The Pareto sweep runs entirely on arena scratch: the frontier lives in a
-// ping-pong pair of buffers that swap roles every merge step, instead of
-// the pre-optimization allocate-and-return std::vector per item. Results
-// are copied out to heap vectors only at the public API boundary, so no
-// returned object aliases arena memory. Bitwise identity with the retained
+// The Pareto sweep runs entirely on per-thread scratch: the frontier lives
+// in a ping-pong pair of buffers that swap roles every merge step, instead
+// of the pre-optimization allocate-and-return std::vector per item. Results
+// are copied out to fresh vectors only at the public API boundary, so no
+// returned object aliases scratch. Bitwise identity with the retained
 // reference (tests/knapsack_reference.cpp) is property-tested: the merge below
 // applies the exact same compare/tie rules, only with the running "back of
 // the output" carried in registers and the capacity cut hoisted out of the
 // per-point push.
+//
+// One set of three frontier buffers per thread serves every call, because
+// every entry point is done with the scratch before it returns or recurses:
+// reconstruct_rec reads its split from the two half-frontiers and only then
+// recurses, and no kernel here calls another while it holds scratch.
 
-/// Growable array of ParetoPoint carved from a ScratchArena. Growth
-/// allocates a fresh doubled block (the old one is reclaimed by the frame
-/// rewind), so pushes stay amortized O(1) with zero heap traffic.
-struct ArenaList {
-  ParetoPoint* data = nullptr;
+/// A frontier in a reused buffer: the first `len` points are live, the rest
+/// of `pts` is stale capacity. Buffers only grow, so a warm thread solves
+/// with no heap traffic.
+struct Frontier {
+  std::vector<ParetoPoint> pts;
   std::size_t len = 0;
-  std::size_t cap = 0;
 
-  void ensure(util::ScratchArena& arena, std::size_t want) {
-    if (want <= cap) return;
-    std::size_t ncap = cap ? cap * 2 : 64;
-    while (ncap < want) ncap *= 2;
-    ParetoPoint* nd = arena.alloc<ParetoPoint>(ncap);
-    if (len) std::memcpy(nd, data, len * sizeof(ParetoPoint));
-    data = nd;
-    cap = ncap;
+  /// Room for `want` points. The contents are not kept: every caller
+  /// rewrites the buffer from the start.
+  void ensure(std::size_t want) {
+    if (want <= pts.size()) return;
+    const std::size_t grown = std::max({want, 2 * pts.size(), std::size_t{64}});
+    pts.clear();
+    pts.resize(grown);
   }
 };
+
+struct Scratch {
+  Frontier a, b, c;
+};
+
+/// This thread's frontier buffers, shared by every call under the
+/// invariant above.
+Scratch& thread_scratch() {
+  thread_local Scratch scratch;
+  return scratch;
+}
 
 /// Merges `base` with `base (+) item` under a capacity, pruning dominated
 /// points; writes into `out` (sized for 2n+1 by the caller) and returns the
@@ -116,19 +128,19 @@ std::size_t merge_step(const ParetoPoint* __restrict__ base, std::size_t n,
   return m;
 }
 
-/// Pareto frontier of items[lo, hi) built on arena scratch; the result (in
-/// `cur`) is valid until the caller's frame rewinds.
+/// Pareto frontier of items[lo, hi), left in `cur`; `next` is the other
+/// half of the ping-pong pair.
 void pareto_range(const std::vector<Item>& items, std::size_t lo, std::size_t hi,
-                  double capacity, util::ScratchArena& arena, ArenaList& cur,
-                  ArenaList& next) {
+                  double capacity, Frontier& cur, Frontier& next) {
   const double cap_tol = capacity * (1 + kRelTol);
-  cur.ensure(arena, 1);
-  cur.data[0] = {0.0, 0.0};
+  cur.ensure(1);
+  cur.pts[0] = {0.0, 0.0};
   cur.len = 1;
   for (std::size_t i = lo; i < hi; ++i) {
-    next.ensure(arena, 2 * cur.len + 1);
-    next.len = merge_step(cur.data, cur.len, items[i], cap_tol, next.data);
-    std::swap(cur, next);
+    next.ensure(2 * cur.len + 1);
+    next.len = merge_step(cur.pts.data(), cur.len, items[i], cap_tol, next.pts.data());
+    cur.pts.swap(next.pts);
+    std::swap(cur.len, next.len);
   }
 }
 
@@ -146,24 +158,20 @@ double lookup(const ParetoPoint* list, std::size_t len, double capacity) {
 }  // namespace
 
 std::vector<ParetoPoint> exact_pareto(const std::vector<Item>& items, double capacity) {
-  util::ScratchArena& arena = util::scratch_arena();
-  util::ScratchArena::Frame frame(arena);
-  ArenaList cur, next;
-  pareto_range(items, 0, items.size(), capacity, arena, cur, next);
-  return std::vector<ParetoPoint>(cur.data, cur.data + cur.len);
+  Scratch& s = thread_scratch();
+  pareto_range(items, 0, items.size(), capacity, s.a, s.b);
+  return std::vector<ParetoPoint>(s.a.pts.begin(), s.a.pts.begin() + s.a.len);
 }
 
 std::vector<double> profits_for_capacities(const std::vector<Item>& items,
                                            const std::vector<double>& capacities) {
   double maxc = 0;
   for (double c : capacities) maxc = std::max(maxc, c);
-  util::ScratchArena& arena = util::scratch_arena();
-  util::ScratchArena::Frame frame(arena);
-  ArenaList list, tmp;
-  pareto_range(items, 0, items.size(), maxc, arena, list, tmp);
+  Scratch& s = thread_scratch();
+  pareto_range(items, 0, items.size(), maxc, s.a, s.b);
   std::vector<double> out;
   out.reserve(capacities.size());
-  for (double c : capacities) out.push_back(lookup(list.data, list.len, c));
+  for (double c : capacities) out.push_back(lookup(s.a.pts.data(), s.a.len, c));
   return out;
 }
 
@@ -173,12 +181,10 @@ namespace {
 /// between the two halves from their Pareto lists, then recurse. Profit is
 /// identical to the full DP; memory stays O(list length). The halves are
 /// (lo, mid, hi) index ranges into the original items — no per-level item
-/// copies — and both half-frontiers live under one arena frame that is
-/// rewound before recursing, so the transient footprint is the deepest
-/// path, not the whole tree.
+/// copies — and both half-frontiers are read before the recursion reuses
+/// their buffers, so the transient footprint is one level, not the tree.
 void reconstruct_rec(const std::vector<Item>& items, std::size_t lo, std::size_t hi,
-                     double capacity, std::vector<std::size_t>& chosen,
-                     util::ScratchArena& arena) {
+                     double capacity, std::vector<std::size_t>& chosen, Scratch& s) {
   if (lo >= hi || capacity < 0) return;
   if (hi - lo == 1) {
     const Item& it = items[lo];
@@ -187,48 +193,41 @@ void reconstruct_rec(const std::vector<Item>& items, std::size_t lo, std::size_t
     return;
   }
   const std::size_t mid = lo + (hi - lo) / 2;
-  double best_s1 = 0, best_s2 = 0;
-  {
-    util::ScratchArena::Frame frame(arena);
-    ArenaList l1, l2, tmp;
-    pareto_range(items, lo, mid, capacity, arena, l1, tmp);
-    pareto_range(items, mid, hi, capacity, arena, l2, tmp);
+  pareto_range(items, lo, mid, capacity, s.a, s.c);
+  pareto_range(items, mid, hi, capacity, s.b, s.c);
+  const Frontier& l1 = s.a;
+  const Frontier& l2 = s.b;
 
-    // Two-pointer sweep: as the left size grows, the best right point can
-    // only move left. Both lists are ascending in size and profit.
-    double best = -1;
-    std::size_t j = l2.len;  // exclusive upper bound into l2
-    for (std::size_t i = 0; i < l1.len; ++i) {
-      const ParetoPoint& p1 = l1.data[i];
-      const double room = capacity - p1.size;
-      while (j > 0 && l2.data[j - 1].size > room * (1 + kRelTol)) --j;
-      if (j == 0) break;
-      const double cand = p1.profit + l2.data[j - 1].profit;
-      if (cand > best) {
-        best = cand;
-        best_s1 = p1.size;
-        best_s2 = l2.data[j - 1].size;
-      }
+  // Two-pointer sweep: as the left size grows, the best right point can
+  // only move left. Both lists are ascending in size and profit.
+  double best = -1, best_s1 = 0, best_s2 = 0;
+  std::size_t j = l2.len;  // exclusive upper bound into l2
+  for (std::size_t i = 0; i < l1.len; ++i) {
+    const ParetoPoint& p1 = l1.pts[i];
+    const double room = capacity - p1.size;
+    while (j > 0 && l2.pts[j - 1].size > room * (1 + kRelTol)) --j;
+    if (j == 0) break;
+    const double cand = p1.profit + l2.pts[j - 1].profit;
+    if (cand > best) {
+      best = cand;
+      best_s1 = p1.size;
+      best_s2 = l2.pts[j - 1].size;
     }
-    check_invariant(best >= 0, "pairlist reconstruction: no feasible split");
   }
-  reconstruct_rec(items, lo, mid, best_s1, chosen, arena);
-  reconstruct_rec(items, mid, hi, best_s2, chosen, arena);
+  check_invariant(best >= 0, "pairlist reconstruction: no feasible split");
+  reconstruct_rec(items, lo, mid, best_s1, chosen, s);
+  reconstruct_rec(items, mid, hi, best_s2, chosen, s);
 }
 
 }  // namespace
 
 Solution solve_pairlist(const std::vector<Item>& items, double capacity) {
   if (capacity < 0) throw std::invalid_argument("solve_pairlist: negative capacity");
-  util::ScratchArena& arena = util::scratch_arena();
+  Scratch& s = thread_scratch();
+  pareto_range(items, 0, items.size(), capacity, s.a, s.b);
   Solution sol;
-  {
-    util::ScratchArena::Frame frame(arena);
-    ArenaList list, tmp;
-    pareto_range(items, 0, items.size(), capacity, arena, list, tmp);
-    sol.profit = list.data[list.len - 1].profit;
-  }
-  reconstruct_rec(items, 0, items.size(), capacity, sol.chosen, arena);
+  sol.profit = s.a.pts[s.a.len - 1].profit;
+  reconstruct_rec(items, 0, items.size(), capacity, sol.chosen, s);
   // The recursion re-derives the same optimum; double-check the arithmetic.
   double check = 0;
   for (std::size_t i : sol.chosen) check += items[i].profit;

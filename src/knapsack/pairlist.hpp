@@ -11,8 +11,9 @@
 //  * exact lists use divide-and-conquer (Hirschberg-style): O(n*C*log n)
 //    time, O(C) transient memory, no stored decisions; the recursion works
 //    on (lo, hi) index ranges into the original item vector — no per-level
-//    half copies — and every transient frontier lives on the thread's
-//    ScratchArena (ping-pong merge buffers, rewound per recursion level);
+//    half copies — and every transient frontier lives in one of three
+//    buffers each thread reuses (the ping-pong merge pair and the second
+//    half-frontier), each level done with them before it recurses;
 //  * normalized lists use an arena of parent pointers: the sequential
 //    snapping semantics of the paper are preserved exactly, at the cost of
 //    memory proportional to the number of undominated pairs ever created
@@ -72,8 +73,6 @@ class NormalizedPairList {
 
   /// Chosen item indices achieving profit_at(capacity).
   std::vector<std::size_t> reconstruct(double capacity) const;
-
-  std::size_t arena_size() const { return arena_.size(); }
 
  private:
   struct Node {

@@ -87,7 +87,7 @@ void SocketServer::accept_loop() {
       std::lock_guard<std::mutex> lock(mutex_);
       if (stop_accepting_ || aborting_) break;  // conn closes via ScopedFd
       if (active_sessions_ >= config_.max_sessions) {
-        ++totals_.rejected;
+        ++rejected_;
         // Rejected pre-admission: session id 0, named reason, then close —
         // the connection never touches the merged stream.
       } else {
@@ -96,7 +96,6 @@ void SocketServer::accept_loop() {
         session->id = next_session_id_++;
         session->tally.id = session->id;
         session->fd = std::move(conn);
-        ++totals_.accepted;
         ++active_sessions_;
         enqueue_frame(*session, encode(WelcomeFrame{session->id}));
       }
@@ -111,8 +110,8 @@ void SocketServer::accept_loop() {
     session->reader = std::thread(&SocketServer::reader_loop, this, std::ref(*session));
     session->writer = std::thread(&SocketServer::writer_loop, this, std::ref(*session));
 
-    if (config_.expected_sessions != 0 &&
-        totals_.accepted >= config_.expected_sessions)
+    // Only this thread grows sessions_, so it may read the size unlocked.
+    if (config_.expected_sessions != 0 && sessions_.size() >= config_.expected_sessions)
       break;
   }
   {
@@ -134,13 +133,10 @@ void SocketServer::reader_loop(Session& session) {
     if (aborting_) break;
     record.tag = session.id;
     record.ordinal = merged_ordinal_++;  // stream-wide, not per-session
-    if (record.ok) {
+    if (record.ok)
       ++session.tally.records;
-      ++totals_.records;
-    } else {
+    else
       ++session.tally.malformed;
-      ++totals_.malformed;
-    }
     queue_.push_back(std::move(record));
     flush_armed_ = true;  // traffic since the last flush marker
     lock.unlock();
@@ -267,7 +263,6 @@ void SocketServer::publish(std::size_t index, std::uint64_t tag, bool ok,
     ++session.tally.solved;
   else
     ++session.tally.failed;
-  ++totals_.results;
   enqueue_frame(session,
                 encode(ResultFrame{tag, static_cast<std::uint64_t>(index), ok,
                                    queue_seconds, compute_seconds}));
@@ -282,7 +277,6 @@ void SocketServer::publish_shed(std::size_t index, std::uint64_t tag,
   if (tag > sessions_.size()) return;  // unknown tag (e.g. a replayed stream)
   Session& session = *sessions_[tag - 1];
   ++session.tally.shed;
-  ++totals_.shed;
   enqueue_frame(session, encode(RejectFrame{tag, reason}));
   maybe_complete_session(session);
 }
@@ -292,7 +286,6 @@ void SocketServer::note_downshift(std::uint64_t tag) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (tag > sessions_.size()) return;  // unknown tag (e.g. a replayed stream)
   ++sessions_[tag - 1]->tally.down_shifted;
-  ++totals_.down_shifted;
 }
 
 void SocketServer::shutdown() {
@@ -340,7 +333,17 @@ void SocketServer::finish() {
 
 ServerCounters SocketServer::counters() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return totals_;
+  ServerCounters totals;
+  totals.accepted = sessions_.size();  // every admitted session stays listed
+  totals.rejected = rejected_;
+  for (const auto& session : sessions_) {
+    totals.records += session->tally.records;
+    totals.malformed += session->tally.malformed;
+    totals.results += session->tally.results;
+    totals.shed += session->tally.shed;
+    totals.down_shifted += session->tally.down_shifted;
+  }
+  return totals;
 }
 
 std::vector<SessionCounters> SocketServer::session_counters() const {

@@ -113,7 +113,8 @@ struct SessionCounters {
   bool write_failed = false;  ///< client vanished before its frames drained
 };
 
-/// Aggregate tallies, stable after finish().
+/// Aggregate tallies, stable after finish(): `rejected` is counted, every
+/// other field is the sum of the admitted sessions' tallies.
 struct ServerCounters {
   std::size_t accepted = 0;
   std::size_t rejected = 0;  ///< admission-cap rejections (whole connections)
@@ -245,7 +246,7 @@ class SocketServer : public engine::InstanceSource {
   bool accept_done_ = false;
   bool stop_accepting_ = false;
   bool aborting_ = false;  ///< destructor-path force-stop
-  ServerCounters totals_;
+  std::size_t rejected_ = 0;  ///< admission-cap rejections (whole connections)
 };
 
 }  // namespace moldable::net

@@ -13,9 +13,9 @@
 #   smoke  — replays the small checked-in fixture with an unbounded memo
 #            store. Also serves the memo_twins fixture (two records that
 #            differ only in memcap/mem) under --memo --verify, whose
-#            memo-free reference catches a memo key blind to the memory
-#            axis, and checks that `--algorithm X` and `--portfolio X` print
-#            one digest for every registry name, in batch and serve mode.
+#            memo-free reference catches a memo identity blind to the
+#            memory axis, and checks that `--algorithm X` and `--portfolio X`
+#            print one digest for every registry name, in batch and serve mode.
 #   soak   — a 2000-arrival diurnal stream (mostly content-distinct
 #            records, a duplicate every 11th arrival, an interactive
 #            deadline class) served in the bounded endless-serve
@@ -70,12 +70,12 @@
 #            binds port 0 and publishes the kernel-chosen port through
 #            --port-file, so concurrent `ctest -j` runs cannot collide.
 #   golden — the cross-version gate: replays tests/fixtures/golden_session.rec,
-#            recorded by the build before the memo key moved from the text
-#            form to content bytes, at --threads 1 and 4. The session is
+#            recorded by the build before the memo identity moved from the
+#            text form to content bytes, at --threads 1 and 4. The session is
 #            memo-heavy (a capacity-16 LRU store: hits and evictions) under
-#            --adapt, whose reordered lanes salt their memo keys, with
-#            certificate sheds. batch_service --replay exits nonzero unless
-#            the rolling digest and every counter (memo hits, misses and
+#            --adapt, whose reordered lanes are part of the memo identity,
+#            with certificate sheds. batch_service --replay exits nonzero
+#            unless the rolling digest and every counter (memo hits, misses and
 #            evictions among them) match the recording, so a pass proves
 #            the hit set is unchanged. A change that alters digests
 #            re-records the fixture with its record-format bump:

@@ -2,17 +2,18 @@
 // retained scalar reference implementations (tests/knapsack_reference.hpp —
 // the verbatim pre-optimization code).
 //
-// The perf PR's contract is that vectorization, the flat take bitmap, and
-// arena scratch change *speed only*: every profit is the same IEEE bit
-// pattern, every decision bit and reconstruction identical. That is what
-// keeps the engine digests stable, so these tests compare bit for bit
-// (double bit patterns, exact chosen-index equality) — never with tolerances —
-// across hand-picked edge shapes and a randomized fuzz sweep: empty input,
-// capacity 0/1/exact-fit, duplicate items, zero-size and over-capacity
-// items, and size mixes straddling the SIMD word threshold (sz < 64 scalar
-// path vs sz >= 64 word path). A warm-arena repetition guards against stale
-// scratch leaking into results, and a portfolio 1-vs-4-thread digest
-// cross-check exercises the arena plumbing end to end.
+// The kernels' contract is that vectorization, the flat take bitmap, and
+// reused per-thread scratch change *speed only*: every profit is the same
+// IEEE bit pattern, every decision bit and reconstruction identical. That
+// is what keeps the engine digests stable, so these tests compare bit for
+// bit (double bit patterns, exact chosen-index equality) — never with
+// tolerances — across hand-picked edge shapes and a randomized fuzz sweep:
+// empty input, capacity 0/1/exact-fit, duplicate items, zero-size and
+// over-capacity items, and size mixes straddling the SIMD word threshold
+// (sz < 64 scalar path vs sz >= 64 word path). A warm-scratch run that
+// interleaves every kernel on shrinking and growing shapes guards against
+// stale scratch leaking into results, and a portfolio 1-vs-4-thread digest
+// cross-check exercises the per-thread buffers end to end.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -23,7 +24,6 @@
 #include "src/jobs/generators.hpp"
 #include "src/knapsack/dense_dp.hpp"
 #include "src/knapsack/pairlist.hpp"
-#include "src/util/arena.hpp"
 #include "src/util/prng.hpp"
 #include "tests/knapsack_reference.hpp"
 
@@ -126,11 +126,21 @@ TEST(KernelEquivalence, RandomizedFuzz) {
   }
 }
 
-TEST(KernelEquivalence, WarmArenaRepeatsAreIdentical) {
-  // Solve twice on one explicitly installed arena: the second run bumps
-  // through memory the first run dirtied, and must still match the fresh
-  // reference bit for bit (alloc_zeroed, not chunk freshness, is what the
-  // kernels may rely on).
+/// The profit profits_for_capacities answers at `capacity`: the last point
+/// of the frontier that fits.
+double profit_at(const std::vector<ParetoPoint>& frontier, double capacity) {
+  double best = 0;
+  for (const ParetoPoint& p : frontier) {
+    if (p.size > capacity * (1 + kRelTol)) break;
+    best = p.profit;
+  }
+  return best;
+}
+
+TEST(KernelEquivalence, WarmScratchRepeatsAreIdentical) {
+  // Every kernel solves on buffers its thread keeps from call to call, so
+  // each solve after the first starts on scratch an earlier solve dirtied.
+  // Repeats of one input must still match the fresh reference bit for bit.
   util::Prng rng(99);
   std::vector<Item> items;
   for (int i = 0; i < 64; ++i)
@@ -138,8 +148,6 @@ TEST(KernelEquivalence, WarmArenaRepeatsAreIdentical) {
                      rng.uniform_real(0.1, 20)});
   const procs_t cap = 1024;
 
-  util::ScratchArena arena;
-  util::ArenaScope scope(&arena);
   const Solution ref = reference::solve_dense(items, cap);
   for (int pass = 0; pass < 3; ++pass) {
     SCOPED_TRACE("pass " + std::to_string(pass));
@@ -148,13 +156,42 @@ TEST(KernelEquivalence, WarmArenaRepeatsAreIdentical) {
                                solve_pairlist(items, static_cast<double>(cap)),
                                "warm pairlist");
   }
-  EXPECT_GT(arena.capacity_bytes(), 0u);  // the kernels actually used it
+
+  // All four kernels interleaved on one thread, on shapes that shrink and
+  // then grow: the small solve runs inside buffers a larger one filled, so
+  // a kernel that skips zeroing its scratch or reads past a frontier's live
+  // length picks up the stale tail.
+  struct Shape {
+    int n;
+    procs_t cap;
+  };
+  for (const Shape shape : {Shape{256, 4096}, Shape{8, 64}, Shape{256, 4096}}) {
+    SCOPED_TRACE("n=" + std::to_string(shape.n) + " cap=" + std::to_string(shape.cap));
+    std::vector<Item> mix;
+    for (int i = 0; i < shape.n; ++i)
+      mix.push_back({static_cast<double>(rng.uniform_int(1, shape.cap / 8)),
+                     rng.uniform_real(0.1, 20)});
+    const auto cap_d = static_cast<double>(shape.cap);
+    const std::vector<ParetoPoint> frontier = reference::exact_pareto(mix, cap_d);
+
+    expect_solutions_identical(reference::solve_dense(mix, shape.cap),
+                               solve_dense(mix, shape.cap), "interleaved dense");
+    expect_pareto_identical(frontier, exact_pareto(mix, cap_d), "interleaved pareto");
+    const std::vector<double> caps = {cap_d, cap_d / 2, cap_d / 8, 0};
+    const std::vector<double> profits = profits_for_capacities(mix, caps);
+    ASSERT_EQ(profits.size(), caps.size());
+    for (std::size_t i = 0; i < caps.size(); ++i)
+      EXPECT_EQ(bits(profit_at(frontier, caps[i])), bits(profits[i]))
+          << "interleaved profit at capacity " << caps[i];
+    expect_solutions_identical(reference::solve_pairlist(mix, cap_d),
+                               solve_pairlist(mix, cap_d), "interleaved pairlist");
+  }
 }
 
-// Every engine thread solves on its own per-thread arena, so four threads
-// must still produce the one-thread digest bit for bit — arenas recycle
-// memory, never results.
-TEST(KernelEquivalence, DigestMatchesAcrossThreadCountsWithArenasEnabled) {
+// Every engine thread solves on its own scratch buffers, so four threads
+// must still produce the one-thread digest bit for bit — the buffers
+// recycle memory, never results.
+TEST(KernelEquivalence, DigestMatchesAcrossThreadCounts) {
   std::vector<jobs::Instance> family;
   for (std::uint64_t s = 0; s < 12; ++s)
     family.push_back(jobs::make_instance(jobs::all_families()[s % 4], 24,

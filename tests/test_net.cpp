@@ -21,6 +21,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "src/engine/portfolio.hpp"
@@ -654,6 +655,21 @@ TEST(SocketServer, MultiClientStormRecordsAndReplaysBitExact) {
   }
   EXPECT_EQ(server.counters().shed, 0u);
   EXPECT_EQ(server.counters().down_shifted, 0u);
+  // The totals are the sessions' tallies summed, field by field.
+  ServerCounters summed;
+  summed.accepted = sessions.size();
+  for (const SessionCounters& s : sessions) {
+    summed.records += s.records;
+    summed.malformed += s.malformed;
+    summed.results += s.results;
+    summed.shed += s.shed;
+    summed.down_shifted += s.down_shifted;
+  }
+  const ServerCounters totals = server.counters();
+  EXPECT_EQ(std::make_tuple(totals.accepted, totals.records, totals.malformed,
+                            totals.results, totals.shed, totals.down_shifted),
+            std::make_tuple(summed.accepted, summed.records, summed.malformed,
+                            summed.results, summed.shed, summed.down_shifted));
 
   // The merged arrival order was decided by real socket interleaving — but
   // the record file pins it, so a serial replay must reproduce the session
