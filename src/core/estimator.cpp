@@ -13,18 +13,23 @@ struct Evaluation {
   bool feasible = false;  ///< gamma defined for every job
   double avg_work = 0;
   double max_time = 0;
+  std::size_t known = 0;  ///< gammas[0, known) hold gamma_j(tau), 0 = undefined
   double omega() const { return std::max(avg_work, max_time); }
 };
 
-Evaluation evaluate(const jobs::Instance& inst, double tau) {
+/// Evaluates threshold tau and leaves gamma_j(tau) in gammas[j]. Stops at
+/// the first job that cannot meet tau even on m processors.
+Evaluation evaluate(const jobs::Instance& inst, double tau, std::vector<procs_t>& gammas) {
   Evaluation ev;
   double work = 0;
   double tmax = 0;
   for (const jobs::Job& job : inst.jobs()) {
     const auto g = job.gamma(tau);
+    gammas[ev.known++] = g.value_or(0);
     if (!g) return ev;  // infeasible: some job cannot meet tau even on m
-    work += job.work(*g);
-    tmax = std::max(tmax, job.time(*g));
+    const double t = job.time(*g);
+    work += static_cast<double>(*g) * t;  // job.work(*g), bit for bit
+    tmax = std::max(tmax, t);
   }
   ev.feasible = true;
   ev.avg_work = work / static_cast<double>(inst.machines());
@@ -44,14 +49,16 @@ EstimatorResult estimate_makespan(const jobs::Instance& inst) {
   best.omega = std::numeric_limits<double>::infinity();
   int evals = 0;
 
+  std::vector<procs_t> gammas(n);  // gamma_j at the last evaluated threshold
   auto consider = [&](double tau) {
-    const Evaluation ev = evaluate(inst, tau);
+    const Evaluation ev = evaluate(inst, tau, gammas);
     ++evals;
     if (ev.feasible && ev.omega() < best.omega) {
       best.omega = ev.omega();
       best.threshold = tau;
       best.avg_work = ev.avg_work;
       best.max_time = ev.max_time;
+      best.allotment = gammas;
     }
     return ev;
   };
@@ -104,9 +111,10 @@ EstimatorResult estimate_makespan(const jobs::Instance& inst) {
       if (go_up) {
         // Every tau' <= tau has omega(tau') >= A(tau') >= A(tau) = omega(tau)
         // (or is infeasible): drop candidates with value <= tau, i.e. keep
-        // k < gamma_j(tau).
-        const auto g = job.gamma(tau);
-        if (g) hi[j] = std::min(hi[j], *g - 1);
+        // k < gamma_j(tau). evaluate() left gamma_j(tau) for every job up
+        // to an infeasible early return.
+        const procs_t g = j < ev.known ? gammas[j] : job.gamma(tau).value_or(0);
+        if (g > 0) hi[j] = std::min(hi[j], g - 1);
       } else {
         // Every tau' >= tau has omega(tau') >= T(tau') >= T(tau) = omega(tau):
         // drop candidates with value >= tau, i.e. keep k > last_at_least(tau).
@@ -116,13 +124,6 @@ EstimatorResult estimate_makespan(const jobs::Instance& inst) {
   }
 
   check_invariant(std::isfinite(best.omega), "estimator: no feasible threshold found");
-
-  best.allotment.resize(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    const auto g = inst.job(j).gamma(best.threshold);
-    check_invariant(g.has_value(), "estimator: winning threshold lost feasibility");
-    best.allotment[j] = *g;
-  }
   best.evaluations = evals;
   return best;
 }

@@ -15,9 +15,13 @@
 // work-minimal allotment meeting it is gamma_j(tau). A(tau) is then
 // non-increasing and T(tau) non-decreasing in tau, so the optimum sits at a
 // breakpoint tau in {t_j(k)}. We locate it by parametric search over the n
-// per-job candidate ranges using weighted-median pivots: O(log(nm)) rounds
-// of O(n log m) oracle work, i.e. O(n log m log(nm)) — matching the
-// O(n log^2 m) budget the paper allots to this step.
+// per-job candidate ranges using weighted-median pivots: O(log(nm)) rounds,
+// each computing gamma_j(tau) once per job (the narrowing reuses those
+// values) and last_at_least once per job on the way down. With gamma's
+// O(log m) binary search that is O(n log m log(nm)) oracle work, matching
+// the O(n log^2 m) budget the paper allots to this step; on the
+// closed-form oracles, whose inverse lets Job certify gamma in two probes,
+// it is O(n log(nm)).
 #pragma once
 
 #include <vector>

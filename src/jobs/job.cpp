@@ -1,5 +1,6 @@
 #include "src/jobs/job.hpp"
 
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -26,16 +27,29 @@ std::optional<procs_t> Job::gamma(double t) const {
   // otherwise dual algorithms would reject makespans that are achievable.
   if (!leq_tol(tm_, t)) return std::nullopt;
   if (leq_tol(t1_, t)) return 1;
-  // Invariant: time(hi) <= t < time(lo-impossible...); search least k with
-  // time(k) <= t in (1, m].
-  procs_t lo = 1, hi = m_;  // time(lo) > t, time(hi) <= t
-  while (hi - lo > 1) {
-    const procs_t mid = lo + (hi - lo) / 2;
-    if (leq_tol(time(mid), t))
-      hi = mid;
+  // Least k in (1, m] with time(k) <= t. Invariant: time(lo) > t and
+  // time(hi) <= t (both up to leq_tol), so the answer lies in (lo, hi].
+  procs_t lo = 1, hi = m_;
+  const auto probe = [&](procs_t k) {  // k outside (lo, hi) is known: skip it
+    if (k <= lo || k >= hi) return;
+    if (leq_tol(time(k), t))
+      hi = k;
     else
-      lo = mid;
+      lo = k;
+  };
+  // The oracle's inverse x names the answer: g = ceil(x), or g - 1 when x
+  // came back rounded up past an integer (a breakpoint t = t(k) can invert
+  // to k + ulp). Probing g - 1, then g or g - 2, certifies either one with
+  // time(k) <= t < time(k - 1) in two probes. A failed certificate has
+  // still narrowed the bracket, and the binary search finishes it. NaN and
+  // +-inf fail the range test; x < m + 1 keeps ceil(x) castable for any m.
+  const double x = f_->inverse(t);
+  if (x > 1 && x < static_cast<double>(m_) + 1) {
+    const procs_t g = static_cast<procs_t>(std::ceil(x));
+    probe(g - 1);
+    probe(lo == g - 1 ? g : g - 2);
   }
+  while (hi - lo > 1) probe(lo + (hi - lo) / 2);
   return hi;
 }
 
@@ -45,13 +59,23 @@ procs_t Job::last_at_least(double t) const {
   if (t1_ < t) return 0;
   if (tm_ >= t) return m_;
   procs_t lo = 1, hi = m_;  // time(lo) >= t, time(hi) < t
-  while (hi - lo > 1) {
-    const procs_t mid = lo + (hi - lo) / 2;
-    if (time(mid) >= t)
-      lo = mid;
+  const auto probe = [&](procs_t k) {
+    if (k <= lo || k >= hi) return;
+    if (time(k) >= t)
+      lo = k;
     else
-      hi = mid;
+      hi = k;
+  };
+  // As in gamma, from the other side: the answer is g = floor(x), or g + 1
+  // when x came back rounded down; probing g + 1, then g + 2 or g,
+  // certifies either one with time(k) >= t > time(k + 1).
+  const double x = f_->inverse(t);
+  if (x >= 0 && x < static_cast<double>(m_)) {
+    const procs_t g = static_cast<procs_t>(std::floor(x));
+    probe(g + 1);
+    probe(hi == g + 1 ? g : g + 2);
   }
+  while (hi - lo > 1) probe(lo + (hi - lo) / 2);
   return lo;
 }
 

@@ -6,10 +6,16 @@
 //   gamma(t)  = min{ p in [m] : t_j(p) <= t } (canonical allotment;
 //                Section 3, also Mounié-Rapine-Trystram)
 //
-// gamma is computed by binary search over [1, m] in O(log m) oracle probes,
-// exactly as the paper prescribes ("Note that gamma_j(t) can be found in
-// time O(log m) by binary search"). The search relies on property (P1)
-// (non-increasing times); behaviour is unspecified for oracles violating it.
+// The paper finds gamma by binary search over [1, m] in O(log m) oracle
+// probes ("Note that gamma_j(t) can be found in time O(log m) by binary
+// search"). Here the oracle's closed-form inverse (ProcessingTimeFunction::
+// inverse) names the answer first, and two probes certify it; the paper's
+// binary search is the fallback and finishes whatever bracket the probes
+// leave, and oracles without an inverse (tables) run it alone.
+// Both rely on property (P1) (non-increasing times): when the probed
+// predicate is monotone in k, which the binary search already assumes, the
+// certified answer is the one the binary search returns. Behaviour is
+// unspecified for oracles violating (P1).
 #pragma once
 
 #include <optional>
@@ -34,11 +40,12 @@ class Job {
   double work(procs_t k) const { return static_cast<double>(k) * time(k); }
 
   /// gamma_j(t): least processor count whose time is <= t, or nullopt when
-  /// even m processors are too slow (t < t_j(m)). O(log m) oracle probes.
+  /// even m processors are too slow (t < t_j(m)). Two oracle probes when
+  /// the oracle's inverse names the answer, O(log m) otherwise.
   std::optional<procs_t> gamma(double t) const;
 
   /// Largest k with t_j(k) >= t, or 0 when t > t_j(1). Companion search
-  /// used by the estimator's breakpoint narrowing. O(log m).
+  /// used by the estimator's breakpoint narrowing; probes as gamma does.
   procs_t last_at_least(double t) const;
 
   procs_t machines() const { return m_; }

@@ -22,6 +22,8 @@ double AmdahlTime::at(procs_t k) const {
   return t1_ * ((1.0 - f_) + f_ / static_cast<double>(k));
 }
 
+double AmdahlTime::inverse(double t) const { return f_ / (t / t1_ - (1.0 - f_)); }
+
 // ------------------------------------------------------------- power law ---
 
 PowerLawTime::PowerLawTime(double t1, double alpha) : t1_(t1), alpha_(alpha) {
@@ -34,6 +36,8 @@ double PowerLawTime::at(procs_t k) const {
   if (k < 1) throw std::invalid_argument("PowerLawTime::at: k must be >= 1");
   return t1_ * std::pow(static_cast<double>(k), -alpha_);
 }
+
+double PowerLawTime::inverse(double t) const { return std::pow(t1_ / t, 1.0 / alpha_); }
 
 // ---------------------------------------------------- communication model ---
 
@@ -59,6 +63,14 @@ double CommOverheadTime::at(procs_t k) const {
   if (k < 1) throw std::invalid_argument("CommOverheadTime::at: k must be >= 1");
   const procs_t kk = std::min(k, kstar_);
   return t1_ / static_cast<double>(kk) + c_ * static_cast<double>(kk - 1);
+}
+
+double CommOverheadTime::inverse(double t) const {
+  // Smaller root in the cancellation-free form 2 t1 / (b + sqrt(b^2 - 4 c t1)).
+  const double b = t + c_;
+  const double disc = b * b - 4.0 * c_ * t1_;
+  if (!(disc >= 0)) return std::numeric_limits<double>::quiet_NaN();
+  return 2.0 * t1_ / (b + std::sqrt(disc));
 }
 
 // ------------------------------------------------------ linear reduction ---
@@ -130,6 +142,8 @@ double LogSpeedupTime::at(procs_t k) const {
   return t1_ / (1.0 + std::log2(static_cast<double>(k)));
 }
 
+double LogSpeedupTime::inverse(double t) const { return std::exp2(t1_ / t - 1.0); }
+
 // ------------------------------------------------------------ scaled time ---
 
 ScaledTime::ScaledTime(PtfPtr inner, double factor)
@@ -139,6 +153,8 @@ ScaledTime::ScaledTime(PtfPtr inner, double factor)
 }
 
 double ScaledTime::at(procs_t k) const { return c_ * inner_->at(k); }
+
+double ScaledTime::inverse(double t) const { return inner_->inverse(t / c_); }
 
 // ---------------------------------------------------- monotony validation ---
 

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -31,6 +32,15 @@ class ProcessingTimeFunction {
   /// Processing time on k processors; requires k >= 1. Values must be
   /// finite and strictly positive for all k the instance exposes.
   virtual double at(procs_t k) const = 0;
+
+  /// The real x with t(x) = t on the curve's decreasing part, or NaN when
+  /// the family has no closed form (the default). Only a hint: `Job` names
+  /// its gamma / last_at_least answer from it and certifies that answer
+  /// with two `at` probes, so a wrong value (off by any amount, NaN, +-inf)
+  /// costs probes but never changes a result. Must not throw.
+  virtual double inverse(double /*t*/) const {
+    return std::numeric_limits<double>::quiet_NaN();
+  }
 };
 
 using PtfPtr = std::shared_ptr<const ProcessingTimeFunction>;
@@ -46,6 +56,7 @@ class AmdahlTime final : public ProcessingTimeFunction {
  public:
   AmdahlTime(double t1, double parallel_fraction);
   double at(procs_t k) const override;
+  double inverse(double t) const override;  ///< f / (t/t1 - (1 - f))
 
   double t1() const { return t1_; }
   double parallel_fraction() const { return f_; }
@@ -62,6 +73,7 @@ class PowerLawTime final : public ProcessingTimeFunction {
  public:
   PowerLawTime(double t1, double alpha);
   double at(procs_t k) const override;
+  double inverse(double t) const override;  ///< (t1/t)^(1/alpha)
 
   double t1() const { return t1_; }
   double alpha() const { return alpha_; }
@@ -81,6 +93,9 @@ class CommOverheadTime final : public ProcessingTimeFunction {
  public:
   CommOverheadTime(double t1, double comm_cost);
   double at(procs_t k) const override;
+  /// The smaller root of c k^2 - (t + c) k + t1 = 0 (raw's decreasing
+  /// branch); NaN when t is below raw's minimum (negative discriminant).
+  double inverse(double t) const override;
 
   procs_t plateau() const { return kstar_; }
   double t1() const { return t1_; }
@@ -159,6 +174,7 @@ class LogSpeedupTime final : public ProcessingTimeFunction {
  public:
   explicit LogSpeedupTime(double t1);
   double at(procs_t k) const override;
+  double inverse(double t) const override;  ///< 2^(t1/t - 1)
 
   double t1() const { return t1_; }
 
@@ -173,6 +189,7 @@ class ScaledTime final : public ProcessingTimeFunction {
  public:
   ScaledTime(PtfPtr inner, double factor);
   double at(procs_t k) const override;
+  double inverse(double t) const override;  ///< inner's inverse at t / c
 
   double factor() const { return c_; }
   const PtfPtr& inner() const { return inner_; }

@@ -3,12 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <memory>
+#include <vector>
 
 #include "src/core/estimator.hpp"
 #include "src/core/exact.hpp"
 #include "src/jobs/generators.hpp"
 #include "src/sched/list_scheduler.hpp"
 #include "src/sched/validator.hpp"
+#include "src/util/prng.hpp"
 
 namespace moldable::core {
 namespace {
@@ -17,24 +21,33 @@ using jobs::Family;
 using jobs::Instance;
 using jobs::make_instance;
 
-// Brute-force omega over all breakpoints tau = t_j(k) (table instances).
+// Brute-force omega that shares no search with the estimator: every
+// breakpoint tau = t_j(k), with each gamma_i(tau) read off job i's time
+// table by a linear scan. Work is summed in job order as g * t(g), the
+// estimator's arithmetic, so the two minima agree bit for bit.
 double omega_brute(const Instance& inst) {
-  double best = std::numeric_limits<double>::infinity();
+  const procs_t m = inst.machines();
+  std::vector<std::vector<double>> times;
   for (const jobs::Job& job : inst.jobs()) {
-    for (procs_t k = 1; k <= inst.machines(); ++k) {
-      const double tau = job.time(k);
+    times.emplace_back();
+    for (procs_t k = 1; k <= m; ++k) times.back().push_back(job.time(k));
+  }
+  double best = std::numeric_limits<double>::infinity();
+  for (const std::vector<double>& row : times) {
+    for (const double tau : row) {
       double work = 0, tmax = 0;
       bool ok = true;
-      for (const jobs::Job& other : inst.jobs()) {
-        const auto g = other.gamma(tau);
-        if (!g) {
+      for (const std::vector<double>& other : times) {
+        std::size_t i = 0;
+        while (i < other.size() && !leq_tol(other[i], tau)) ++i;
+        if (i == other.size()) {
           ok = false;
           break;
         }
-        work += other.work(*g);
-        tmax = std::max(tmax, other.time(*g));
+        work += static_cast<double>(i + 1) * other[i];
+        tmax = std::max(tmax, other[i]);
       }
-      if (ok) best = std::min(best, std::max(work / static_cast<double>(inst.machines()), tmax));
+      if (ok) best = std::min(best, std::max(work / static_cast<double>(m), tmax));
     }
   }
   return best;
@@ -46,6 +59,36 @@ TEST(Estimator, MatchesBruteForceOnTables) {
     const EstimatorResult est = estimate_makespan(inst);
     EXPECT_NEAR(est.omega, omega_brute(inst), 1e-9 * est.omega) << "seed=" << seed;
     EXPECT_NEAR(est.omega, std::max(est.avg_work, est.max_time), 1e-12);
+  }
+}
+
+TEST(Estimator, MatchesBruteForceOnClosedForms) {
+  // The closed forms reach Job's inverse-hinted gamma and last_at_least,
+  // which MatchesBruteForceOnTables (inverse NaN) never does.
+  util::Prng rng(31337);
+  for (int rep = 0; rep < 100; ++rep) {
+    const procs_t m = rng.uniform_int(1, 512);
+    std::vector<jobs::Job> jobs;
+    const int n = static_cast<int>(rng.uniform_int(1, 10));
+    for (int j = 0; j < n; ++j) {
+      const double t1 = rng.log_uniform(1, 1000);
+      jobs::PtfPtr f;
+      switch ((rep + j) % 5) {
+        case 0: f = std::make_shared<jobs::AmdahlTime>(t1, rng.uniform_real(0.1, 1.0)); break;
+        case 1: f = std::make_shared<jobs::PowerLawTime>(t1, rng.uniform_real(0.2, 1.0)); break;
+        case 2:
+          f = std::make_shared<jobs::CommOverheadTime>(t1, t1 * rng.log_uniform(1e-6, 0.3));
+          break;
+        case 3: f = std::make_shared<jobs::LogSpeedupTime>(t1); break;
+        default:
+          f = std::make_shared<jobs::ScaledTime>(
+              std::make_shared<jobs::AmdahlTime>(t1, rng.uniform_real(0.1, 1.0)),
+              rng.log_uniform(0.1, 10));
+      }
+      jobs.emplace_back(std::move(f), m);
+    }
+    const Instance inst(std::move(jobs), m);
+    EXPECT_EQ(estimate_makespan(inst).omega, omega_brute(inst)) << "rep=" << rep << " m=" << m;
   }
 }
 

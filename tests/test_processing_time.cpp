@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <utility>
 
 #include "src/jobs/io.hpp"
 #include "src/jobs/job.hpp"
@@ -235,6 +236,31 @@ TEST(LogSpeedupTime, ValuesAndMonotony) {
   EXPECT_TRUE(r.work_nondecreasing);
   EXPECT_THROW(LogSpeedupTime(0.0), std::invalid_argument);
   EXPECT_THROW(f.at(0), std::invalid_argument);
+}
+
+TEST(ProcessingTime, InverseSolvesTheClosedForm) {
+  // inverse(t(k)) recovers k on each closed form's decreasing part, so
+  // t(inverse(t(k))) = t(k); comm is sampled below its plateau k* = 2^13.
+  const auto power_law = std::make_shared<PowerLawTime>(41.0, 0.61);
+  const std::pair<const char*, PtfPtr> families[] = {
+      {"amdahl", std::make_shared<AmdahlTime>(37.0, 0.73)},
+      {"powerlaw", power_law},
+      {"comm", std::make_shared<CommOverheadTime>(53.0, 53.0 / (8192.0 * 8192.0))},
+      {"logspeed", std::make_shared<LogSpeedupTime>(60.0)},
+      {"scaled", std::make_shared<ScaledTime>(power_law, 3.5)}};
+  for (const auto& [name, f] : families) {
+    for (procs_t k = 1; k <= 4096; k += 1 + k / 8) {
+      const double x = f->inverse(f->at(k));
+      EXPECT_NEAR(x, static_cast<double>(k), 1e-9 * static_cast<double>(k))
+          << name << " k=" << k;
+    }
+  }
+  // Below comm's minimum the quadratic has no real root.
+  EXPECT_FALSE(std::isfinite(CommOverheadTime(53.0, 0.02).inverse(1.0)));
+  // No closed form: table, rigid step and the reduction family answer NaN.
+  EXPECT_TRUE(std::isnan(TableTime({4.0, 2.0, 1.5}).inverse(2.0)));
+  EXPECT_TRUE(std::isnan(RigidStepTime(3.0, 64, 1e6).inverse(3.0)));
+  EXPECT_TRUE(std::isnan(LinearReductionTime(512, 7).inverse(3000.0)));
 }
 
 TEST(LogSpeedupTime, GammaGrowsExponentiallyInDemandedSpeedup) {
